@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CongruenceSolution",
@@ -203,6 +204,7 @@ def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
+    import numpy as np
     table = np.arange(limit + 1, dtype=np.int32)
     table[:2] = 0
     for p in range(2, math.isqrt(limit) + 1):
@@ -216,6 +218,7 @@ def primes_up_to(limit: int) -> list[int]:
     """Primes <= limit in increasing order."""
     if limit < 2:
         return []
+    import numpy as np
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 from .arith import MultiplicativeFunction, primes_up_to, sieve_multiplicative
-from .rank3 import count_total_prime_power
+from .typecounts import h_recurrence, symbolic_count
 
 __all__ = [
     "AsymptoticReport",
@@ -54,23 +52,9 @@ class Constants:
     theta_reference: Fraction = THETA_REFERENCE
 
 
-def _s_prime_power(p: int, e: int) -> int:
-    return count_total_prime_power(p, e, e, e)
-
-
-def _h_prime_power(p: int, e: int) -> int:
-    # Convolution complement of n^2 tau(n) inside s, solved on prime powers.
-    if e == 1:
-        return _s_prime_power(p, 1) - 2 * p * p
-    return (
-        _s_prime_power(p, e)
-        - 2 * p * p * _s_prime_power(p, e - 1)
-        + p**4 * _s_prime_power(p, e - 2)
-    )
-
-
-S_DIAGONAL = MultiplicativeFunction(_s_prime_power, "s")
-H_COMPLEMENT = MultiplicativeFunction(_h_prime_power, "h")
+S_DIAGONAL = MultiplicativeFunction(lambda p, e: symbolic_count(e, e, e)(p), "s")
+# Convolution complement of n^2 tau(n) inside s, solved on prime powers.
+H_COMPLEMENT = MultiplicativeFunction(lambda p, e: h_recurrence(e)(p), "h")
 
 
 def sieve_s(limit: int) -> list[int]:
@@ -124,6 +108,8 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
         raise ValueError(f"prime_limit must be >= 100, got {prime_limit}")
     if tail_terms < 16:
         raise ValueError(f"tail_terms must be >= 16, got {tail_terms}")
+
+    import mpmath  # imported here so that commands other than asymptotic skip it
 
     with mpmath.workdps(30):
         zeta2 = float(mpmath.zeta(2))

@@ -361,9 +361,10 @@ def run_lattice_verification(
 
     Covers every group Z_m x Z_n x Z_r with m n r <= max_order (and every
     Z_m x Z_n with m n <= max_order): element-set equality with the oracle
-    lattice, stream length against the counting formula, and pairwise
-    distinctness. Any exception inside one shape is recorded as a failure
-    for that shape rather than aborting the campaign.
+    lattice, stream length against both counting routes (the per-prime
+    count_total and the paper's divisor sum), and pairwise distinctness.
+    Any exception inside one shape is recorded as a failure for that shape
+    rather than aborting the campaign.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
@@ -400,9 +401,10 @@ def run_lattice_verification(
                         stream3 += 1
                         basis3 = rank3.materialize(sx, group)
                         seen3.add(_canonical_set(rank3.subgroup_elements(basis3)))
-                    formula3 = rank3.count_total(group)
-                    if stream3 != formula3:
-                        failures.append(f"{group}: stream {stream3} != formula {formula3}")
+                    formulas3 = (rank3.count_total(group), rank3.count_total_divisor_sum(group))
+                    if any(stream3 != formula for formula in formulas3):
+                        note = f"formulas {formulas3} (per prime, divisor sum)"
+                        failures.append(f"{group}: stream {stream3} != {note}")
                     elif len(seen3) != stream3:
                         failures.append(f"{group}: {stream3 - len(seen3)} duplicate element sets")
                     elif seen3 != want3:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .config import element_bound
 
 Element = tuple[int, ...]
@@ -103,6 +101,7 @@ def _decode(code: int, orders: tuple[int, ...]) -> Element:
 
 
 def _addition_table(orders: tuple[int, ...]) -> list[list[int]]:
+    import numpy as np
     total = prod(orders)
     table = np.zeros((total, total), dtype=np.int32)
     rem = np.arange(total)

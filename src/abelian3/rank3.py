@@ -12,7 +12,9 @@ and (t, w, z) pick the shifts s, v, u. The derived gcd layer
 
 controls the admissible ranges: 0 <= t < A, 0 <= w < B gcd(t, X)/X,
 0 <= z < C. Each subgroup arises from exactly one parameter choice, which is
-what makes the divisor-sum counting formulas below exact.
+what makes the paper's divisor-sum counting formulas exact. Those sums stay
+as reference routes for the tests and `verify`; the counts users get are
+products over the primes of m n r of terms that depend only on exponents.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
+from . import arith
 from .arith import PHI, divisors, evaluate, gcd_sum, solve_linear_congruence
 from .config import element_bound
+from .typecounts import order_terms, symbolic_count
 
 Group3 = tuple[int, int, int]
 
@@ -72,7 +77,8 @@ def derived_params(a: int, b: int, c: int, group: Group3) -> DerivedParams:
     """The gcd layer (A, B, C, X) for one divisor triple.
 
     X divides both A and B; that is load-bearing for the w-range and for the
-    exactness of the ABC/X^2 term in count_total, so both facts are asserted.
+    exactness of the ABC/X^2 term in count_total_divisor_sum (the per-prime
+    counts never build this layer), so both facts are asserted.
     """
     m, n, r = group
     if a < 1 or b < 1 or c < 1 or m % a or n % b or r % c:
@@ -170,70 +176,83 @@ def subgroup_elements(basis: SubgroupBasis3) -> set[tuple[int, int, int]]:
     return elements
 
 
+def _prime_exponents(group: Group3) -> dict[int, list[int]]:
+    """{p: [v_p(m), v_p(n), v_p(r)]} over the primes p of m n r."""
+    exponents: dict[int, list[int]] = {}
+    for axis, value in enumerate(_validated(group)):
+        for p, e in arith.factorize(value):
+            exponents.setdefault(p, [0, 0, 0])[axis] = e
+    return exponents
+
+
 def count_total(group: Group3) -> int:
     """Total number of subgroups of Z_m x Z_n x Z_r.
 
-    Sum over divisor triples of (ABC / X^2) P(X), P = Pillai's gcd-sum.
+    Product over the primes p of m n r of symbolic_count(v_p(m), v_p(n),
+    v_p(r)) evaluated at p; count_total_divisor_sum is the paper's route.
     """
-    m, n, r = _validated(group)
-    pillai_cache: dict[int, int] = {}
-    total = 0
-    for a in divisors(m):
-        for b in divisors(n):
-            for c in divisors(r):
-                dp = derived_params(a, b, c, group)
-                px = pillai_cache.get(dp.X)
-                if px is None:
-                    px = gcd_sum(dp.X)
-                    pillai_cache[dp.X] = px
-                total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * px
-    return total
+    return math.prod(symbolic_count(*exps)(p) for p, exps in _prime_exponents(group).items())
 
 
 def count_by_order(group: Group3, delta: int) -> int:
-    """Number of subgroups of order delta; delta must divide m n r."""
+    """Number of subgroups of order delta; delta must divide m n r.
+
+    Product over the primes p of m n r of the order_terms entry for v_p(delta).
+    delta is never factored: its primes are among those of m n r.
+    """
     m, n, r = _validated(group)
     whole = m * n * r
     if delta < 1 or whole % delta:
         raise ValueError(f"order {delta} does not divide {whole}")
-    shape_product = whole // delta  # a b c for subgroups of order delta
-    pillai_cache: dict[int, int] = {}
-    total = 0
-    for a in divisors(m):
-        if shape_product % a:
-            continue
-        for b in divisors(n):
-            if (shape_product // a) % b:
-                continue
-            c = shape_product // (a * b)
-            if r % c:
-                continue
-            dp = derived_params(a, b, c, group)
-            px = pillai_cache.get(dp.X)
-            if px is None:
-                px = gcd_sum(dp.X)
-                pillai_cache[dp.X] = px
-            total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * px
+    total = 1
+    for p, exps in _prime_exponents(group).items():
+        k = 0
+        while delta % p == 0:
+            delta //= p
+            k += 1
+        total *= order_terms(*exps)[k](p)
     return total
 
 
 def count_cyclic(group: Group3) -> int:
     """Number of cyclic subgroups of Z_m x Z_n x Z_r.
 
+    Product over the primes p of m n r of the sum over exponent triples
+    (i, j, k) of phi(p^i) phi(p^j) phi(p^k) / phi(p^max(i, j, k)).
+    """
+    total = 1
+    for p, (e1, e2, e3) in _prime_exponents(group).items():
+        phi = [1] + [(p - 1) * p**i for i in range(max(e1, e2, e3))]  # phi[i] = phi(p^i)
+        triples = product(range(e1 + 1), range(e2 + 1), range(e3 + 1))
+        total *= sum(phi[i] * phi[j] * phi[k] // phi[max(i, j, k)] for i, j, k in triples)
+    return total
+
+
+def count_total_divisor_sum(group: Group3) -> int:
+    """Reference route for count_total: the paper's divisor-triple sum.
+
+    Sum over divisor triples of (ABC / X^2) P(X), P = Pillai's gcd-sum.
+    """
+    m, n, r = _validated(group)
+    pillai = lru_cache(maxsize=None)(gcd_sum)
+    total = 0
+    for a in divisors(m):
+        for b in divisors(n):
+            for c in divisors(r):
+                dp = derived_params(a, b, c, group)
+                total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * pillai(dp.X)
+    return total
+
+
+def count_cyclic_divisor_sum(group: Group3) -> int:
+    """Reference route for count_cyclic: the whole-group divisor-triple sum.
+
     Sum of phi(a) phi(b) phi(c) / phi(lcm(a, b, c)); every summand is an
     integer (the number of cyclic subgroups whose projections have orders
     a, b, c), which is asserted.
     """
     m, n, r = _validated(group)
-    phi_cache: dict[int, int] = {}
-
-    def phi(k: int) -> int:
-        val = phi_cache.get(k)
-        if val is None:
-            val = evaluate(PHI, k)
-            phi_cache[k] = val
-        return val
-
+    phi = lru_cache(maxsize=None)(lambda k: evaluate(PHI, k))
     total = 0
     for a in divisors(m):
         for b in divisors(n):
@@ -242,34 +261,6 @@ def count_cyclic(group: Group3) -> int:
                 den = phi(math.lcm(a, b, c))
                 assert num % den == 0
                 total += num // den
-    return total
-
-
-@lru_cache(maxsize=None)
-def count_total_prime_power(p: int, e1: int, e2: int, e3: int) -> int:
-    """count_total((p^e1, p^e2, p^e3)) via exponent arithmetic only.
-
-    On prime powers every gcd in the derived layer is a min of exponents, and
-    P(p^eX) = (eX + 1) p^eX - eX p^(eX - 1), so no factorization is needed.
-    Memoized: sieves evaluate each (p, e) pattern exactly once.
-    """
-    if p < 2 or min(e1, e2, e3) < 0:
-        raise ValueError(f"need a prime base and nonnegative exponents, got {(p, e1, e2, e3)}")
-    total = 0
-    for i in range(e1 + 1):
-        for j in range(e2 + 1):
-            for k in range(e3 + 1):
-                rc = e3 - k
-                ea = min(i, e2 - j)
-                eb = min(j, rc)
-                ec = min(i, rc)
-                ssum = ea + eb + ec
-                ex = ssum - min(i + rc, ssum)
-                lead = ssum - ex
-                term = (ex + 1) * p**lead
-                if ex:
-                    term -= ex * p ** (lead - 1)
-                total += term
     return total
 
 

@@ -1,16 +1,18 @@
 """Symbolic subgroup counts for p-groups: integer polynomials in p.
 
-Three independent routes live here. symbolic_count specializes the
+Three independent routes live here. order_terms specializes the
 divisor-triple sum to prime powers, where every gcd becomes a min of
-exponents. general_form is the closed quadratic-coefficient expression for
-the equal-exponent case. type_count counts subgroups of a prescribed
-isomorphism type via conjugate partitions and Gaussian binomials. Agreement
-between the routes is what the test suite leans on.
+exponents; symbolic_count sums it, and rank3 counts every group through it,
+one prime at a time. general_form is the closed quadratic-coefficient
+expression for the equal-exponent case. type_count counts subgroups of a
+prescribed isomorphism type via conjugate partitions and Gaussian binomials.
+Agreement between the routes is what the test suite leans on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "general_form",
     "h_closed_form",
     "h_recurrence",
+    "order_terms",
     "subpartitions",
     "symbolic_count",
     "type_count",
@@ -156,16 +159,20 @@ ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
 
 
-def symbolic_count(nu1: int, nu2: int, nu3: int) -> IntPolynomial:
-    """Subgroup count of Z_p^nu1 x Z_p^nu2 x Z_p^nu3 as a polynomial in p.
+@lru_cache(maxsize=None)
+def order_terms(nu1: int, nu2: int, nu3: int) -> tuple[IntPolynomial, ...]:
+    """Subgroup counts of Z_p^nu1 x Z_p^nu2 x Z_p^nu3 by order, as polynomials in p.
 
-    Exponent-space form of the divisor-triple sum: each triple (i, j, k) of
-    exponents contributes p^(S - 2 eX) P(p^eX), which is the pair of
-    monomials (eX + 1) p^(S - eX) - eX p^(S - eX - 1).
+    Entry d counts the subgroups of order p^d. This is the one place the
+    divisor-triple sum is specialised to prime powers: every gcd becomes a min
+    of exponents, and the shape (p^i, p^j, p^k), of order
+    p^(nu1 + nu2 + nu3 - i - j - k), contributes p^(S - 2 eX) P(p^eX), which
+    is (eX + 1) p^(S - eX) - eX p^(S - eX - 1). Memoised on the exponents.
     """
     if min(nu1, nu2, nu3) < 0:
         raise ValueError(f"exponents must be >= 0, got {(nu1, nu2, nu3)}")
-    acc: dict[int, int] = {}
+    top = nu1 + nu2 + nu3
+    rows: list[dict[int, int]] = [{} for _ in range(top + 1)]  # degree -> coefficient
     for i in range(nu1 + 1):
         for j in range(nu2 + 1):
             for k in range(nu3 + 1):
@@ -176,13 +183,17 @@ def symbolic_count(nu1: int, nu2: int, nu3: int) -> IntPolynomial:
                 ssum = ea + eb + ec
                 ex = ssum - min(i + rc, ssum)
                 lead = ssum - ex
-                acc[lead] = acc.get(lead, 0) + ex + 1
+                row = rows[top - i - j - k]
+                row[lead] = row.get(lead, 0) + ex + 1
                 if ex:
-                    acc[lead - 1] = acc.get(lead - 1, 0) - ex
-    coeffs = [0] * (max(acc) + 1)
-    for deg, c in acc.items():
-        coeffs[deg] = c
-    return IntPolynomial(coeffs)
+                    row[lead - 1] = row.get(lead - 1, 0) - ex
+    return tuple(IntPolynomial(row.get(d, 0) for d in range(max(row) + 1)) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def symbolic_count(nu1: int, nu2: int, nu3: int) -> IntPolynomial:
+    """Subgroup count of Z_p^nu1 x Z_p^nu2 x Z_p^nu3 as a polynomial in p."""
+    return sum(order_terms(nu1, nu2, nu3), ZERO)
 
 
 def general_form(nu: int) -> IntPolynomial:
@@ -308,6 +319,7 @@ def h_closed_form(nu: int) -> IntPolynomial:
     return IntPolynomial([3 * nu + 1, 3 * nu - 1])
 
 
+@lru_cache(maxsize=None)
 def h_recurrence(nu: int) -> IntPolynomial:
     """h at p^nu from the convolution s = (n^2 tau) * h, solved for h.
 

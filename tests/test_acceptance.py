@@ -30,7 +30,12 @@ from abelian3.asymptotics import (
     sieve_s,
 )
 from abelian3.cli import run_lattice_verification
-from abelian3.rank3 import count_by_order, count_cyclic, count_total
+from abelian3.rank3 import (
+    count_by_order,
+    count_cyclic_divisor_sum,
+    count_total,
+    count_total_divisor_sum,
+)
 from abelian3.typecounts import (
     Partition,
     gaussian_binomial,
@@ -191,7 +196,8 @@ def test_08_multiplicativity_suite(criterion):
             if math.gcd(g1[0] * g1[1] * g1[2], g2[0] * g2[1] * g2[2]) != 1:
                 continue
             joint = (g1[0] * g2[0], g1[1] * g2[1], g1[2] * g2[2])
-            assert count_total(joint) == count_total(g1) * count_total(g2), (g1, g2)
+            product = count_total_divisor_sum(g1) * count_total_divisor_sum(g2)
+            assert count_total_divisor_sum(joint) == product, (g1, g2)
             checked += 1
 
         spf = smallest_prime_factor_sieve(limit)
@@ -217,23 +223,26 @@ def test_08_multiplicativity_suite(criterion):
         # exhaustively low and sampled across the full range
         svals = sieve_s(limit)
         for n in range(1, 401):
-            assert count_total((n, n, n)) == svals[n], n
+            assert count_total_divisor_sum((n, n, n)) == svals[n], n
         for n in rng.sample(range(401, limit + 1), 60):
-            assert count_total((n, n, n)) == svals[n], n
+            assert count_total_divisor_sum((n, n, n)) == svals[n], n
         for u, v in coprime_pairs(40):
-            direct = count_total((u * v, u * v, u * v))
-            assert direct == count_total((u, u, u)) * count_total((v, v, v)), (u, v)
+            direct = count_total_divisor_sum((u * v, u * v, u * v))
+            product = count_total_divisor_sum((u, u, u)) * count_total_divisor_sum((v, v, v))
+            assert direct == product, (u, v)
 
         # c: the divisor-sum route is not multiplicative by construction, so
         # the identity itself is the check
         for n in range(2, 401):
             u, v = canonical_split(n)
             if v > 1:
-                lhs = count_cyclic((n, n, n))
-                assert lhs == count_cyclic((u, u, u)) * count_cyclic((v, v, v)), n
+                lhs = count_cyclic_divisor_sum((n, n, n))
+                product = count_cyclic_divisor_sum((u, u, u)) * count_cyclic_divisor_sum((v, v, v))
+                assert lhs == product, n
         for u, v in coprime_pairs(40):
-            lhs = count_cyclic((u * v, u * v, u * v))
-            assert lhs == count_cyclic((u, u, u)) * count_cyclic((v, v, v)), (u, v)
+            lhs = count_cyclic_divisor_sum((u * v, u * v, u * v))
+            product = count_cyclic_divisor_sum((u, u, u)) * count_cyclic_divisor_sum((v, v, v))
+            assert lhs == product, (u, v)
 
         # P: brute-force gcd sums against the multiplicative evaluation
         pvals = sieve_multiplicative(PILLAI, 3000)

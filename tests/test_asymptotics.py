@@ -15,7 +15,7 @@ from abelian3.asymptotics import (
     main_term,
     sieve_s,
 )
-from abelian3.rank3 import count_total
+from abelian3.rank3 import count_total_divisor_sum
 from abelian3.typecounts import h_recurrence
 
 DATA = Path(__file__).parent / "data"
@@ -39,7 +39,7 @@ class TestSieveS:
     def test_matches_divisor_triple_route(self):
         values = sieve_s(30)
         for n in range(1, 31):
-            assert values[n] == count_total((n, n, n)), n
+            assert values[n] == count_total_divisor_sum((n, n, n)), n
 
     def test_zero_slot(self):
         assert sieve_s(3) == [0, 1, 16, 28]

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import permutations
 
 import pytest
@@ -13,14 +14,16 @@ from abelian3.rank3 import (
     Sextuple,
     count_by_order,
     count_cyclic,
+    count_cyclic_divisor_sum,
     count_total,
-    count_total_prime_power,
+    count_total_divisor_sum,
     derived_params,
     enumerate_sextuples,
     enumerate_subgroups,
     materialize,
     subgroup_elements,
 )
+from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
 
 
 def canonical(basis):
@@ -185,8 +188,9 @@ class TestCountTotal:
     )
     def test_multiplicative_in_coprime_blocks(self, m1, n1, r1, m2, n2, r2):
         if math.gcd(m1 * n1 * r1, m2 * n2 * r2) == 1:
-            joint = count_total((m1 * m2, n1 * n2, r1 * r2))
-            assert joint == count_total((m1, n1, r1)) * count_total((m2, n2, r2))
+            for count in (count_total, count_total_divisor_sum):
+                joint = count((m1 * m2, n1 * n2, r1 * r2))
+                assert joint == count((m1, n1, r1)) * count((m2, n2, r2)), count
 
 
 class TestCountByOrder:
@@ -201,6 +205,16 @@ class TestCountByOrder:
             count_by_order((2, 2, 2), 3)
         with pytest.raises(ValueError):
             count_by_order((2, 2, 2), 0)
+
+    def test_large_prime_order_is_not_factored(self):
+        # 10^12 + 39 is prime: each axis factors at once through the primality
+        # test, while trial division of delta = p^2 would run up to p.
+        p = 10**12 + 39
+        start = time.perf_counter()
+        assert count_by_order((p, p, 1), p * p) == 1
+        assert count_by_order((p, p, 1), p) == p + 1
+        assert count_by_order((p, p, p), p * p) == p * p + p + 1
+        assert time.perf_counter() - start < 1.0
 
     def test_partition_of_total(self):
         for group in [(2, 2, 2), (4, 6, 2), (9, 3, 3), (5, 4, 6), (12, 10, 1)]:
@@ -252,29 +266,71 @@ class TestPrimePower:
             for e1 in range(4):
                 for e2 in range(4):
                     for e3 in range(4):
-                        want = count_total((p**e1, p**e2, p**e3))
-                        assert count_total_prime_power(p, e1, e2, e3) == want
+                        group = (p**e1, p**e2, p**e3)
+                        assert count_total(group) == count_total_divisor_sum(group), group
 
     def test_matches_general_count_larger_base(self):
         for e1, e2, e3 in [(1, 1, 1), (2, 1, 0), (2, 2, 2), (3, 1, 2)]:
-            assert count_total_prime_power(5, e1, e2, e3) == count_total(
-                (5**e1, 5**e2, 5**e3)
-            )
+            group = (5**e1, 5**e2, 5**e3)
+            assert count_total(group) == count_total_divisor_sum(group), group
 
     def test_elementary_abelian_formula(self):
         for p in (2, 3, 5, 7, 11):
-            assert count_total_prime_power(p, 1, 1, 1) == 2 * (p * p + p + 2)
+            assert count_total((p, p, p)) == 2 * (p * p + p + 2)
 
     def test_symmetric_in_exponents(self):
         for exps in [(0, 1, 2), (1, 2, 3), (2, 2, 4)]:
-            values = {count_total_prime_power(2, *p) for p in permutations(exps)}
+            values = {count_total(tuple(2**e for e in p)) for p in permutations(exps)}
             assert len(values) == 1
 
     def test_rejects_bad_arguments(self):
+        # the exponent kernel itself, not only the group validation above it
         with pytest.raises(ValueError):
-            count_total_prime_power(1, 1, 1, 1)
+            order_terms(-1, 0, 0)
         with pytest.raises(ValueError):
-            count_total_prime_power(2, -1, 0, 0)
+            order_terms(2, 0, -3)
+
+
+class TestReferenceRoutes:
+    """The per-prime products against the paper's whole-group divisor sums."""
+
+    @given(st.integers(1, 240), st.integers(1, 240), st.integers(1, 240))
+    def test_products_match_divisor_sums(self, m, n, r):
+        group = (m, n, r)
+        assert count_total(group) == count_total_divisor_sum(group)
+        assert count_cyclic(group) == count_cyclic_divisor_sum(group)
+
+    def test_divisor_rich_group_matches_type_count_route(self):
+        # 720720 = 2^4 3^2 5 7 11 13; the divisor sums would visit 13.8M
+        # triples here. The Gaussian-binomial route counts each p-part by
+        # subgroup type, sharing no code with the exponent kernel.
+        group = (720720, 720720, 720720)
+        local = [(2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]
+        orders = [1, 2**4 * 3**2 * 5, 720720, 720720**2 // 77, 720720**3]
+        total = cyclic = 1
+        by_order = dict.fromkeys(orders, 1)
+        for p, e in local:
+            lam = Partition((e, e, e))
+            per_size: dict[int, int] = {}
+            cyclic_here = 0
+            for mu in subpartitions(lam):
+                value = type_count(lam, mu)(p)
+                per_size[mu.size] = per_size.get(mu.size, 0) + value
+                if len(mu.parts) <= 1:
+                    cyclic_here += value
+            total *= sum(per_size.values())
+            cyclic *= cyclic_here
+            for delta in orders:
+                k = 0
+                while delta % p ** (k + 1) == 0:
+                    k += 1
+                by_order[delta] *= per_size[k]
+        start = time.perf_counter()
+        assert count_total(group) == total
+        assert count_cyclic(group) == cyclic
+        for delta in orders:
+            assert count_by_order(group, delta) == by_order[delta], delta
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOracleAgreement:
