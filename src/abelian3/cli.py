@@ -336,10 +336,6 @@ class VerificationReport:
         return not self.failures
 
 
-def _canonical_set(elements: set) -> tuple:
-    return tuple(sorted(elements))
-
-
 def _difference_note(got: set, want: set) -> str:
     extra = sorted(got - want)
     missing = sorted(want - got)
@@ -363,6 +359,8 @@ def run_lattice_verification(
     Z_m x Z_n with m n <= max_order): element-set equality with the oracle
     lattice, stream length against both counting routes (the per-prime
     count_total and the paper's divisor sum), and pairwise distinctness.
+    The oracle lattice of Z_m x Z_n is that of Z_m x Z_n x Z_1 with the third
+    coordinate dropped, so each (m, n) costs one oracle call.
     Any exception inside one shape is recorded as a failure for that shape
     rather than aborting the campaign.
     """
@@ -374,13 +372,15 @@ def run_lattice_verification(
     for m in range(1, max_order + 1):
         for n in range(1, max_order // m + 1):
             rank2_shapes += 1
+            lattice = None
             try:
-                want2 = oracle.all_subgroups((m, n))
+                lattice = oracle.all_subgroups((m, n, 1))
+                want2 = {tuple(x[:2] for x in sub) for sub in lattice}
                 seen2 = set()
                 stream2 = 0
                 for basis2 in rank2.enumerate_rank2(m, n):
                     stream2 += 1
-                    seen2.add(_canonical_set(rank2.subgroup_elements_rank2(basis2)))
+                    seen2.add(tuple(sorted(rank2.subgroup_elements_rank2(basis2))))
                 formula2 = rank2.count_rank2(m, n)
                 if stream2 != formula2:
                     failures.append(f"({m},{n}): stream {stream2} != formula {formula2}")
@@ -394,13 +394,13 @@ def run_lattice_verification(
                 rank3_shapes += 1
                 group = (m, n, r)
                 try:
-                    want3 = oracle.all_subgroups(group)
+                    want3 = lattice if r == 1 and lattice is not None else oracle.all_subgroups(group)
                     seen3 = set()
                     stream3 = 0
                     for sx in rank3.enumerate_sextuples(group):
                         stream3 += 1
                         basis3 = rank3.materialize(sx, group)
-                        seen3.add(_canonical_set(rank3.subgroup_elements(basis3)))
+                        seen3.add(tuple(sorted(rank3.subgroup_elements(basis3))))
                     formulas3 = (rank3.count_total(group), rank3.count_total_divisor_sum(group))
                     if any(stream3 != formula for formula in formulas3):
                         note = f"formulas {formulas3} (per prime, divisor sum)"
@@ -411,8 +411,8 @@ def run_lattice_verification(
                         failures.append(f"{group}: {_difference_note(seen3, want3)}")
                 except Exception as exc:  # noqa: BLE001
                     failures.append(f"{group}: {type(exc).__name__}: {exc}")
-            if progress is not None and m % 10 == 0 and n == 1:
-                progress(f"checked m <= {m}")
+        if progress is not None and m % 10 == 0:
+            progress(f"checked m <= {m}")
     return VerificationReport(
         max_order=max_order,
         rank3_shapes=rank3_shapes,

@@ -1,15 +1,16 @@
-"""Brute-force subgroup lattices by closure saturation.
+"""Brute-force subgroup lattices built by joining cyclic subgroups.
 
 Ground truth for the structured enumerations in rank2/rank3: nothing here
 shares code with those modules beyond modular addition itself. Groups are
 direct products of cyclic groups of the given orders; elements are encoded
 as mixed-radix integers and addition is a precomputed table, which keeps the
-saturation loops cheap.
+join loops cheap.
 """
 
 from __future__ import annotations
 
-from math import prod
+from itertools import chain
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .config import element_bound
@@ -21,54 +22,48 @@ ElementSet = tuple[Element, ...]  # sorted canonical form, hashable
 def closure(generators: Iterable[Element], orders: Sequence[int]) -> ElementSet:
     """Smallest subgroup of prod Z_orders[i] containing the generators.
 
-    Worklist saturation: keep adding generator translates until nothing new
-    appears. Generators are reduced modulo the orders first.
+    Joins the cyclic subgroup of each generator in turn onto the trivial
+    subgroup. Generators are reduced modulo the orders first.
     """
     orders = tuple(orders)
-    _check_orders(orders)
     table = _addition_table(orders)
-    codes = [_encode(g, orders) for g in generators]
-    return _canonical(_saturate(codes, table), orders)
+    members = frozenset([0])
+    for g in generators:
+        members = _join(members, _encode(g, orders), table)
+    return _canonical(members, orders)
 
 
 def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
     """Every subgroup of prod Z_orders[i], as canonical element tuples.
 
-    Breadth-first over the lattice: start at the trivial subgroup, extend
-    each discovered subgroup by every element outside it, and close. The
-    closure works on the extension's small generating set rather than the
-    whole subgroup, which changes nothing about the result.
+    Every subgroup is a join of cyclic subgroups, so a depth-first walk that
+    starts at the trivial subgroup and joins each subgroup it finds with each
+    cyclic subgroup not inside it reaches the whole lattice.
     """
     orders = tuple(orders)
-    total = _check_orders(orders)
     table = _addition_table(orders)
-    trivial = frozenset([0])
-    generators: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    stack = [trivial]
+    generators = list(_cyclic_generators(table))
+    found = {frozenset([0])}
+    stack = list(found)
     while stack:
         sub = stack.pop()
-        gens = generators[sub]
-        for g in range(1, total):
-            if g in sub:
-                continue
-            extended = gens + (g,)
-            grown = frozenset(_saturate(list(extended), table))
-            if grown not in generators:
-                generators[grown] = extended
-                stack.append(grown)
-    return {_canonical(sub, orders) for sub in generators}
+        for g in generators:
+            if g not in sub:
+                grown = _join(sub, g, table)
+                if grown not in found:
+                    found.add(grown)
+                    stack.append(grown)
+    return {_canonical(sub, orders) for sub in found}
 
 
 def cyclic_subgroups(orders: Sequence[int]) -> set[ElementSet]:
     """The distinct subgroups generated by single elements."""
     orders = tuple(orders)
-    total = _check_orders(orders)
     table = _addition_table(orders)
-    seen = {frozenset(_saturate([g], table)) for g in range(total)}
-    return {_canonical(sub, orders) for sub in seen}
+    return {_canonical(multiples, orders) for multiples in _cyclic_generators(table).values()}
 
 
-def _check_orders(orders: tuple[int, ...]) -> int:
+def _check_orders(orders: tuple[int, ...]) -> None:
     if not orders or any(o < 1 for o in orders):
         raise ValueError(f"orders must be positive, got {orders}")
     total = prod(orders)
@@ -78,7 +73,6 @@ def _check_orders(orders: tuple[int, ...]) -> int:
             f"group order {total} exceeds the element bound {bound}; "
             f"raise ABELIAN3_ELEMENT_BOUND to go further"
         )
-    return total
 
 
 def _encode(element: Sequence[int], orders: tuple[int, ...]) -> int:
@@ -101,31 +95,49 @@ def _decode(code: int, orders: tuple[int, ...]) -> Element:
 
 
 def _addition_table(orders: tuple[int, ...]) -> list[list[int]]:
-    import numpy as np
-    total = prod(orders)
-    table = np.zeros((total, total), dtype=np.int32)
-    rem = np.arange(total)
+    """table[x][y] is the code of decode(x) + decode(y), built one axis at a time.
+
+    For an axis of order o and stride s, with x and y below s, the sum of
+    x + s*a and y + s*b is table[x][y] + s*((a + b) % o).
+    """
+    _check_orders(orders)
+    table = [[0]]
     stride = 1
     for o in orders:
-        rem, digit = np.divmod(rem, o)
-        table += ((digit[:, None] + digit[None, :]) % o) * stride
+        shifted = [[[v + stride * c for v in row] for c in range(o)] for row in table]
+        table = [list(chain.from_iterable(s[a:] + s[:a])) for a in range(o) for s in shifted]
         stride *= o
-    return table.tolist()
+    return table
 
 
-def _saturate(gen_codes: list[int], table: list[list[int]]) -> set[int]:
-    members = {0}
-    work = [0]
-    gens = list(dict.fromkeys(gen_codes))
-    while work:
-        x = work.pop()
+def _cyclic_generators(table: list[list[int]]) -> dict[int, list[int]]:
+    """One generator per cyclic subgroup, mapped to its multiples 0, g, 2g, ...
+
+    k*g generates <g> exactly when gcd(k, ord g) = 1; such k*g are not listed.
+    """
+    covered: set[int] = set()
+    generators: dict[int, list[int]] = {}
+    for g in range(len(table)):
+        if g not in covered:
+            multiples = [0]
+            x = g
+            while x:
+                multiples.append(x)
+                x = table[x][g]
+            covered.update(x for k, x in enumerate(multiples) if gcd(k, len(multiples)) == 1)
+            generators[g] = multiples
+    return generators
+
+
+def _join(sub: frozenset[int], g: int, table: list[list[int]]) -> frozenset[int]:
+    """sub + <g> as the union of the cosets sub + k*g, up to the first k*g in sub."""
+    grown = set(sub)
+    x = g
+    while x not in sub:
         row = table[x]
-        for g in gens:
-            y = row[g]
-            if y not in members:
-                members.add(y)
-                work.append(y)
-    return members
+        grown.update([row[h] for h in sub])
+        x = row[g]
+    return frozenset(grown)
 
 
 def _canonical(member_codes: Iterable[int], orders: tuple[int, ...]) -> ElementSet:

@@ -132,7 +132,7 @@ def test_04_lattice_oracle_equivalence(criterion):
         assert report.ok, report.failures[:5]
         assert report.rank3_shapes == 1900
         assert report.rank2_shapes == 602
-        assert elapsed < 120.0
+        assert elapsed < 30.0
 
 
 def test_05_closed_form_identity(criterion):

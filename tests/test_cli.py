@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from abelian3 import rank3
+from abelian3 import oracle, rank3
 from abelian3.cli import cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
@@ -251,6 +251,22 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--max-order", "10"])
         assert "checked m <= 10" in result.stderr
         assert "checked m <=" not in result.stdout
+
+    def test_progress_follows_the_shapes_it_names(self, monkeypatch):
+        checked = []
+        original = oracle.all_subgroups
+
+        def recording(orders):
+            checked.append(tuple(orders))
+            return original(orders)
+
+        monkeypatch.setattr(oracle, "all_subgroups", recording)
+        checked_at_line = {}
+        run_lattice_verification(20, progress=lambda msg: checked_at_line.setdefault(msg, set(checked)))
+        assert list(checked_at_line) == ["checked m <= 10", "checked m <= 20"]
+        want = {(m, n, r) for m in range(1, 11) for n in range(1, 21) for r in range(1, 21) if m * n * r <= 20}
+        assert (10, 2, 1) in want
+        assert want <= checked_at_line["checked m <= 10"]
 
     def test_detects_corrupted_parameters(self, runner, monkeypatch):
         # force the two-gcd correction factor to 1 and make sure the

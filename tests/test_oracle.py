@@ -1,9 +1,56 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from abelian3 import oracle
 from abelian3.config import ELEMENT_BOUND_ENV
+
+
+# every abelian group of order <= 32 and rank <= 3, once, as Z_d1 x Z_d2 x Z_d3 with d1 | d2 | d3
+SMALL_GROUPS = [
+    (d1, d2, d3)
+    for d1 in range(1, 33)
+    for d2 in range(d1, 33, d1)
+    for d3 in range(d2, 32 // (d1 * d2) + 1, d2)
+]
+
+
+def elements(orders):
+    return list(itertools.product(*(range(o) for o in orders)))
+
+
+def reference_all_subgroups(orders):
+    """The saturate-every-element search: extend each subgroup found by every element outside it."""
+    zero = (0,) * len(orders)
+
+    def saturate(gens):
+        members, work = {zero}, [zero]
+        while work:
+            x = work.pop()
+            for g in gens:
+                y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
+                if y not in members:
+                    members.add(y)
+                    work.append(y)
+        return frozenset(members)
+
+    found = {saturate(()): ()}
+    stack = list(found)
+    while stack:
+        sub = stack.pop()
+        for g in elements(orders):
+            if g not in sub:
+                gens = found[sub] + (g,)
+                grown = saturate(gens)
+                if grown not in found:
+                    found[grown] = gens
+                    stack.append(grown)
+    return {tuple(sorted(sub)) for sub in found}
 
 
 class TestClosure:
@@ -49,6 +96,21 @@ class TestLattice:
         for sub in oracle.all_subgroups((2, 4, 3)):
             assert total % len(sub) == 0
 
+    def test_cyclic_group_has_one_subgroup_per_divisor(self):
+        for n in range(1, 61):
+            tau = sum(1 for d in range(1, n + 1) if n % d == 0)
+            assert len(oracle.all_subgroups((n,))) == tau, n
+
+    def test_elementary_abelian_counts(self):
+        # sums of Gaussian binomials: 1 + 15 + 35 + 15 + 1 and 1 + 13 + 13 + 1
+        assert len(oracle.all_subgroups((2, 2, 2, 2))) == 67
+        assert len(oracle.all_subgroups((3, 3, 3))) == 28
+
+    def test_matches_saturation_reference(self):
+        assert len(SMALL_GROUPS) == 52
+        for group in SMALL_GROUPS:
+            assert oracle.all_subgroups(group) == reference_all_subgroups(group), group
+
     def test_rank2_projection_consistency(self):
         # collapsing a trivial third factor reproduces the rank-2 lattice
         for m in range(1, 7):
@@ -67,10 +129,47 @@ class TestCyclic:
         group = (4, 2, 2)
         assert oracle.cyclic_subgroups(group) <= oracle.all_subgroups(group)
 
+    def test_matches_closure_of_each_element(self):
+        for group in SMALL_GROUPS:
+            want = {oracle.closure([g], group) for g in elements(group)}
+            assert oracle.cyclic_subgroups(group) == want, group
+
     def test_each_generated_by_one_element(self):
         group = (6, 2)
         for sub in oracle.cyclic_subgroups(group):
             assert any(oracle.closure([g], group) == sub for g in sub)
+
+
+class TestAdditionTable:
+    @pytest.mark.parametrize("orders", [(1,), (5,), (4, 6, 5), (3, 1, 7), (2, 2, 2, 2)])
+    def test_matches_mixed_radix_definition(self, orders):
+        def encode(digits):
+            code, stride = 0, 1
+            for d, o in zip(digits, orders):
+                code += (d % o) * stride
+                stride *= o
+            return code
+
+        table = oracle._addition_table(orders)
+        points = elements(orders)
+        assert len(table) == len(points)
+        for x in points:
+            row = table[encode(x)]
+            assert len(row) == len(points)
+            for y in points:
+                assert row[encode(y)] == encode([a + b for a, b in zip(x, y)]), (x, y)
+
+    def test_lattice_runs_without_numpy(self):
+        code = (
+            "import sys\n"
+            "from abelian3 import oracle\n"
+            "assert len(oracle.all_subgroups((2, 3, 4))) == 16\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 class TestBound:
