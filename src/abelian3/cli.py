@@ -37,23 +37,17 @@ class OutputConfig:
     quiet: bool
 
 
-def _emit_json(record: dict) -> None:
-    click.echo(json.dumps(record, separators=(",", ":")))
+_json_line = json.JSONEncoder(separators=(",", ":")).encode
+# A quarter of Linux's default 64-KiB pipe capacity: a chunk written to a pipe
+# whose reader keeps up never waits for the reader, while a chunk at least as
+# large as the pipe makes every write wait until the reader has drained it.
+_CHUNK_CHARS = 16 * 1024
 
 
-class _CsvOut:
-    """csv.writer wrapper that feeds click.echo line by line (keeps CRLF)."""
+class _Chunk(list):
+    """Pending output lines; write is list.append, so csv.writer adds its rows here."""
 
-    def __init__(self, columns: Sequence[str]):
-        self._columns = list(columns)
-        self._writer = csv.writer(self, lineterminator="\r\n")
-        self._writer.writerow(self._columns)
-
-    def write(self, data: str) -> None:
-        sys.stdout.write(data)
-
-    def row(self, record: dict) -> None:
-        self._writer.writerow([record.get(col, "") for col in self._columns])
+    write = list.append
 
 
 def _note(cfg: OutputConfig, message: str) -> None:
@@ -72,16 +66,32 @@ def _render_rows(
     columns: Sequence[str],
     to_text: Callable[[dict], str],
 ) -> None:
+    """Write one line per record to stdout, joined in chunks of about _CHUNK_CHARS.
+
+    A line longer than a chunk is written whole. The rest is written and
+    stdout flushed at the end, also when records raises, so the rows yielded
+    before an error still reach stdout.
+    """
+    chunk = _Chunk()
+    writer = csv.writer(chunk, lineterminator="\r\n")
     if cfg.fmt == "csv":
-        out = _CsvOut(columns)
+        writer.writerow(columns)
+    line = _json_line if cfg.fmt == "json" else to_text
+    size = 0
+    try:
         for record in records:
-            out.row(record)
-    elif cfg.fmt == "json":
-        for record in records:
-            _emit_json(record)
-    else:
-        for record in records:
-            click.echo(to_text(record))
+            if cfg.fmt == "csv":
+                writer.writerow([record.get(col, "") for col in columns])
+            else:
+                chunk.append(line(record) + "\n")
+            size += len(chunk[-1])
+            if size >= _CHUNK_CHARS:
+                sys.stdout.write("".join(chunk))
+                chunk.clear()
+                size = 0
+    finally:
+        sys.stdout.write("".join(chunk))
+        sys.stdout.flush()
 
 
 @click.group()
@@ -140,8 +150,7 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
     _note(cfg, f"# {total} subgroups of Z_{m} x Z_{n} x Z_{r}")
 
     def records() -> Iterator[dict]:
-        for sx in rank3.enumerate_sextuples(group):
-            basis = rank3.materialize(sx, group)
+        for sx, basis in rank3.subgroup_stream(group):
             rec = {
                 "m": m, "n": n, "r": r,
                 "a": sx.a, "b": sx.b, "c": sx.c,
@@ -151,7 +160,10 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
             }
             if with_elements:
                 elems = sorted(rank3.subgroup_elements(basis))
-                rec["elements"] = [list(e) for e in elems]
+                if cfg.fmt == "csv":
+                    rec["elements"] = " ".join(f"{x},{y},{z}" for x, y, z in elems)
+                else:
+                    rec["elements"] = [list(e) for e in elems]
             yield rec
 
     def to_text(rec: dict) -> str:
@@ -170,16 +182,8 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
     if with_elements:
         columns.append("elements")
 
-    def csv_ready(rec_iter: Iterator[dict]) -> Iterator[dict]:
-        for rec in rec_iter:
-            if with_elements:
-                rec = dict(rec)
-                rec["elements"] = " ".join(f"{x},{y},{z}" for x, y, z in rec["elements"])
-            yield rec
-
     try:
-        source = csv_ready(records()) if cfg.fmt == "csv" else records()
-        _render_rows(cfg, source, columns, to_text)
+        _render_rows(cfg, records(), columns, to_text)
     except ValueError as exc:
         if "element bound" in str(exc):
             raise click.UsageError(f"{exc} (set {ELEMENT_BOUND_ENV} to raise the cap)") from exc
@@ -207,7 +211,7 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
         _note(cfg, "# nu  s(p^nu x p^nu x p^nu)")
         if cfg.fmt == "json":
             for rec in records:
-                _emit_json({"nu": rec["nu"], "coefficients": rec["coefficients"]})
+                click.echo(_json_line({"nu": rec["nu"], "coefficients": rec["coefficients"]}))
         else:
             _render_rows(cfg, records, ["nu", "s_poly"], lambda rec: f"{rec['nu']}\t{rec['s_poly']}")
     else:
@@ -226,7 +230,7 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
         _note(cfg, "# nu1 nu2 nu3  s(p^nu1 x p^nu2 x p^nu3)")
         if cfg.fmt == "json":
             for rec in records:
-                _emit_json({"nu1": rec["nu1"], "nu2": rec["nu2"], "nu3": rec["nu3"], "coefficients": rec["coefficients"]})
+                click.echo(_json_line({"nu1": rec["nu1"], "nu2": rec["nu2"], "nu3": rec["nu3"], "coefficients": rec["coefficients"]}))
         else:
             _render_rows(
                 cfg,
@@ -268,7 +272,7 @@ def cmd_poly(cfg: OutputConfig, exponents: tuple[int, ...], eval_p: int | None, 
         if eval_p is not None:
             out["p"] = eval_p
             out["value"] = record["value"]
-        _emit_json(out)
+        click.echo(_json_line(out))
     elif cfg.fmt == "csv":
         _render_rows(cfg, [record], ["nu1", "nu2", "nu3", "s_poly", "p", "value"], str)
     else:
@@ -315,7 +319,7 @@ def cmd_type_count(cfg: OutputConfig, lam: str, mu: str, eval_p: int | None) -> 
         if eval_p is not None:
             out["p"] = eval_p
             out["value"] = record["value"]
-        _emit_json(out)
+        click.echo(_json_line(out))
     elif cfg.fmt == "csv":
         _render_rows(cfg, [record], ["lam", "mu", "poly", "p", "value"], str)
     else:
@@ -376,11 +380,8 @@ def run_lattice_verification(
             try:
                 lattice = oracle.all_subgroups((m, n, 1))
                 want2 = {tuple(x[:2] for x in sub) for sub in lattice}
-                seen2 = set()
-                stream2 = 0
-                for basis2 in rank2.enumerate_rank2(m, n):
-                    stream2 += 1
-                    seen2.add(tuple(sorted(rank2.subgroup_elements_rank2(basis2))))
+                sets2 = [tuple(sorted(rank2.subgroup_elements_rank2(basis))) for basis in rank2.enumerate_rank2(m, n)]
+                stream2, seen2 = len(sets2), set(sets2)
                 formula2 = rank2.count_rank2(m, n)
                 if stream2 != formula2:
                     failures.append(f"({m},{n}): stream {stream2} != formula {formula2}")
@@ -395,12 +396,8 @@ def run_lattice_verification(
                 group = (m, n, r)
                 try:
                     want3 = lattice if r == 1 and lattice is not None else oracle.all_subgroups(group)
-                    seen3 = set()
-                    stream3 = 0
-                    for sx in rank3.enumerate_sextuples(group):
-                        stream3 += 1
-                        basis3 = rank3.materialize(sx, group)
-                        seen3.add(tuple(sorted(rank3.subgroup_elements(basis3))))
+                    sets3 = [tuple(sorted(rank3.subgroup_elements(basis))) for _, basis in rank3.subgroup_stream(group)]
+                    stream3, seen3 = len(sets3), set(sets3)
                     formulas3 = (rank3.count_total(group), rank3.count_total_divisor_sum(group))
                     if any(stream3 != formula for formula in formulas3):
                         note = f"formulas {formulas3} (per prime, divisor sum)"
@@ -437,7 +434,7 @@ def cmd_verify(ctx: click.Context, max_order: int) -> None:
         "failures": report.failures,
     }
     if cfg.fmt == "json":
-        _emit_json(record)
+        click.echo(_json_line(record))
     elif cfg.fmt == "csv":
         flat = dict(record, ok=int(report.ok), failures="; ".join(report.failures))
         _render_rows(cfg, [flat], ["max_order", "rank3_shapes", "rank2_shapes", "ok", "failures"], str)
@@ -501,28 +498,24 @@ def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_term
         for rep in reports
     ]
     if cfg.fmt == "json":
-        _emit_json(header)
-        for record in records:
-            _emit_json(record)
+        click.echo(_json_line(header))
     elif cfg.fmt == "csv":
         for key, value in header.items():
             _note(cfg, f"{key}={value}")
-        _render_rows(
-            cfg,
-            records,
-            ["x", "exact_sum", "main_term", "relative_error", "error_exponent_estimate"],
-            str,
-        )
     else:
         _note(cfg, f"H3  = {est.h3!r} (+- {est.h3_bound:.3e}); direct {est.direct_h3!r} (+- {est.direct_h3_bound:.3e})")
         _note(cfg, f"H3' = {est.h3prime!r} (+- {est.h3prime_bound:.3e}); direct {est.direct_h3prime!r} (+- {est.direct_h3prime_bound:.3e})")
         _note(cfg, f"euler_gamma = {constants.euler_gamma!r}; theta_reference = {constants.theta_reference}")
         _note(cfg, "# x  exact_sum  main_term  relative_error  error_exponent")
-        for record in records:
-            click.echo(
-                f"{record['x']}\t{record['exact_sum']}\t{record['main_term']!r}\t"
-                f"{record['relative_error']:.6e}\t{record['error_exponent_estimate']:.4f}"
-            )
+    _render_rows(
+        cfg,
+        records,
+        ["x", "exact_sum", "main_term", "relative_error", "error_exponent_estimate"],
+        lambda record: (
+            f"{record['x']}\t{record['exact_sum']}\t{record['main_term']!r}\t"
+            f"{record['relative_error']:.6e}\t{record['error_exponent_estimate']:.4f}"
+        ),
+    )
 
 
 def main() -> None:

@@ -15,6 +15,10 @@ controls the admissible ranges: 0 <= t < A, 0 <= w < B gcd(t, X)/X,
 what makes the paper's divisor-sum counting formulas exact. Those sums stay
 as reference routes for the tests and `verify`; the counts users get are
 products over the primes of m n r of terms that depend only on exponents.
+
+subgroup_stream walks the family once: divisor lists per group, (A, B, C, X)
+per divisor triple, gcd(t, X) per t, s, v and the least solution u0 of the
+u-congruence per (t, w), and u = u0 + (a/C) z per z.
 """
 
 from __future__ import annotations
@@ -93,59 +97,69 @@ def derived_params(a: int, b: int, c: int, group: Group3) -> DerivedParams:
     return DerivedParams(A=big_a, B=big_b, C=big_c, X=x)
 
 
-def enumerate_sextuples(group: Group3) -> Iterator[Sextuple]:
-    """Yield the parameter sextuples in ascending (a, b, c, t, w, z) order.
+def subgroup_stream(group: Group3) -> Iterator[tuple[Sextuple, SubgroupBasis3]]:
+    """Yield (sextuple, basis) for every subgroup, in ascending (a, b, c, t, w, z).
 
-    Stream length equals count_total(group); materialize() turns each
-    sextuple into a distinct subgroup.
+    Each quantity is computed at the loop level where its inputs change (see
+    the module docstring); the stream length equals count_total(group).
     """
     m, n, r = _validated(group)
+    divisors_n, divisors_r = divisors(n), divisors(r)
     for a in divisors(m):
-        for b in divisors(n):
-            for c in divisors(r):
+        for b in divisors_n:
+            for c in divisors_r:
                 dp = derived_params(a, b, c, group)
+                rc, step = r // c, a // dp.C
                 for t in range(dp.A):
-                    w_count = dp.B * math.gcd(t, dp.X) // dp.X  # gcd(0, X) = X
-                    for w in range(w_count):
+                    g = math.gcd(t, dp.X)  # gcd(0, X) = X
+                    for w in range(dp.B * g // dp.X):
+                        s, v, u0 = _shifts(a, b, rc, dp, t, g, w)
                         for z in range(dp.C):
-                            yield Sextuple(a=a, b=b, c=c, t=t, w=w, z=z)
+                            # positional arguments: keywords make the walk about a fifth slower
+                            yield Sextuple(a, b, c, t, w, z), SubgroupBasis3(a, s, u0 + step * z, b, v, c, group)
+
+
+def enumerate_sextuples(group: Group3) -> Iterator[Sextuple]:
+    """The parameter sextuples of subgroup_stream, in ascending order."""
+    return (sx for sx, _ in subgroup_stream(group))
+
+
+def enumerate_subgroups(group: Group3) -> Iterator[SubgroupBasis3]:
+    """The materialized bases of subgroup_stream, in sextuple order."""
+    return (basis for _, basis in subgroup_stream(group))
 
 
 def materialize(sx: Sextuple, group: Group3) -> SubgroupBasis3:
-    """Solve the shift data (s, v, u) for one sextuple.
+    """Solve one sextuple on its own (the tests' reference for subgroup_stream).
 
-    s = a t / A and v = b X w / (B gcd(t, X)) are exact divisions; u comes
-    from the congruence (r/c) u = (r/c) v s / b (mod a), which has exactly
-    C solutions spaced a/C apart, and z picks one of them.
+    Checks the ranges with derived_params and gcd(t, X), takes (s, v, u0)
+    from _shifts as the walk does, and sets u = u0 + (a/C) z.
     """
     m, n, r = _validated(group)
     a, b, c = sx.a, sx.b, sx.c
     dp = derived_params(a, b, c, group)
-    if not (0 <= sx.t < dp.A and 0 <= sx.z < dp.C):
-        raise ValueError(f"{sx} outside the admissible ranges for {group}")
     g = math.gcd(sx.t, dp.X)
-    if not 0 <= sx.w < dp.B * g // dp.X:
+    if not (0 <= sx.t < dp.A and 0 <= sx.w < dp.B * g // dp.X and 0 <= sx.z < dp.C):
         raise ValueError(f"{sx} outside the admissible ranges for {group}")
+    s, v, u0 = _shifts(a, b, r // c, dp, sx.t, g, sx.w)
+    return SubgroupBasis3(a=a, s=s, u=u0 + (a // dp.C) * sx.z, b=b, v=v, c=c, group=group)
 
-    assert (a * sx.t) % dp.A == 0
-    s = a * sx.t // dp.A
+
+def _shifts(a: int, b: int, rc: int, dp: DerivedParams, t: int, g: int, w: int) -> tuple[int, int, int]:
+    """(s, v, u0) for one (a, b, c, t, w), given rc = r/c and g = gcd(t, X).
+
+    s = a t / A and v = b X w / (B g) are exact divisions; u0 is the least of
+    the C solutions, a/C apart, of (r/c) u = (r/c) v s / b (mod a).
+    """
+    assert (a * t) % dp.A == 0
+    s = a * t // dp.A
     den = dp.B * g
-    assert (b * dp.X * sx.w) % den == 0
-    v = b * dp.X * sx.w // den
-
-    rc = r // c
+    assert (b * dp.X * w) % den == 0
+    v = b * dp.X * w // den
     assert (rc * v) % b == 0
-    rhs = (rc * v // b) * s
-    sol = solve_linear_congruence(rc, rhs, a)
+    sol = solve_linear_congruence(rc, (rc * v // b) * s, a)
     assert sol is not None and sol.count == dp.C
-    u = sol.base_solution + (a // dp.C) * sx.z
-    return SubgroupBasis3(a=a, s=s, u=u, b=b, v=v, c=c, group=group)
-
-
-def enumerate_subgroups(group: Group3) -> Iterator[SubgroupBasis3]:
-    """Materialized bases for every subgroup, in sextuple order."""
-    for sx in enumerate_sextuples(group):
-        yield materialize(sx, group)
+    return s, v, sol.base_solution
 
 
 def subgroup_elements(basis: SubgroupBasis3) -> set[tuple[int, int, int]]:
@@ -235,10 +249,11 @@ def count_total_divisor_sum(group: Group3) -> int:
     """
     m, n, r = _validated(group)
     pillai = lru_cache(maxsize=None)(gcd_sum)
+    divisors_n, divisors_r = divisors(n), divisors(r)
     total = 0
     for a in divisors(m):
-        for b in divisors(n):
-            for c in divisors(r):
+        for b in divisors_n:
+            for c in divisors_r:
                 dp = derived_params(a, b, c, group)
                 total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * pillai(dp.X)
     return total
@@ -253,10 +268,11 @@ def count_cyclic_divisor_sum(group: Group3) -> int:
     """
     m, n, r = _validated(group)
     phi = lru_cache(maxsize=None)(lambda k: evaluate(PHI, k))
+    divisors_n, divisors_r = divisors(n), divisors(r)
     total = 0
     for a in divisors(m):
-        for b in divisors(n):
-            for c in divisors(r):
+        for b in divisors_n:
+            for c in divisors_r:
                 num = phi(a) * phi(b) * phi(c)
                 den = phi(math.lcm(a, b, c))
                 assert num % den == 0

@@ -35,6 +35,7 @@ from abelian3.rank3 import (
     count_cyclic_divisor_sum,
     count_total,
     count_total_divisor_sum,
+    subgroup_stream,
 )
 from abelian3.typecounts import (
     Partition,
@@ -325,3 +326,9 @@ def test_11_performance_floor(criterion):
         count_elapsed = time.perf_counter() - start
         assert total > 0
         assert count_elapsed < 1.0
+
+        start = time.perf_counter()
+        walked = sum(1 for _ in subgroup_stream((60, 60, 60)))
+        walk_elapsed = time.perf_counter() - start
+        assert walked == 231_168
+        assert walk_elapsed < 2.5

@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from abelian3 import oracle, rank3
-from abelian3.cli import cli, run_lattice_verification
+from abelian3.cli import _CHUNK_CHARS, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
 
@@ -134,6 +135,93 @@ class TestEnumerate:
         result = runner.invoke(cli, ["-q", "--format", "json", "enumerate", "64", "64", "2"])
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == rank3.count_total((64, 64, 2))
+
+
+def reference_lines(group, fmt, with_elements=False):
+    """enumerate's stdout one line at a time, each basis solved by materialize."""
+    m, n, r = group
+    columns = ["m", "n", "r", "a", "b", "c", "t", "w", "z", "s", "u", "v", "order"]
+    lines = [",".join(columns + ["elements"] * with_elements) + "\r\n"] if fmt == "csv" else []
+    for sx in rank3.enumerate_sextuples(group):
+        basis = rank3.materialize(sx, group)
+        elements = sorted(rank3.subgroup_elements(basis)) if with_elements else []
+        rec = {
+            "m": m, "n": n, "r": r, "a": sx.a, "b": sx.b, "c": sx.c, "t": sx.t, "w": sx.w, "z": sx.z,
+            "s": basis.s, "u": basis.u, "v": basis.v, "order": basis.order,
+        }
+        if fmt == "text":
+            line = (
+                f"a={sx.a} b={sx.b} c={sx.c} t={sx.t} w={sx.w} z={sx.z} | basis ({sx.a},0,0) "
+                f"({basis.s},{sx.b},0) ({basis.u},{basis.v},{sx.c}) | order {basis.order}"
+            )
+            if with_elements:
+                line += " | elements " + " ".join(f"({x},{y},{z})" for x, y, z in elements)
+            lines.append(line + "\n")
+        elif fmt == "json":
+            if with_elements:
+                rec["elements"] = [list(e) for e in elements]
+            lines.append(json.dumps(rec, separators=(",", ":")) + "\n")
+        else:
+            fields = [str(value) for value in rec.values()]
+            if with_elements:  # every element has commas, so the field is quoted
+                fields.append('"' + " ".join(f"{x},{y},{z}" for x, y, z in elements) + '"')
+            lines.append(",".join(fields) + "\r\n")
+    return lines
+
+
+class TestChunkedOutput:
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_several_chunks_match_line_by_line_rendering(self, runner, fmt):
+        group = (12, 12, 12)
+        result = runner.invoke(cli, ["--format", fmt, "enumerate", "12", "12", "12"])
+        assert result.exit_code == 0
+        header = f"# {rank3.count_total(group)} subgroups of Z_12 x Z_12 x Z_12\n" if fmt == "text" else ""
+        want = header + "".join(reference_lines(group, fmt))
+        assert len(want) > _CHUNK_CHARS
+        assert result.stdout_bytes == want.encode()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_line_longer_than_a_chunk_is_written_whole(self, runner, monkeypatch, fmt):
+        monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
+        result = runner.invoke(cli, ["-q", "--format", fmt, "enumerate", "8192", "1", "1", "--elements"])
+        assert result.exit_code == 0
+        want = reference_lines((8192, 1, 1), fmt, with_elements=True)
+        assert len(want[fmt == "csv"]) > _CHUNK_CHARS
+        assert result.stdout_bytes == "".join(want).encode()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_chunks_fit_half_a_pipe(self, monkeypatch, fmt):
+        # A write larger than the pipe's free space waits for the reader; Linux
+        # pipes hold 64 KiB by default.
+        sizes = []
+
+        class Recorder:
+            def write(self, data):
+                sizes.append(len(data))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        records = ({"row": i} for i in range(50_000))
+        _render_rows(OutputConfig(fmt=fmt, quiet=True), records, ["row"], lambda rec: str(rec["row"]))
+        assert len(sizes) > 10
+        assert max(sizes) <= 32 * 1024
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_rows_before_an_error_reach_stdout(self, runner, monkeypatch, fmt):
+        rows = 7
+        want = reference_lines((12, 12, 12), fmt)[: rows + (fmt == "csv")]
+        walk = rank3.subgroup_stream
+
+        def failing(group):
+            yield from islice(walk(group), rows)
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(rank3, "subgroup_stream", failing)
+        result = runner.invoke(cli, ["-q", "--format", fmt, "enumerate", "12", "12", "12"])
+        assert isinstance(result.exception, RuntimeError)
+        assert result.stdout_bytes == "".join(want).encode()
 
 
 class TestTable:

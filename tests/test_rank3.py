@@ -22,6 +22,7 @@ from abelian3.rank3 import (
     enumerate_subgroups,
     materialize,
     subgroup_elements,
+    subgroup_stream,
 )
 from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
 
@@ -96,6 +97,47 @@ class TestEnumerate:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             list(enumerate_sextuples((0, 2, 2)))
+
+
+class TestSubgroupStream:
+    def test_matches_materialize_on_every_small_group(self):
+        # materialize solves each sextuple on its own: the reference route
+        for m in range(1, 121):
+            for n in range(1, 120 // m + 1):
+                for r in range(1, 120 // (m * n) + 1):
+                    group = (m, n, r)
+                    pairs = list(subgroup_stream(group))
+                    sextuples = [sx for sx, _ in pairs]
+                    assert pairs == [(sx, materialize(sx, group)) for sx in sextuples], group
+                    keys = [(sx.a, sx.b, sx.c, sx.t, sx.w, sx.z) for sx in sextuples]
+                    assert all(x < y for x, y in zip(keys, keys[1:])), group
+                    assert len(pairs) == count_total(group) == count_total_divisor_sum(group), group
+
+    def test_projections(self):
+        pairs = list(subgroup_stream((4, 6, 8)))
+        assert list(enumerate_sextuples((4, 6, 8))) == [sx for sx, _ in pairs]
+        assert list(enumerate_subgroups((4, 6, 8))) == [basis for _, basis in pairs]
+
+    def test_solves_once_per_triple_and_shift(self, monkeypatch):
+        calls = {"derived_params": 0, "solve_linear_congruence": 0}
+
+        def counting(name):
+            original = getattr(rank3, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(rank3, name, counting(name))
+        sextuples = [sx for sx, _ in subgroup_stream((12, 12, 12))]
+        triples = {(sx.a, sx.b, sx.c) for sx in sextuples}
+        shifts = {(sx.a, sx.b, sx.c, sx.t, sx.w) for sx in sextuples}
+        assert len(triples) == len(divisors(12)) ** 3
+        assert len(shifts) < len(sextuples)
+        assert calls == {"derived_params": len(triples), "solve_linear_congruence": len(shifts)}
 
 
 class TestMaterialize:
