@@ -144,43 +144,84 @@ class Factorization:
         return iter(self.pairs)
 
 
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between integers coprime to 30, from 7
+# factorize trial-divides by the primes below _TRIAL_BOUND; a cofactor left with
+# no prime factor below the bound is prime when it is below _TRIAL_BOUND**2.
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+# Pollard-Brent rho steps one factorize call may spend: about 1.3 s of pure
+# Python on a 2-core VM (Python 3.11), enough for most smaller factors of up to
+# 12 digits. Rounds double, so only powers of two change where rho gives up.
+_RHO_BUDGET = 1 << 22
+_RHO_BATCH = 128  # differences multiplied together per gcd
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division over a mod-30 wheel.
+    """Factor n >= 1: trial division by the primes below 1000, then Pollard-Brent rho.
 
-    After each extracted prime the remaining cofactor is primality-tested, so
-    inputs whose second-largest prime factor is modest (anything up to around
-    2^63 in practice) factor quickly. Hard semiprimes are out of scope.
+    A cofactor below 1000**2 with no smaller prime factor is prime; a larger
+    one is tested with is_prime and, when composite, split by rho (Brent 1980)
+    until every piece is prime. All rho calls for one n share _RHO_BUDGET
+    steps; past it factorize raises ValueError naming n. In practice this
+    means a second-largest prime factor of up to about 12 digits.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    pairs = []
+    exponents: dict[int, int] = {}
     rem = n
-    for p in (2, 3, 5):
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            pairs.append((p, e))
-    d, wi = 7, 0
-    while rem > 1:
-        if is_prime(rem):
-            pairs.append((rem, 1))
+    for p in _SMALL_PRIMES:
+        if p * p > rem:
             break
-        while rem % d:
-            d += _WHEEL[wi]
-            wi = (wi + 1) & 7
-        e = 0
-        while rem % d == 0:
-            rem //= d
-            e += 1
-        pairs.append((d, e))
-        d += _WHEEL[wi]
-        wi = (wi + 1) & 7
-    return Factorization(tuple(pairs))
+        while rem % p == 0:
+            rem //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    pending = [rem] if rem > 1 else []
+    budget = _RHO_BUDGET
+    while pending:
+        q = pending.pop()
+        if q < _TRIAL_BOUND**2 or is_prime(q):
+            exponents[q] = exponents.get(q, 0) + 1
+            continue
+        d, budget = _rho_divisor(q, budget)
+        if not d:
+            raise ValueError(f"cannot factor {n}: Pollard-Brent rho gave up after {_RHO_BUDGET} steps")
+        pending += (d, q // d)
+    return Factorization(tuple(sorted(exponents.items())))
+
+
+def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
+    """(d, left): a proper divisor d of the composite n, and the budget left.
+
+    Brent's cycle search on y -> y^2 + c mod n, with the differences to the
+    saved point multiplied _RHO_BATCH at a time before each gcd; c = 1, 2, ...
+    until the gcd is a proper divisor. d = 0 when budget runs out first.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if 2 * r > budget:
+                return 0, budget
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: step ys one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, budget
 
 
 def divisors(n: int) -> list[int]:

@@ -123,16 +123,15 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
     if order_ is not None and cyclic:
         raise click.UsageError("--order and --cyclic are mutually exclusive")
     group = (m, n, r)
-    if cyclic:
-        kind, value = "cyclic", rank3.count_cyclic(group)
-    elif order_ is not None:
-        try:
-            value = rank3.count_by_order(group, order_)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-        kind = "by-order"
-    else:
-        kind, value = "total", rank3.count_total(group)
+    try:
+        if cyclic:
+            kind, value = "cyclic", rank3.count_cyclic(group)
+        elif order_ is not None:
+            kind, value = "by-order", rank3.count_by_order(group, order_)
+        else:
+            kind, value = "total", rank3.count_total(group)
+    except ValueError as exc:  # an order not dividing m n r, or an entry too hard to factor
+        raise click.UsageError(str(exc)) from exc
     record = {"m": m, "n": n, "r": r, "kind": kind, "order": order_, "count": value}
     _render_rows(cfg, [record], ["m", "n", "r", "kind", "order", "count"], lambda rec: str(rec["count"]))
 
@@ -146,7 +145,10 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
 def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool) -> None:
     """Stream one line per subgroup, in deterministic (a,b,c,t,w,z) order."""
     group = (m, n, r)
-    total = rank3.count_total(group)
+    try:
+        total = rank3.count_total(group)
+    except ValueError as exc:  # an entry too hard to factor
+        raise click.UsageError(str(exc)) from exc
     _note(cfg, f"# {total} subgroups of Z_{m} x Z_{n} x Z_{r}")
 
     def records() -> Iterator[dict]:

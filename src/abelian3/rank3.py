@@ -24,10 +24,9 @@ u-congruence per (t, w), and u = u0 + (a/C) z per z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import arith
 from .arith import PHI, divisors, evaluate, gcd_sum, solve_linear_congruence
@@ -37,8 +36,7 @@ from .typecounts import order_terms, symbolic_count
 Group3 = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Sextuple:
+class Sextuple(NamedTuple):
     a: int
     b: int
     c: int
@@ -47,16 +45,14 @@ class Sextuple:
     z: int
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     A: int
     B: int
     C: int
     X: int
 
 
-@dataclass(frozen=True)
-class SubgroupBasis3:
+class SubgroupBasis3(NamedTuple):
     """Triangular basis (a, 0, 0), (s, b, 0), (u, v, c) inside group."""
 
     a: int

@@ -328,6 +328,12 @@ def test_11_performance_floor(criterion):
         assert count_elapsed < 1.0
 
         start = time.perf_counter()
+        semiprime_total = count_total((100000000003 * 999999999989, 1, 1))  # two 12-digit primes
+        semiprime_elapsed = time.perf_counter() - start
+        assert semiprime_total == 4
+        assert semiprime_elapsed < 1.0
+
+        start = time.perf_counter()
         walked = sum(1 for _ in subgroup_stream((60, 60, 60)))
         walk_elapsed = time.perf_counter() - start
         assert walked == 231_168

@@ -1,10 +1,12 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abelian3 import arith
 from abelian3.arith import (
     MOBIUS,
     PHI,
@@ -24,6 +26,12 @@ from abelian3.arith import (
     smallest_prime_factor_sieve,
     solve_linear_congruence,
 )
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    """sympy, the independent factoring reference; its tests skip without it."""
+    return pytest.importorskip("sympy")
 
 
 class TestExtGcd:
@@ -103,6 +111,50 @@ class TestFactorize:
             assert primes == sorted(primes) and len(set(primes)) == len(primes)
             assert all(is_prime(p) for p in primes)
             assert all(e >= 1 for _, e in fact)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(1000003, 9999991), (1000000007, 9999999967), (100000000003, 999999999989)],
+        ids=["7-digit", "10-digit", "12-digit"],
+    )
+    def test_semiprimes_split_by_rho(self, p, q):
+        start = time.perf_counter()
+        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_powers_above_trial_bound(self):
+        assert factorize(1009**2).pairs == ((1009, 2),)
+        assert factorize(1009**3).pairs == ((1009, 3),)
+        assert factorize(1000003**2).pairs == ((1000003, 2),)
+        assert factorize(10007**3).pairs == ((10007, 3),)
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [
+            (561, ((3, 1), (11, 1), (17, 1))),
+            (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+            (825265, ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1))),
+            (321197185, ((5, 1), (19, 1), (23, 1), (29, 1), (37, 1), (137, 1))),
+        ],
+    )
+    def test_carmichael_numbers(self, n, pairs):
+        assert factorize(n).pairs == pairs
+
+    def test_large_prime_and_cofactors(self):
+        assert factorize(2**64 - 59).pairs == ((2**64 - 59, 1),)
+        assert factorize(2**20 * 3**7 * 1009 * 1013).pairs == ((2, 20), (3, 7), (1009, 1), (1013, 1))
+        assert factorize(2**5 * 3 * (2**61 - 1)).pairs == ((2, 5), (3, 1), (2**61 - 1, 1))
+        assert factorize(999983 * (2**89 - 1)).pairs == ((999983, 1), (2**89 - 1, 1))
+
+    def test_rho_budget_exhausted_raises_naming_n(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+        n = 999999999999947 * 999999999999989
+        with pytest.raises(ValueError, match=str(n)):
+            factorize(n)
+
+    @given(st.integers(1, 10**9), st.integers(1, 10**9))
+    def test_matches_sympy(self, sympy, x, y):
+        assert dict(factorize(x * y).pairs) == sympy.factorint(x * y)
 
     def test_validation_on_construction(self):
         with pytest.raises(ValueError):

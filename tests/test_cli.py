@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from itertools import islice
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from abelian3 import oracle, rank3
+from abelian3 import arith, oracle, rank3
 from abelian3.cli import _CHUNK_CHARS, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
@@ -72,6 +73,24 @@ class TestCount:
     def test_rejects_nonpositive_modulus(self, runner):
         result = runner.invoke(cli, ["count", "0", "1", "1"])
         assert result.exit_code == 2
+
+    def test_unfactorable_entry_fails_fast(self):
+        n = str(999999999999947 * 999999999999989)  # two 15-digit primes: beyond the rho budget
+        start = time.perf_counter()
+        result = run_cli(["count", n, "1", "1"])
+        assert time.perf_counter() - start < 5.0
+        assert result.returncode == 2
+        assert n in result.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "command, options", [("count", ["--cyclic"]), ("count", ["--order", "1"]), ("enumerate", [])]
+    )
+    def test_factoring_failure_is_usage_error(self, runner, monkeypatch, command, options):
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+        n = str(999999999999947 * 999999999999989)
+        result = runner.invoke(cli, [command, "1", n, "1", *options])
+        assert result.exit_code == 2
+        assert f"cannot factor {n}" in result.stderr
 
 
 class TestEnumerate:
