@@ -13,6 +13,9 @@ Subcommands:
 Global flags: --format {text,json,csv} and --quiet. JSON output is one
 object per line; CSV follows RFC 4180. Exit codes: 0 success, 1 verification
 failure, 2 usage error.
+
+Every command hands its results to _render_rows as plain tuples plus a column
+spec; _render_rows and _note are the only code that looks at the format.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import click
 
@@ -29,6 +32,13 @@ from . import asymptotics, oracle, rank2, rank3, typecounts
 from .config import ELEMENT_BOUND_ENV
 
 _FORMATS = ("text", "json", "csv")
+# Input bounds, so that every accepted input finishes in seconds: sieve_s(10**7)
+# takes about 8 s and 740 MB, and on a 2-core Xeon VM `poly 120` takes 2.6 s,
+# `table 2 --limit 50` 2.9 s and `table 3 --limit 18` 2.5 s end to end.
+MAX_SIEVE = 10**7
+MAX_EXPONENT = 120
+_TABLE_LIMITS = {"1": MAX_SIEVE, "2": 50, "3": 18}
+_TABLE_DEFAULTS = {"1": 50, "2": 10, "3": 4}
 
 
 @dataclass
@@ -37,7 +47,30 @@ class OutputConfig:
     quiet: bool
 
 
-_json_line = json.JSONEncoder(separators=(",", ":")).encode
+def _same(value):
+    return value
+
+
+class Column(NamedTuple):
+    """One output column: its name, and how a row's value for it becomes a CSV
+    cell and a JSON value. None leaves the column out of that format."""
+
+    name: str
+    csv: Callable | None = _same
+    json: Callable | None = _same
+
+
+Columns = Sequence[Column]
+
+_JSON = json.JSONEncoder(separators=(",", ":"))
+if json.encoder.c_make_encoder is None:  # an interpreter without the C accelerator
+    _json_line = _JSON.encode
+else:
+    # JSONEncoder.encode builds a new C encoder on every call, which costs more
+    # than encoding a short row does; this one is built once, with _JSON's settings.
+    _chunks = json.encoder.c_make_encoder(None, _JSON.default, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
+    _json_line = lambda value: "".join(_chunks(value, 0))
+
 # A quarter of Linux's default 64-KiB pipe capacity: a chunk written to a pipe
 # whose reader keeps up never waits for the reader, while a chunk at least as
 # large as the pipe makes every write wait until the reader has drained it.
@@ -62,28 +95,54 @@ def _note(cfg: OutputConfig, message: str) -> None:
 
 def _render_rows(
     cfg: OutputConfig,
-    records: Iterator[dict] | list[dict],
-    columns: Sequence[str],
-    to_text: Callable[[dict], str],
+    rows: Iterable[tuple],
+    columns: Columns,
+    text: Callable[[tuple], str],
+    header: tuple[Columns, tuple, str] | None = None,
 ) -> None:
-    """Write one line per record to stdout, joined in chunks of about _CHUNK_CHARS.
+    """Write each row to stdout in cfg's format, joined in chunks of about _CHUNK_CHARS.
 
+    A row holds one value per column; text turns it into one or more lines
+    of text output (joined by newlines). header is an optional leading record
+    with columns, row and text of its own: the first JSON line, or else
+    commentary (see _note), as its text or, for CSV, as name=value lines.
     A line longer than a chunk is written whole. The rest is written and
-    stdout flushed at the end, also when records raises, so the rows yielded
+    stdout flushed at the end, also when rows raises, so the rows yielded
     before an error still reach stdout.
     """
+    fmt = cfg.fmt
     chunk = _Chunk()
-    writer = csv.writer(chunk, lineterminator="\r\n")
-    if cfg.fmt == "csv":
-        writer.writerow(columns)
-    line = _json_line if cfg.fmt == "json" else to_text
-    size = 0
+
+    def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:
+        """Names of the columns fmt shows, and row -> their values in fmt."""
+        picked = [(i, col.name, getattr(col, fmt)) for i, col in enumerate(cols) if getattr(col, fmt) is not None]
+        names = [name for _, name, _ in picked]
+        if len(picked) == len(cols) and all(get is _same for _, _, get in picked):
+            return names, _same
+        return names, lambda row: [get(row[i]) for i, _, get in picked]
+
+    if fmt == "text":
+        if header is not None:
+            _note(cfg, header[2])
+        emit = lambda row: chunk.append(text(row) + "\n")
+    elif fmt == "json":
+        names, values = shown(columns)
+        emit = lambda row: chunk.append(_json_line(dict(zip(names, values(row)))) + "\n")
+        if header is not None:
+            head_names, head_values = shown(header[0])
+            chunk.append(_json_line(dict(zip(head_names, head_values(header[1])))) + "\n")
+    else:
+        if header is not None:
+            head_names, head_values = shown(header[0])
+            _note(cfg, "\n".join(f"{name}={value}" for name, value in zip(head_names, head_values(header[1]))))
+        names, values = shown(columns)
+        writer = csv.writer(chunk, lineterminator="\r\n")
+        writer.writerow(names)
+        emit = lambda row: writer.writerow(values(row))
+    size = sum(map(len, chunk))
     try:
-        for record in records:
-            if cfg.fmt == "csv":
-                writer.writerow([record.get(col, "") for col in columns])
-            else:
-                chunk.append(line(record) + "\n")
+        for row in rows:
+            emit(row)
             size += len(chunk[-1])
             if size >= _CHUNK_CHARS:
                 sys.stdout.write("".join(chunk))
@@ -132,8 +191,12 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
             kind, value = "total", rank3.count_total(group)
     except ValueError as exc:  # an order not dividing m n r, or an entry too hard to factor
         raise click.UsageError(str(exc)) from exc
-    record = {"m": m, "n": n, "r": r, "kind": kind, "order": order_, "count": value}
-    _render_rows(cfg, [record], ["m", "n", "r", "kind", "order", "count"], lambda rec: str(rec["count"]))
+    columns = [Column(name) for name in ("m", "n", "r", "kind", "order", "count")]
+    _render_rows(cfg, [(m, n, r, kind, order_, value)], columns, lambda row: str(row[-1]))
+
+
+def _element_cells(elements: Iterable[tuple[int, int, int]]) -> list[str]:
+    return [f"{x},{y},{z}" for x, y, z in elements]
 
 
 @cli.command("enumerate")
@@ -151,45 +214,33 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
         raise click.UsageError(str(exc)) from exc
     _note(cfg, f"# {total} subgroups of Z_{m} x Z_{n} x Z_{r}")
 
-    def records() -> Iterator[dict]:
+    def rows() -> Iterable[tuple]:
         for sx, basis in rank3.subgroup_stream(group):
-            rec = {
-                "m": m, "n": n, "r": r,
-                "a": sx.a, "b": sx.b, "c": sx.c,
-                "t": sx.t, "w": sx.w, "z": sx.z,
-                "s": basis.s, "u": basis.u, "v": basis.v,
-                "order": basis.order,
-            }
-            if with_elements:
-                elems = sorted(rank3.subgroup_elements(basis))
-                if cfg.fmt == "csv":
-                    rec["elements"] = " ".join(f"{x},{y},{z}" for x, y, z in elems)
-                else:
-                    rec["elements"] = [list(e) for e in elems]
-            yield rec
+            row = (m, n, r, *sx, basis.s, basis.u, basis.v, basis.order)
+            yield (*row, sorted(rank3.subgroup_elements(basis))) if with_elements else row
 
-    def to_text(rec: dict) -> str:
-        line = (
-            f"a={rec['a']} b={rec['b']} c={rec['c']} "
-            f"t={rec['t']} w={rec['w']} z={rec['z']} | "
-            f"basis ({rec['a']},0,0) ({rec['s']},{rec['b']},0) ({rec['u']},{rec['v']},{rec['c']}) | "
-            f"order {rec['order']}"
-        )
-        if with_elements:
-            shown = " ".join(f"({x},{y},{z})" for x, y, z in rec["elements"])
-            line += f" | elements {shown}"
-        return line
+    def to_text(row: tuple) -> str:
+        a, b, c, t, w, z, s, u, v, order = row[3:13]
+        line = f"a={a} b={b} c={c} t={t} w={w} z={z} | basis ({a},0,0) ({s},{b},0) ({u},{v},{c}) | order {order}"
+        return f"{line} | elements ({') ('.join(_element_cells(row[13]))})" if with_elements else line
 
-    columns = ["m", "n", "r", "a", "b", "c", "t", "w", "z", "s", "u", "v", "order"]
+    columns = [Column(name) for name in ("m", "n", "r", "a", "b", "c", "t", "w", "z", "s", "u", "v", "order")]
     if with_elements:
-        columns.append("elements")
-
+        columns.append(Column("elements", csv=lambda elements: " ".join(_element_cells(elements))))
     try:
-        _render_rows(cfg, records(), columns, to_text)
+        _render_rows(cfg, rows(), columns, to_text)
     except ValueError as exc:
         if "element bound" in str(exc):
             raise click.UsageError(f"{exc} (set {ELEMENT_BOUND_ENV} to raise the cap)") from exc
         raise
+
+
+# A polynomial is shown as text in CSV and as its coefficient list in JSON.
+_POLY_COLUMNS = (Column("s_poly", json=None), Column("coefficients", csv=None))
+
+
+def _poly_cells(poly: typecounts.IntPolynomial) -> tuple[str, tuple[int, ...]]:
+    return str(poly), poly.coefficients
 
 
 @cli.command("table")
@@ -198,52 +249,42 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
 @click.pass_obj
 def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
     """Reference tables: 1 = s(n) values, 2 = s(p^v) polynomials, 3 = mixed exponents."""
+    top = limit if limit is not None else _TABLE_DEFAULTS[which]
+    if top > _TABLE_LIMITS[which]:
+        raise click.UsageError(f"table {which} takes --limit at most {_TABLE_LIMITS[which]}, got {top}")
     if which == "1":
-        top = limit if limit is not None else 50
         values = asymptotics.sieve_s(top)
-        records = [{"n": n, "s": values[n]} for n in range(1, top + 1)]
         _note(cfg, "# n  s(n)")
-        _render_rows(cfg, records, ["n", "s"], lambda rec: f"{rec['n']}\t{rec['s']}")
-    elif which == "2":
-        top = limit if limit is not None else 10
-        records = []
-        for nu in range(1, top + 1):
-            poly = typecounts.symbolic_count(nu, nu, nu)
-            records.append({"nu": nu, "s_poly": str(poly), "coefficients": list(poly.coefficients)})
+        rows = ((k, values[k]) for k in range(1, top + 1))
+        _render_rows(cfg, rows, [Column("n"), Column("s")], lambda row: f"{row[0]}\t{row[1]}")
+        return
+    if which == "2":
+        shapes = [(nu, nu, nu) for nu in range(1, top + 1)]
+        keys = ["nu"]
         _note(cfg, "# nu  s(p^nu x p^nu x p^nu)")
-        if cfg.fmt == "json":
-            for rec in records:
-                click.echo(_json_line({"nu": rec["nu"], "coefficients": rec["coefficients"]}))
-        else:
-            _render_rows(cfg, records, ["nu", "s_poly"], lambda rec: f"{rec['nu']}\t{rec['s_poly']}")
     else:
-        top = limit if limit is not None else 4
-        records = []
-        for nu3 in range(1, top + 1):
-            for nu2 in range(1, nu3 + 1):
-                for nu1 in range(1, nu2 + 1):
-                    poly = typecounts.symbolic_count(nu1, nu2, nu3)
-                    records.append(
-                        {
-                            "nu1": nu1, "nu2": nu2, "nu3": nu3,
-                            "s_poly": str(poly), "coefficients": list(poly.coefficients),
-                        }
-                    )
+        shapes = [(nu1, nu2, nu3) for nu3 in range(1, top + 1) for nu2 in range(1, nu3 + 1) for nu1 in range(1, nu2 + 1)]
+        keys = ["nu1", "nu2", "nu3"]
         _note(cfg, "# nu1 nu2 nu3  s(p^nu1 x p^nu2 x p^nu3)")
-        if cfg.fmt == "json":
-            for rec in records:
-                click.echo(_json_line({"nu1": rec["nu1"], "nu2": rec["nu2"], "nu3": rec["nu3"], "coefficients": rec["coefficients"]}))
-        else:
-            _render_rows(
-                cfg,
-                records,
-                ["nu1", "nu2", "nu3", "s_poly"],
-                lambda rec: f"{rec['nu1']},{rec['nu2']},{rec['nu3']}\t{rec['s_poly']}",
-            )
+    rows = ((*shape[-len(keys):], *_poly_cells(typecounts.symbolic_count(*shape))) for shape in shapes)
+    columns = [*map(Column, keys), *_POLY_COLUMNS]
+    _render_rows(cfg, rows, columns, lambda row: ",".join(map(str, row[:-2])) + "\t" + row[-2])
+
+
+def _eval_columns(eval_p: int | None) -> list[Column]:
+    """p and the value there: empty CSV cells and no JSON keys without --eval."""
+    json_value = None if eval_p is None else _same
+    return [Column("p", json=json_value), Column("value", json=json_value)]
+
+
+def _poly_text(row: tuple) -> str:
+    """The polynomial, then its value at p when there is one."""
+    poly, _, p, value = row[-4:]
+    return poly if p is None else f"{poly}\nat p={p}: {value}"
 
 
 @cli.command("poly")
-@click.argument("exponents", type=click.IntRange(min=0), nargs=-1, required=True)
+@click.argument("exponents", type=click.IntRange(min=0, max=MAX_EXPONENT), nargs=-1, required=True)
 @click.option("--eval", "eval_p", type=click.IntRange(min=2), default=None, help="Also evaluate at this prime p.")
 @click.option("--closed-form", is_flag=True, help="Use the closed-form route (equal exponents only).")
 @click.pass_obj
@@ -264,23 +305,9 @@ def cmd_poly(cfg: OutputConfig, exponents: tuple[int, ...], eval_p: int | None, 
         poly = typecounts.general_form(nu1)
     else:
         poly = typecounts.symbolic_count(nu1, nu2, nu3)
-    record: dict = {"nu1": nu1, "nu2": nu2, "nu3": nu3, "s_poly": str(poly), "coefficients": list(poly.coefficients)}
-    if eval_p is not None:
-        record["p"] = eval_p
-        record["value"] = poly(eval_p)
-
-    if cfg.fmt == "json":
-        out = {"nu1": nu1, "nu2": nu2, "nu3": nu3, "coefficients": record["coefficients"]}
-        if eval_p is not None:
-            out["p"] = eval_p
-            out["value"] = record["value"]
-        click.echo(_json_line(out))
-    elif cfg.fmt == "csv":
-        _render_rows(cfg, [record], ["nu1", "nu2", "nu3", "s_poly", "p", "value"], str)
-    else:
-        click.echo(str(poly))
-        if eval_p is not None:
-            click.echo(f"at p={eval_p}: {record['value']}")
+    row = (nu1, nu2, nu3, *_poly_cells(poly), eval_p, None if eval_p is None else poly(eval_p))
+    columns = [Column("nu1"), Column("nu2"), Column("nu3"), *_POLY_COLUMNS, *_eval_columns(eval_p)]
+    _render_rows(cfg, [row], columns, _poly_text)
 
 
 def _parse_partition(text: str) -> typecounts.Partition:
@@ -307,27 +334,10 @@ def cmd_type_count(cfg: OutputConfig, lam: str, mu: str, eval_p: int | None) -> 
         poly = typecounts.type_count(lam_part, mu_part)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    record: dict = {
-        "lam": ",".join(map(str, lam_part.parts)),
-        "mu": ",".join(map(str, mu_part.parts)),
-        "poly": str(poly),
-        "coefficients": list(poly.coefficients),
-    }
-    if eval_p is not None:
-        record["p"] = eval_p
-        record["value"] = poly(eval_p)
-    if cfg.fmt == "json":
-        out = {"lam": list(lam_part.parts), "mu": list(mu_part.parts), "coefficients": record["coefficients"]}
-        if eval_p is not None:
-            out["p"] = eval_p
-            out["value"] = record["value"]
-        click.echo(_json_line(out))
-    elif cfg.fmt == "csv":
-        _render_rows(cfg, [record], ["lam", "mu", "poly", "p", "value"], str)
-    else:
-        click.echo(str(poly))
-        if eval_p is not None:
-            click.echo(f"at p={eval_p}: {record['value']}")
+    row = (lam_part.parts, mu_part.parts, *_poly_cells(poly), eval_p, None if eval_p is None else poly(eval_p))
+    joined = lambda parts: ",".join(map(str, parts))
+    columns = [Column("lam", csv=joined), Column("mu", csv=joined), Column("poly", json=None), Column("coefficients", csv=None), *_eval_columns(eval_p)]
+    _render_rows(cfg, [row], columns, _poly_text)
 
 
 @dataclass
@@ -420,6 +430,12 @@ def run_lattice_verification(
     )
 
 
+def _verify_text(row: tuple) -> str:
+    _, rank3_shapes, rank2_shapes, ok, failures = row
+    lines = [f"rank-3 groups checked: {rank3_shapes}", f"rank-2 groups checked: {rank2_shapes}"]
+    return "\n".join([*lines, *(f"FAIL {failure}" for failure in failures), f"result: {'PASS' if ok else 'FAIL'}"])
+
+
 @cli.command("verify")
 @click.option("--max-order", type=click.IntRange(min=1), default=120, show_default=True, help="Check all groups with m*n*r up to this bound.")
 @click.pass_context
@@ -428,24 +444,9 @@ def cmd_verify(ctx: click.Context, max_order: int) -> None:
     cfg: OutputConfig = ctx.obj
     progress = None if cfg.quiet else (lambda msg: click.echo(msg, err=True))
     report = run_lattice_verification(max_order, progress=progress)
-    record = {
-        "max_order": report.max_order,
-        "rank3_shapes": report.rank3_shapes,
-        "rank2_shapes": report.rank2_shapes,
-        "ok": report.ok,
-        "failures": report.failures,
-    }
-    if cfg.fmt == "json":
-        click.echo(_json_line(record))
-    elif cfg.fmt == "csv":
-        flat = dict(record, ok=int(report.ok), failures="; ".join(report.failures))
-        _render_rows(cfg, [flat], ["max_order", "rank3_shapes", "rank2_shapes", "ok", "failures"], str)
-    else:
-        click.echo(f"rank-3 groups checked: {report.rank3_shapes}")
-        click.echo(f"rank-2 groups checked: {report.rank2_shapes}")
-        for failure in report.failures:
-            click.echo(f"FAIL {failure}")
-        click.echo("result: PASS" if report.ok else "result: FAIL")
+    row = (report.max_order, report.rank3_shapes, report.rank2_shapes, report.ok, report.failures)
+    columns = [*map(Column, ("max_order", "rank3_shapes", "rank2_shapes")), Column("ok", csv=int), Column("failures", csv="; ".join)]
+    _render_rows(cfg, [row], columns, _verify_text)
     if not report.ok:
         ctx.exit(1)
 
@@ -460,63 +461,39 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
+def _field_columns(cls: type) -> list[Column]:
+    return [Column(field.name) for field in fields(cls)]
+
+
 @cli.command("asymptotic")
 @click.option("--x-values", default="1000,10000,100000", show_default=True, help="Comma-separated checkpoints.")
-@click.option("--prime-limit", type=click.IntRange(min=100), default=100_000, show_default=True, help="Euler-product truncation.")
-@click.option("--tail-terms", type=click.IntRange(min=16), default=200_000, show_default=True, help="Direct-sum truncation for the cross-check.")
+@click.option("--prime-limit", type=click.IntRange(min=100, max=MAX_SIEVE), default=100_000, show_default=True, help="Euler-product truncation.")
+@click.option("--tail-terms", type=click.IntRange(min=16, max=MAX_SIEVE), default=200_000, show_default=True, help="Direct-sum truncation for the cross-check.")
 @click.pass_obj
 def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_terms: int) -> None:
     """Exact partial sums of s(n) against the main term."""
     xs = _parse_int_list(x_values, "x values")
     if min(xs) < 2:
         raise click.UsageError("x values must be >= 2")
+    if max(xs) > MAX_SIEVE:
+        raise click.UsageError(f"x values must be <= {MAX_SIEVE}")
     est = asymptotics.h3_and_h3prime(prime_limit=prime_limit, tail_terms=tail_terms)
     constants = asymptotics.Constants()
-    header = {
-        "kind": "constants",
-        "h3": est.h3,
-        "h3prime": est.h3prime,
-        "h3_bound": est.h3_bound,
-        "h3prime_bound": est.h3prime_bound,
-        "direct_h3": est.direct_h3,
-        "direct_h3prime": est.direct_h3prime,
-        "direct_h3_bound": est.direct_h3_bound,
-        "direct_h3prime_bound": est.direct_h3prime_bound,
-        "prime_limit": est.prime_limit,
-        "tail_terms": est.tail_terms,
-        "euler_gamma": constants.euler_gamma,
-        "theta_reference": str(constants.theta_reference),
-    }
-    reports = asymptotics.average_order_reports(xs, estimate=est)
-    records = [
-        {
-            "kind": "report",
-            "x": rep.x,
-            "exact_sum": rep.exact_sum,
-            "main_term": rep.main_term,
-            "relative_error": rep.relative_error,
-            "error_exponent_estimate": rep.error_exponent_estimate,
-        }
-        for rep in reports
-    ]
-    if cfg.fmt == "json":
-        click.echo(_json_line(header))
-    elif cfg.fmt == "csv":
-        for key, value in header.items():
-            _note(cfg, f"{key}={value}")
-    else:
-        _note(cfg, f"H3  = {est.h3!r} (+- {est.h3_bound:.3e}); direct {est.direct_h3!r} (+- {est.direct_h3_bound:.3e})")
-        _note(cfg, f"H3' = {est.h3prime!r} (+- {est.h3prime_bound:.3e}); direct {est.direct_h3prime!r} (+- {est.direct_h3prime_bound:.3e})")
-        _note(cfg, f"euler_gamma = {constants.euler_gamma!r}; theta_reference = {constants.theta_reference}")
-        _note(cfg, "# x  exact_sum  main_term  relative_error  error_exponent")
+    head_columns = [Column("kind"), *_field_columns(asymptotics.H3Estimate), Column("euler_gamma"), Column("theta_reference")]
+    head_row = ("constants", *astuple(est), constants.euler_gamma, str(constants.theta_reference))
+    head_text = (
+        f"H3  = {est.h3!r} (+- {est.h3_bound:.3e}); direct {est.direct_h3!r} (+- {est.direct_h3_bound:.3e})\n"
+        f"H3' = {est.h3prime!r} (+- {est.h3prime_bound:.3e}); direct {est.direct_h3prime!r} (+- {est.direct_h3prime_bound:.3e})\n"
+        f"euler_gamma = {constants.euler_gamma!r}; theta_reference = {constants.theta_reference}\n"
+        "# x  exact_sum  main_term  relative_error  error_exponent"
+    )
+    rows = [("report", *astuple(rep)) for rep in asymptotics.average_order_reports(xs, estimate=est)]
     _render_rows(
         cfg,
-        records,
-        ["x", "exact_sum", "main_term", "relative_error", "error_exponent_estimate"],
-        lambda record: (
-            f"{record['x']}\t{record['exact_sum']}\t{record['main_term']!r}\t"
-            f"{record['relative_error']:.6e}\t{record['error_exponent_estimate']:.4f}"
-        ),
+        rows,
+        [Column("kind", csv=None), *_field_columns(asymptotics.AsymptoticReport)],
+        lambda row: f"{row[1]}\t{row[2]}\t{row[3]!r}\t{row[4]:.6e}\t{row[5]:.4f}",
+        header=(head_columns, head_row, head_text),
     )
 
 

@@ -307,12 +307,27 @@ def type_count(lam: Partition, mu: Partition) -> IntPolynomial:
 
 
 def h_closed_form(nu: int) -> IntPolynomial:
-    """(3 nu - 1) p + (3 nu + 1): the conjectured prime-power values of h.
+    """(3 nu - 1) p + (3 nu + 1): the prime-power values of h.
 
     h is the multiplicative complement of n^2 tau(n) inside the diagonal
-    subgroup count (see h_recurrence, which is the defining route). The
-    linear form here matches the recurrence for every checked nu but is not
-    proved in general; tests pin agreement for nu <= 10 and p <= 13.
+    subgroup count (see h_recurrence, which is the defining route).
+
+    Proof, given the paper's theorem s(p^nu) = general_form(nu). Split the
+    coefficients of general_form(nu) by the parity of j: for j = 2k the
+    coefficient is (nu - k + 1)(3k + 1) on p^(2(nu - k)), and for j = 2k + 1
+    it is (nu - k)(3k + 2) on p^(2(nu - k) - 1). As power series in x, both
+    parts are Cauchy products with sum_i (i + 1) p^(2i) x^i = 1/(1 - p^2 x)^2,
+    the generating function of n^2 tau(n) at p:
+
+        even part = sum_k (3k + 1) x^k     / (1 - p^2 x)^2 = (1 + 2x)     / ((1 - x)^2 (1 - p^2 x)^2)
+        odd part  = p x sum_k (3k + 2) x^k / (1 - p^2 x)^2 = p x (2 + x) / ((1 - x)^2 (1 - p^2 x)^2)
+
+    so sum_nu s(p^nu) x^nu = (1 + 2(p + 1) x + p x^2) / ((1 - x)^2 (1 - p^2 x)^2).
+    Multiplying by (1 - p^2 x)^2 divides out n^2 tau(n) and leaves
+    sum_nu h(p^nu) x^nu = (1 + 2(p + 1) x + p x^2) / (1 - x)^2, whose x^nu
+    coefficient for nu >= 1 is (nu + 1) + 2(p + 1) nu + p (nu - 1), which is
+    (3 nu - 1) p + (3 nu + 1). Tests check both products as power series in
+    x to order 30 with p symbolic.
     """
     if nu < 1:
         raise ValueError(f"exponent must be >= 1, got {nu}")

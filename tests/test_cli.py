@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from abelian3 import arith, oracle, rank3
-from abelian3.cli import _CHUNK_CHARS, OutputConfig, _render_rows, cli, run_lattice_verification
+from abelian3 import arith, cli as cli_module, oracle, rank3
+from abelian3.cli import _CHUNK_CHARS, MAX_EXPONENT, MAX_SIEVE, Column, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
 
@@ -222,8 +223,8 @@ class TestChunkedOutput:
                 pass
 
         monkeypatch.setattr(sys, "stdout", Recorder())
-        records = ({"row": i} for i in range(50_000))
-        _render_rows(OutputConfig(fmt=fmt, quiet=True), records, ["row"], lambda rec: str(rec["row"]))
+        rows = ((i,) for i in range(50_000))
+        _render_rows(OutputConfig(fmt=fmt, quiet=True), rows, [Column("row")], lambda row: str(row[0]))
         assert len(sizes) > 10
         assert max(sizes) <= 32 * 1024
 
@@ -457,6 +458,57 @@ class TestDeterminism:
         second = run_cli(args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "1", "--limit", "100000000"],
+            ["asymptotic", "--x-values", "100,100000000000"],
+            ["asymptotic", "--prime-limit", str(MAX_SIEVE + 1)],
+            ["asymptotic", "--tail-terms", str(MAX_SIEVE + 1)],
+        ],
+    )
+    def test_sieve_sizes_past_the_bound_fail_fast(self, runner, args):
+        start = time.perf_counter()
+        result = runner.invoke(cli, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert str(MAX_SIEVE) in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["poly", str(MAX_EXPONENT + 1)],
+            ["poly", "1", "1", "3000", "--closed-form"],
+            ["table", "2", "--limit", "400"],
+            ["table", "3", "--limit", "40"],
+        ],
+    )
+    def test_exponents_past_the_bound_fail_fast(self, runner, args):
+        start = time.perf_counter()
+        result = runner.invoke(cli, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+
+    def test_bounds_are_inclusive(self, runner):
+        assert runner.invoke(cli, ["-q", "poly", "1", "1", str(MAX_EXPONENT)]).exit_code == 0
+        assert runner.invoke(cli, ["-q", "asymptotic", "--x-values", "100", "--prime-limit", "1000", "--tail-terms", "1000"]).exit_code == 0
+
+
+class TestFormatKnowledge:
+    def test_only_the_renderer_reads_the_format(self):
+        # The output format is known in _render_rows and _note only; every
+        # command hands them rows and a column spec.
+        tree = ast.parse(Path(cli_module.__file__).read_text())
+        readers = {
+            getattr(node, "name", type(node).__name__)
+            for node in tree.body
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Attribute) and inner.attr == "fmt"
+        }
+        assert readers == {"_render_rows", "_note"}
 
 
 class TestTopLevel:

@@ -310,3 +310,30 @@ class TestH:
                 hj = ONE if j == 0 else h_recurrence(j)
                 acc = acc + IntPolynomial.monomial(i + 1, 2 * i) * hj
             assert acc == symbolic_count(nu, nu, nu), nu
+
+    def test_generating_function_proof(self):
+        # The steps of h_closed_form's proof as power series in x with p
+        # symbolic, to order 30: each series times its denominator, truncated.
+        sympy = pytest.importorskip("sympy")
+        x, p = sympy.symbols("x p")
+        order = 30
+
+        def series(coefficient):
+            terms = {(nu, k): c for nu in range(order) for k, c in enumerate(coefficient(nu).coefficients)}
+            return sympy.Poly(terms, x, p)
+
+        def times(series_poly, factor):
+            product = series_poly * sympy.Poly(factor, x, p)
+            return sympy.Poly({m: c for m, c in product.terms() if m[0] < order}, x, p)
+
+        def parity_part(parity):
+            return lambda nu: IntPolynomial(
+                c if k % 2 == parity else 0 for k, c in enumerate(general_form(nu).coefficients)
+            )
+
+        denominator = (1 - x) ** 2 * (1 - p**2 * x) ** 2
+        assert times(series(parity_part(0)), denominator) == sympy.Poly(1 + 2 * x, x, p)
+        assert times(series(parity_part(1)), denominator) == sympy.Poly(p * x * (2 + x), x, p)
+        h_series = series(lambda nu: ONE if nu == 0 else h_closed_form(nu))
+        assert times(series(general_form), (1 - p**2 * x) ** 2) == h_series
+        assert times(h_series, (1 - x) ** 2) == sympy.Poly(1 + 2 * (p + 1) * x + p * x**2, x, p)
