@@ -32,11 +32,15 @@ from . import asymptotics, oracle, rank2, rank3, typecounts
 from .config import ELEMENT_BOUND_ENV
 
 _FORMATS = ("text", "json", "csv")
-# Input bounds, so that every accepted input finishes in seconds: sieve_s(10**7)
-# takes about 8 s and 740 MB, and on a 2-core Xeon VM `poly 120` takes 2.6 s,
-# `table 2 --limit 50` 2.9 s and `table 3 --limit 18` 2.5 s end to end.
+# Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM,
+# end to end: `asymptotic --x-values 10000000` (sieve_s) takes about 9 s and
+# 750 MB, `--tail-terms 2000000` 4 s, `table 1 --limit 10000000` 20 s (mostly
+# printing), `poly 120` 2.6 s, `poly 1000000 --closed-form` 3 s,
+# `table 2 --limit 50` 2.9 s and `table 3 --limit 18` 2.5 s.
 MAX_SIEVE = 10**7
+MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
+MAX_CLOSED_FORM_EXPONENT = 10**6
 _TABLE_LIMITS = {"1": MAX_SIEVE, "2": 50, "3": 18}
 _TABLE_DEFAULTS = {"1": 50, "2": 10, "3": 4}
 
@@ -63,13 +67,15 @@ class Column(NamedTuple):
 Columns = Sequence[Column]
 
 _JSON = json.JSONEncoder(separators=(",", ":"))
-if json.encoder.c_make_encoder is None:  # an interpreter without the C accelerator
-    _json_line = _JSON.encode
-else:
-    # JSONEncoder.encode builds a new C encoder on every call, which costs more
-    # than encoding a short row does; this one is built once, with _JSON's settings.
-    _chunks = json.encoder.c_make_encoder(None, _JSON.default, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
-    _json_line = lambda value: "".join(_chunks(value, 0))
+# JSONEncoder.encode builds a new C encoder on every call, which costs about a
+# third of encoding a 13-key row. This one, from CPython's json module, is built
+# once with _JSON's settings; markers=None skips the cycle check, as rows are
+# built fresh from numbers, strings and lists.
+_json_chunks = json.encoder.c_make_encoder(None, _JSON.default, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
+
+
+def _json_line(value) -> str:
+    return "".join(_json_chunks(value, 0))
 
 # A quarter of Linux's default 64-KiB pipe capacity: a chunk written to a pipe
 # whose reader keeps up never waits for the reader, while a chunk at least as
@@ -284,7 +290,7 @@ def _poly_text(row: tuple) -> str:
 
 
 @cli.command("poly")
-@click.argument("exponents", type=click.IntRange(min=0, max=MAX_EXPONENT), nargs=-1, required=True)
+@click.argument("exponents", type=click.IntRange(min=0), nargs=-1, required=True)
 @click.option("--eval", "eval_p", type=click.IntRange(min=2), default=None, help="Also evaluate at this prime p.")
 @click.option("--closed-form", is_flag=True, help="Use the closed-form route (equal exponents only).")
 @click.pass_obj
@@ -299,12 +305,12 @@ def cmd_poly(cfg: OutputConfig, exponents: tuple[int, ...], eval_p: int | None, 
         nu1, nu2, nu3 = exponents
     else:
         raise click.UsageError("pass exactly one exponent or exactly three")
-    if closed_form:
-        if not (nu1 == nu2 == nu3):
-            raise click.UsageError("--closed-form needs equal exponents")
-        poly = typecounts.general_form(nu1)
-    else:
-        poly = typecounts.symbolic_count(nu1, nu2, nu3)
+    if closed_form and not (nu1 == nu2 == nu3):
+        raise click.UsageError("--closed-form needs equal exponents")
+    bound = MAX_CLOSED_FORM_EXPONENT if closed_form else MAX_EXPONENT
+    if max(exponents) > bound:
+        raise click.UsageError(f"exponents must be <= {bound}{' with --closed-form' * closed_form}, got {max(exponents)}")
+    poly = typecounts.general_form(nu1) if closed_form else typecounts.symbolic_count(nu1, nu2, nu3)
     row = (nu1, nu2, nu3, *_poly_cells(poly), eval_p, None if eval_p is None else poly(eval_p))
     columns = [Column("nu1"), Column("nu2"), Column("nu3"), *_POLY_COLUMNS, *_eval_columns(eval_p)]
     _render_rows(cfg, [row], columns, _poly_text)
@@ -468,7 +474,7 @@ def _field_columns(cls: type) -> list[Column]:
 @cli.command("asymptotic")
 @click.option("--x-values", default="1000,10000,100000", show_default=True, help="Comma-separated checkpoints.")
 @click.option("--prime-limit", type=click.IntRange(min=100, max=MAX_SIEVE), default=100_000, show_default=True, help="Euler-product truncation.")
-@click.option("--tail-terms", type=click.IntRange(min=16, max=MAX_SIEVE), default=200_000, show_default=True, help="Direct-sum truncation for the cross-check.")
+@click.option("--tail-terms", type=click.IntRange(min=16, max=MAX_TAIL_TERMS), default=200_000, show_default=True, help="Direct-sum truncation for the cross-check.")
 @click.pass_obj
 def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_terms: int) -> None:
     """Exact partial sums of s(n) against the main term."""

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from abelian3 import arith, cli as cli_module, oracle, rank3
-from abelian3.cli import _CHUNK_CHARS, MAX_EXPONENT, MAX_SIEVE, Column, OutputConfig, _render_rows, cli, run_lattice_verification
+from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EXPONENT, MAX_SIEVE, MAX_TAIL_TERMS, Column, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
 
@@ -467,7 +467,7 @@ class TestInputBounds:
             ["table", "1", "--limit", "100000000"],
             ["asymptotic", "--x-values", "100,100000000000"],
             ["asymptotic", "--prime-limit", str(MAX_SIEVE + 1)],
-            ["asymptotic", "--tail-terms", str(MAX_SIEVE + 1)],
+            ["asymptotic", "--tail-terms", str(MAX_TAIL_TERMS + 1)],
         ],
     )
     def test_sieve_sizes_past_the_bound_fail_fast(self, runner, args):
@@ -475,13 +475,14 @@ class TestInputBounds:
         result = runner.invoke(cli, args)
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
-        assert str(MAX_SIEVE) in result.stderr
+        assert str(MAX_TAIL_TERMS if "--tail-terms" in args else MAX_SIEVE) in result.stderr
 
     @pytest.mark.parametrize(
         "args",
         [
             ["poly", str(MAX_EXPONENT + 1)],
-            ["poly", "1", "1", "3000", "--closed-form"],
+            ["poly", "1", "1", "3000"],
+            ["poly", str(MAX_CLOSED_FORM_EXPONENT + 1), "--closed-form"],
             ["table", "2", "--limit", "400"],
             ["table", "3", "--limit", "40"],
         ],
@@ -494,6 +495,8 @@ class TestInputBounds:
 
     def test_bounds_are_inclusive(self, runner):
         assert runner.invoke(cli, ["-q", "poly", "1", "1", str(MAX_EXPONENT)]).exit_code == 0
+        # general_form is linear in the exponent; only symbolic_count needs MAX_EXPONENT.
+        assert runner.invoke(cli, ["-q", "poly", "3000", "--closed-form"]).exit_code == 0
         assert runner.invoke(cli, ["-q", "asymptotic", "--x-values", "100", "--prime-limit", "1000", "--tail-terms", "1000"]).exit_code == 0
 
 
