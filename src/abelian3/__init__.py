@@ -1,53 +1,8 @@
 """Subgroup enumeration, counting, and symbolic analysis for finite abelian
-groups of rank at most three."""
+groups of rank at most three.
 
-from .arith import gcd_sum, solve_linear_congruence
-from .asymptotics import h3_and_h3prime, h_values, main_term, sieve_s
-from .oracle import all_subgroups, closure, cyclic_subgroups
-from .rank2 import count_rank2, enumerate_rank2
-from .rank3 import (
-    count_by_order,
-    count_cyclic,
-    count_total,
-    enumerate_subgroups,
-    enumerate_sextuples,
-    materialize,
-    subgroup_elements,
-)
-from .typecounts import (
-    IntPolynomial,
-    Partition,
-    gaussian_binomial,
-    general_form,
-    symbolic_count,
-    type_count,
-)
+The package re-exports nothing: import the module you need (arith, rank3,
+typecounts, asymptotics, oracle, rank2), so that each command loads only
+what it uses."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "IntPolynomial",
-    "Partition",
-    "all_subgroups",
-    "closure",
-    "count_by_order",
-    "count_cyclic",
-    "count_rank2",
-    "count_total",
-    "cyclic_subgroups",
-    "enumerate_rank2",
-    "enumerate_sextuples",
-    "enumerate_subgroups",
-    "gaussian_binomial",
-    "gcd_sum",
-    "general_form",
-    "h3_and_h3prime",
-    "h_values",
-    "main_term",
-    "materialize",
-    "sieve_s",
-    "solve_linear_congruence",
-    "subgroup_elements",
-    "symbolic_count",
-    "type_count",
-]

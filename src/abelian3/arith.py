@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import compress, repeat
+from typing import Callable, NamedTuple
 
 __all__ = [
     "CongruenceSolution",
@@ -84,8 +81,7 @@ def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-@dataclass(frozen=True)
-class CongruenceSolution:
+class CongruenceSolution(NamedTuple):
     """Solution family u = base_solution + k * period for 0 <= k < count.
 
     base_solution lies in [0, period); the family lists every solution in
@@ -238,20 +234,35 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
-    """Array t with t[k] = least prime factor of k for 2 <= k <= limit.
+def _odd_prime_mask(limit: int) -> bytearray:
+    """Sieve of Eratosthenes over the odd numbers: mask[i] is 1 exactly when 2i + 1 <= limit is prime."""
+    mask = bytearray([1]) * ((limit + 1) // 2)
+    mask[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(mask), p)))
+    return mask
 
-    Entries 0 and 1 are set to 0. int32 storage caps limit below 2^31.
+
+def smallest_prime_factor_sieve(limit: int) -> list[int]:
+    """List t with t[k] = least prime factor of k for 2 <= k <= limit.
+
+    Entries 0 and 1 are set to 0. The list starts as 2 on the even entries;
+    each odd prime p up to sqrt(limit) then writes p over its odd multiples
+    from p^2 on, the larger primes first so that the least prime factor is
+    written last, and the odd entries left are the primes themselves.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    import numpy as np
-    table = np.arange(limit + 1, dtype=np.int32)
-    table[:2] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if table[p] == p:
-            chunk = table[p * p :: p]
-            np.minimum(chunk, np.int32(p), out=chunk)
+    table = [2, 0] * (limit // 2 + 1)
+    del table[limit + 1 :]
+    table[0] = 0
+    mask = _odd_prime_mask(limit)
+    for p in reversed(list(compress(range(1, math.isqrt(limit) + 1, 2), mask))):
+        table[p * p :: 2 * p] = [p] * len(range(p * p, limit + 1, 2 * p))
+    for p in compress(range(1, limit + 1, 2), mask):
+        table[p] = p
     return table
 
 
@@ -259,13 +270,7 @@ def primes_up_to(limit: int) -> list[int]:
     """Primes <= limit in increasing order."""
     if limit < 2:
         return []
-    import numpy as np
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).tolist()
+    return [2, *compress(range(1, limit + 1, 2), _odd_prime_mask(limit))]
 
 
 def gcd_sum_direct(n: int) -> int:
@@ -275,8 +280,7 @@ def gcd_sum_direct(n: int) -> int:
     return sum(map(math.gcd, range(1, n + 1), repeat(n)))
 
 
-@dataclass(frozen=True)
-class MultiplicativeFunction:
+class MultiplicativeFunction(NamedTuple):
     """A multiplicative function defined by its values on prime powers.
 
     f(1) = 1 always; composite arguments are products of prime_power_rule
@@ -301,10 +305,11 @@ def evaluate(f: MultiplicativeFunction, n: int) -> int:
 def sieve_multiplicative(f: MultiplicativeFunction, limit: int) -> list[int]:
     """Tabulate [f(0..limit)] with slot 0 set to 0 and slot 1 to 1.
 
-    Walks n = 2..limit once, tracking the p^e part of n for its smallest prime
-    p. Prime powers get one prime_power_rule call each; everything else is a
-    single multiplication of two previously filled slots, so the rule is never
-    re-evaluated for a repeated (p, e).
+    Walks n = 2..limit once with p = spf(n). When p^2 does not divide n, f(n)
+    is f(n/p) f(p); otherwise (about a third of all n) the whole power p^e is
+    divided out on the spot and f(n) is f(n/p^e) f(p^e). Prime powers get one
+    prime_power_rule call each, so the rule is never re-evaluated for a
+    repeated (p, e).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -312,23 +317,22 @@ def sieve_multiplicative(f: MultiplicativeFunction, limit: int) -> list[int]:
     values[1] = 1
     if limit == 1:
         return values
-    spf = smallest_prime_factor_sieve(limit).tolist()
-    ppart = [0, 1] + [0] * (limit - 1)  # p^e part of n w.r.t. spf(n)
+    spf = smallest_prime_factor_sieve(limit)
     rule = f.prime_power_rule
     for n in range(2, limit + 1):
         p = spf[n]
         m = n // p
-        pp = ppart[m] * p if m % p == 0 else p
-        ppart[n] = pp
-        if pp == n:
-            e = 0
-            t = n
-            while t > 1:
-                t //= p
-                e += 1
-            values[n] = rule(p, e)
-        else:
-            values[n] = values[n // pp] * values[pp]
+        if m % p:
+            values[n] = values[m] * values[p] if m > 1 else rule(p, 1)
+            continue
+        pp = p * p
+        m //= p
+        e = 2
+        while m % p == 0:
+            m //= p
+            pp *= p
+            e += 1
+        values[n] = values[m] * values[pp] if m > 1 else rule(p, e)
     return values
 
 

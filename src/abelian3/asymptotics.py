@@ -25,7 +25,6 @@ from .typecounts import h_recurrence, symbolic_count
 
 __all__ = [
     "AsymptoticReport",
-    "Constants",
     "DivisorSumCheck",
     "H3Estimate",
     "H_COMPLEMENT",
@@ -39,17 +38,17 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015329
+# zeta(2), zeta(3) and the logarithmic derivatives zeta'/zeta at 2 and 3, each
+# the double nearest to the value (mpmath at 30 digits reproduces them).
+ZETA2 = 1.6449340668482264
+ZETA3 = 1.2020569031595942
+DLOG_ZETA2 = -0.5699609930945329
+DLOG_ZETA3 = -0.16482268215827725
 
 # Best-published exponent in the divisor-problem error term that the
 # literature quotes for this average order; recorded for reference output,
 # not used in any computation.
 THETA_REFERENCE = Fraction(131, 416)
-
-
-@dataclass(frozen=True)
-class Constants:
-    euler_gamma: float = EULER_GAMMA
-    theta_reference: Fraction = THETA_REFERENCE
 
 
 S_DIAGONAL = MultiplicativeFunction(lambda p, e: symbolic_count(e, e, e)(p), "s")
@@ -109,15 +108,6 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     if tail_terms < 16:
         raise ValueError(f"tail_terms must be >= 16, got {tail_terms}")
 
-    import mpmath  # imported here so that commands other than asymptotic skip it
-
-    with mpmath.workdps(30):
-        zeta2 = float(mpmath.zeta(2))
-        zeta3 = float(mpmath.zeta(3))
-        # d/dz log zeta(z) at 2 and 3
-        dlog_zeta2 = float(mpmath.zeta(2, derivative=1) / mpmath.zeta(2))
-        dlog_zeta3 = float(mpmath.zeta(3, derivative=1) / mpmath.zeta(3))
-
     logs: list[float] = []
     dlogs: list[float] = []
     for p in primes_up_to(prime_limit):
@@ -134,8 +124,8 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
         # n_p'(3) = log p * (2 c2 p^-6 - 3 c3 p^-9 + 4 c4 p^-12 - 6 p^(3-18))
         dlogs.append(math.log(p) * (2 * t2 - 3 * t3 + 4 * t4 - 6 * t6) / local)
 
-    h3 = zeta3**4 * zeta2**2 * math.exp(math.fsum(logs))
-    bracket = 4 * dlog_zeta3 + 2 * dlog_zeta2 + math.fsum(dlogs)
+    h3 = ZETA3**4 * ZETA2**2 * math.exp(math.fsum(logs))
+    bracket = 4 * DLOG_ZETA3 + 2 * DLOG_ZETA2 + math.fsum(dlogs)
     h3prime = h3 * bracket
 
     # Tail bounds. For p > Q >= 100: |n_p(3) - 1| <= 3.2 p^-4, and

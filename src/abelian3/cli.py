@@ -22,31 +22,38 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import click
 
-from . import asymptotics, oracle, rank2, rank3, typecounts
+from . import rank3, typecounts
 from .config import ELEMENT_BOUND_ENV
 
 _FORMATS = ("text", "json", "csv")
-# Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM,
-# end to end: `asymptotic --x-values 10000000` (sieve_s) takes about 9 s and
-# 750 MB, `--tail-terms 2000000` 4 s, `table 1 --limit 10000000` 20 s (mostly
-# printing), `poly 120` 2.6 s, `poly 1000000 --closed-form` 3 s,
-# `table 2 --limit 50` 2.9 s and `table 3 --limit 18` 2.5 s.
+# Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
+# (Python 3.11), end to end: `asymptotic --x-values 10000000` (sieve_s) takes
+# about 4.5 s and 645 MB, `--tail-terms 2000000` 2 s, `table 1 --limit 10000000`
+# 9 s, `poly 120` 1.3 s, `poly 1000000 --closed-form` 1.4 s, `table 2 --limit 50`
+# 1.3 s, `table 3 --limit 18` 1.2 s and `type-count` of 110 ones over 55 ones
+# 1.3 s. Hosts measured earlier ran these about twice as long.
 MAX_SIEVE = 10**7
 MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
 MAX_CLOSED_FORM_EXPONENT = 10**6
+# type-count's LAM may have parts summing to at most this; all ones over half
+# as many ones is the slowest shape of a given size.
+MAX_PARTITION_SIZE = 110
+# Largest --eval value shown, in decimal digits: CPython's default limit on
+# converting an int to a string.
+MAX_EVAL_DIGITS = 4300
 _TABLE_LIMITS = {"1": MAX_SIEVE, "2": 50, "3": 18}
 _TABLE_DEFAULTS = {"1": 50, "2": 10, "3": 4}
 
 
-@dataclass
-class OutputConfig:
+class OutputConfig(NamedTuple):
     fmt: str
     quiet: bool
 
@@ -259,6 +266,7 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
     if top > _TABLE_LIMITS[which]:
         raise click.UsageError(f"table {which} takes --limit at most {_TABLE_LIMITS[which]}, got {top}")
     if which == "1":
+        from . import asymptotics
         values = asymptotics.sieve_s(top)
         _note(cfg, "# n  s(n)")
         rows = ((k, values[k]) for k in range(1, top + 1))
@@ -281,6 +289,21 @@ def _eval_columns(eval_p: int | None) -> list[Column]:
     """p and the value there: empty CSV cells and no JSON keys without --eval."""
     json_value = None if eval_p is None else _same
     return [Column("p", json=json_value), Column("value", json=json_value)]
+
+
+def _with_value(build: Callable[[], typecounts.IntPolynomial], degree: int, p: int | None) -> tuple:
+    """(build(), its value at p or None without --eval); a usage error for a
+    value of more than MAX_EVAL_DIGITS digits. Counting polynomials have
+    nonnegative coefficients, so p^degree bounds the value from below, which
+    refuses most such values before build runs."""
+    too_long = click.UsageError(f"--eval {p}: the value would have more than {MAX_EVAL_DIGITS} digits")
+    if p is not None and degree * math.log10(p) >= MAX_EVAL_DIGITS:
+        raise too_long
+    poly = build()
+    value = None if p is None else poly(p)
+    if value is not None and value >= 10**MAX_EVAL_DIGITS:
+        raise too_long
+    return poly, value
 
 
 def _poly_text(row: tuple) -> str:
@@ -310,8 +333,9 @@ def cmd_poly(cfg: OutputConfig, exponents: tuple[int, ...], eval_p: int | None, 
     bound = MAX_CLOSED_FORM_EXPONENT if closed_form else MAX_EXPONENT
     if max(exponents) > bound:
         raise click.UsageError(f"exponents must be <= {bound}{' with --closed-form' * closed_form}, got {max(exponents)}")
-    poly = typecounts.general_form(nu1) if closed_form else typecounts.symbolic_count(nu1, nu2, nu3)
-    row = (nu1, nu2, nu3, *_poly_cells(poly), eval_p, None if eval_p is None else poly(eval_p))
+    build = (lambda: typecounts.general_form(nu1)) if closed_form else (lambda: typecounts.symbolic_count(nu1, nu2, nu3))
+    poly, value = _with_value(build, typecounts.count_degree(nu1, nu2, nu3), eval_p)
+    row = (nu1, nu2, nu3, *_poly_cells(poly), eval_p, value)
     columns = [Column("nu1"), Column("nu2"), Column("nu3"), *_POLY_COLUMNS, *_eval_columns(eval_p)]
     _render_rows(cfg, [row], columns, _poly_text)
 
@@ -336,18 +360,20 @@ def cmd_type_count(cfg: OutputConfig, lam: str, mu: str, eval_p: int | None) -> 
     """Subgroups of type MU inside a p-group of type LAM (partitions like 3,2,1)."""
     lam_part = _parse_partition(lam)
     mu_part = _parse_partition(mu)
+    if lam_part.size > MAX_PARTITION_SIZE:
+        raise click.UsageError(f"LAM must have parts summing to at most {MAX_PARTITION_SIZE}, got {lam_part.size}")
     try:
-        poly = typecounts.type_count(lam_part, mu_part)
+        degree = typecounts.type_count_degree(lam_part, mu_part)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    row = (lam_part.parts, mu_part.parts, *_poly_cells(poly), eval_p, None if eval_p is None else poly(eval_p))
+    poly, value = _with_value(lambda: typecounts.type_count(lam_part, mu_part), degree, eval_p)
+    row = (lam_part.parts, mu_part.parts, *_poly_cells(poly), eval_p, value)
     joined = lambda parts: ",".join(map(str, parts))
     columns = [Column("lam", csv=joined), Column("mu", csv=joined), Column("poly", json=None), Column("coefficients", csv=None), *_eval_columns(eval_p)]
     _render_rows(cfg, [row], columns, _poly_text)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_order: int
     rank3_shapes: int
     rank2_shapes: int
@@ -388,6 +414,7 @@ def run_lattice_verification(
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
+    from . import oracle, rank2
     failures: list[str] = []
     rank3_shapes = 0
     rank2_shapes = 0
@@ -483,14 +510,14 @@ def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_term
         raise click.UsageError("x values must be >= 2")
     if max(xs) > MAX_SIEVE:
         raise click.UsageError(f"x values must be <= {MAX_SIEVE}")
+    from . import asymptotics
     est = asymptotics.h3_and_h3prime(prime_limit=prime_limit, tail_terms=tail_terms)
-    constants = asymptotics.Constants()
     head_columns = [Column("kind"), *_field_columns(asymptotics.H3Estimate), Column("euler_gamma"), Column("theta_reference")]
-    head_row = ("constants", *astuple(est), constants.euler_gamma, str(constants.theta_reference))
+    head_row = ("constants", *astuple(est), asymptotics.EULER_GAMMA, str(asymptotics.THETA_REFERENCE))
     head_text = (
         f"H3  = {est.h3!r} (+- {est.h3_bound:.3e}); direct {est.direct_h3!r} (+- {est.direct_h3_bound:.3e})\n"
         f"H3' = {est.h3prime!r} (+- {est.h3prime_bound:.3e}); direct {est.direct_h3prime!r} (+- {est.direct_h3prime_bound:.3e})\n"
-        f"euler_gamma = {constants.euler_gamma!r}; theta_reference = {constants.theta_reference}\n"
+        f"euler_gamma = {asymptotics.EULER_GAMMA!r}; theta_reference = {asymptotics.THETA_REFERENCE}\n"
         "# x  exact_sum  main_term  relative_error  error_exponent"
     )
     rows = [("report", *astuple(rep)) for rep in asymptotics.average_order_reports(xs, estimate=est)]

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "IntPolynomial",
     "Partition",
+    "count_degree",
     "gaussian_binomial",
     "general_form",
     "h_closed_form",
@@ -26,6 +27,7 @@ __all__ = [
     "subpartitions",
     "symbolic_count",
     "type_count",
+    "type_count_degree",
 ]
 
 
@@ -196,6 +198,12 @@ def symbolic_count(nu1: int, nu2: int, nu3: int) -> IntPolynomial:
     return sum(order_terms(nu1, nu2, nu3), ZERO)
 
 
+def count_degree(nu1: int, nu2: int, nu3: int) -> int:
+    """Degree in p of symbolic_count(nu1, nu2, nu3): the two smallest exponents summed,
+    the largest type_count_degree of a type inside (mu' = 2, 1 on columns of length 3, 2)."""
+    return nu1 + nu2 + nu3 - max(nu1, nu2, nu3)
+
+
 def general_form(nu: int) -> IntPolynomial:
     """Closed form of symbolic_count(nu, nu, nu).
 
@@ -304,6 +312,18 @@ def type_count(lam: Partition, mu: Partition) -> IntPolynomial:
         if exp:
             out = out * IntPolynomial.monomial(1, exp)
     return out
+
+
+def type_count_degree(lam: Partition, mu: Partition) -> int:
+    """Degree in p of type_count(lam, mu): sum over j of mu'_j (lam'_j - mu'_j).
+
+    The j-th factor of type_count has degree (mu'_j - mu'_{j+1})(lam'_j - mu'_j)
+    from its Gaussian binomial plus mu'_{j+1} (lam'_j - mu'_j) from its power
+    of p. Raises ValueError when mu does not fit inside lam.
+    """
+    if not lam.contains(mu):
+        raise ValueError(f"{mu} is not contained in {lam}")
+    return sum(m * (l - m) for l, m in zip(lam.conjugate(), mu.conjugate()))
 
 
 def h_closed_form(nu: int) -> IntPolynomial:

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import time
@@ -178,7 +179,7 @@ class TestDivisors:
 class TestSieves:
     def test_spf_small(self):
         table = smallest_prime_factor_sieve(10)
-        assert table.tolist() == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+        assert table == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2]
 
     def test_spf_rejects_tiny(self):
         with pytest.raises(ValueError):
@@ -194,6 +195,14 @@ class TestSieves:
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert primes_up_to(1) == []
         assert len(primes_up_to(10**5)) == 9592
+
+    def test_match_trial_division_at_every_limit(self):
+        top = 2000
+        spf = [0, 0] + [next(p for p in range(2, k + 1) if k % p == 0) for k in range(2, top + 1)]
+        primes = [k for k in range(2, top + 1) if spf[k] == k]
+        for limit in range(2, top + 1):
+            assert smallest_prime_factor_sieve(limit) == spf[: limit + 1], limit
+            assert primes_up_to(limit) == primes[: bisect.bisect_right(primes, limit)], limit
 
 
 class TestGcdSum:
@@ -245,6 +254,14 @@ class TestMultiplicativeFunctions:
         table = sieve_multiplicative(fn, 10**4)
         for n in range(1, 10**4 + 1):
             assert table[n] == evaluate(fn, n), n
+
+    @pytest.mark.parametrize("limit", [2**20, 3**12])
+    def test_sieve_at_prime_power_limit(self, limit):
+        # the last entry is a prime power, whose p^e part is divided out on the spot
+        table = sieve_multiplicative(PILLAI, limit)
+        assert len(table) == limit + 1
+        for n in range(limit - 999, limit + 1):
+            assert table[n] == evaluate(PILLAI, n), n
 
     def test_phi_divisor_sum(self):
         # sum of phi over divisors telescopes to n

@@ -6,8 +6,12 @@ import pytest
 
 from abelian3.arith import TAU, evaluate, sieve_multiplicative
 from abelian3.asymptotics import (
+    DLOG_ZETA2,
+    DLOG_ZETA3,
     EULER_GAMMA,
     H_COMPLEMENT,
+    ZETA2,
+    ZETA3,
     average_order_reports,
     divisor_sum_check,
     h3_and_h3prime,
@@ -127,6 +131,16 @@ class TestConstants:
             h3_and_h3prime(prime_limit=50)
         with pytest.raises(ValueError):
             h3_and_h3prime(tail_terms=8)
+
+
+class TestZetaLiterals:
+    def test_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            assert ZETA2 == float(mpmath.zeta(2))
+            assert ZETA3 == float(mpmath.zeta(3))
+            assert DLOG_ZETA2 == float(mpmath.zeta(2, derivative=1) / mpmath.zeta(2))
+            assert DLOG_ZETA3 == float(mpmath.zeta(3, derivative=1) / mpmath.zeta(3))
 
 
 class TestMainTerm:

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,9 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 from abelian3 import arith, cli as cli_module, oracle, rank3
-from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EXPONENT, MAX_SIEVE, MAX_TAIL_TERMS, Column, OutputConfig, _render_rows, cli, run_lattice_verification
+from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, Column, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
+from abelian3.typecounts import general_form
 
 DATA = Path(__file__).parent / "data"
 
@@ -485,6 +487,8 @@ class TestInputBounds:
             ["poly", str(MAX_CLOSED_FORM_EXPONENT + 1), "--closed-form"],
             ["table", "2", "--limit", "400"],
             ["table", "3", "--limit", "40"],
+            ["type-count", ",".join(["1"] * (MAX_PARTITION_SIZE + 1)), ",".join(["1"] * 55)],
+            ["type-count", str(10**9), "1"],
         ],
     )
     def test_exponents_past_the_bound_fail_fast(self, runner, args):
@@ -493,11 +497,39 @@ class TestInputBounds:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["poly", "120", "--eval", str(10**40)],
+            ["poly", "20000", "--closed-form", "--eval", "1000000"],
+            ["type-count", ",".join(["1"] * 100), ",".join(["1"] * 50), "--eval", str(10**20)],
+        ],
+    )
+    def test_oversized_values_fail_fast(self, runner, args):
+        start = time.perf_counter()
+        result = runner.invoke(cli, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert f"more than {MAX_EVAL_DIGITS} digits" in result.stderr
+
+    def test_value_just_past_the_digit_bound(self, runner):
+        # p^4 has 4300 digits and passes the check before evaluation; the
+        # value, 3 p^4 + ..., has one more
+        p = 8 * 10**1074
+        assert p**4 < 10**MAX_EVAL_DIGITS <= general_form(2)(p)
+        result = runner.invoke(cli, ["poly", "2", "--eval", str(p)])
+        assert result.exit_code == 2
+        assert f"more than {MAX_EVAL_DIGITS} digits" in result.stderr
+
     def test_bounds_are_inclusive(self, runner):
         assert runner.invoke(cli, ["-q", "poly", "1", "1", str(MAX_EXPONENT)]).exit_code == 0
         # general_form is linear in the exponent; only symbolic_count needs MAX_EXPONENT.
         assert runner.invoke(cli, ["-q", "poly", "3000", "--closed-form"]).exit_code == 0
         assert runner.invoke(cli, ["-q", "asymptotic", "--x-values", "100", "--prime-limit", "1000", "--tail-terms", "1000"]).exit_code == 0
+        assert runner.invoke(cli, ["-q", "type-count", str(MAX_PARTITION_SIZE), "1"]).exit_code == 0
+        result = runner.invoke(cli, ["-q", "poly", "2", "--eval", str(7 * 10**1074)])
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()[-1].split(": ")[1]) == MAX_EVAL_DIGITS
 
 
 class TestFormatKnowledge:
@@ -512,6 +544,41 @@ class TestFormatKnowledge:
             if isinstance(inner, ast.Attribute) and inner.attr == "fmt"
         }
         assert readers == {"_render_rows", "_note"}
+
+
+class TestImports:
+    def test_count_loads_only_its_modules(self):
+        code = (
+            "import sys\n"
+            "from abelian3 import cli\n"
+            "sys.argv = ['abelian3', 'count', '1', '1', '1']\n"
+            "try:\n"
+            "    cli.main()\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "loaded = sorted(name for name in sys.modules if name.startswith('abelian3.'))\n"
+            "assert loaded == ['abelian3.arith', 'abelian3.cli', 'abelian3.config', 'abelian3.rank3', 'abelian3.typecounts'], loaded\n"
+            "heavy = [name for name in ('fractions', 'numpy', 'mpmath') if name in sys.modules]\n"
+            "assert not heavy, heavy\n"
+        )
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1\n"
+
+    def test_no_module_imports_numpy_or_mpmath(self):
+        package = Path(cli_module.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] not in ("numpy", "mpmath"), f"{path.name} imports {name}"
 
 
 class TestTopLevel:

@@ -1,6 +1,6 @@
 import csv
 import math
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from abelian3.typecounts import (
     ZERO,
     IntPolynomial,
     Partition,
+    count_degree,
     gaussian_binomial,
     general_form,
     h_closed_form,
@@ -20,6 +21,7 @@ from abelian3.typecounts import (
     subpartitions,
     symbolic_count,
     type_count,
+    type_count_degree,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -134,6 +136,12 @@ class TestSymbolicCount:
         for row in read_rows("table3.csv"):
             nus = int(row["nu1"]), int(row["nu2"]), int(row["nu3"])
             assert str(symbolic_count(*nus)) == row["s_poly"], nus
+
+    def test_degree_formula(self):
+        for shape in product(range(8), repeat=3):
+            assert symbolic_count(*shape).degree == count_degree(*shape), shape
+        for nu in range(40):
+            assert general_form(nu).degree == count_degree(nu, nu, nu), nu
 
 
 class TestGeneralForm:
@@ -266,6 +274,16 @@ class TestTypeCount:
         # elements of order p up to scaling: (p^2 - 1)/(p - 1) = p + 1
         assert type_count(Partition((2, 1)), Partition((1,))) == IntPolynomial([1, 1])
         assert type_count(Partition((2,)), Partition((1,))) == ONE
+
+    @pytest.mark.parametrize("parts", [(), (3,), (1, 1, 1, 1), (3, 2, 1), (4, 4, 2, 1), (3, 3, 1, 1)])
+    def test_degree_formula(self, parts):
+        lam = Partition(parts)
+        for mu in subpartitions(lam):
+            assert type_count(lam, mu).degree == type_count_degree(lam, mu), mu
+
+    def test_degree_rejects_uncontained_type(self):
+        with pytest.raises(ValueError):
+            type_count_degree(Partition((2, 1)), Partition((3,)))
 
     def test_rejects_uncontained_type(self):
         with pytest.raises(ValueError):
