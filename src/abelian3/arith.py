@@ -140,10 +140,28 @@ class Factorization:
         return iter(self.pairs)
 
 
+def _odd_prime_mask(limit: int) -> bytearray:
+    """Sieve of Eratosthenes over the odd numbers: mask[i] is 1 exactly when 2i + 1 <= limit is prime."""
+    mask = bytearray([1]) * ((limit + 1) // 2)
+    mask[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(mask), p)))
+    return mask
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """Primes <= limit in increasing order."""
+    if limit < 2:
+        return []
+    return [2, *compress(range(1, limit + 1, 2), _odd_prime_mask(limit))]
+
+
 # factorize trial-divides by the primes below _TRIAL_BOUND; a cofactor left with
 # no prime factor below the bound is prime when it is below _TRIAL_BOUND**2.
 _TRIAL_BOUND = 1000
-_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND - 1))
 # Pollard-Brent rho steps one factorize call may spend: about 1.3 s of pure
 # Python on a 2-core VM (Python 3.11), enough for most smaller factors of up to
 # 12 digits. Rounds double, so only powers of two change where rho gives up.
@@ -234,17 +252,6 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def _odd_prime_mask(limit: int) -> bytearray:
-    """Sieve of Eratosthenes over the odd numbers: mask[i] is 1 exactly when 2i + 1 <= limit is prime."""
-    mask = bytearray([1]) * ((limit + 1) // 2)
-    mask[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if mask[i]:
-            p = 2 * i + 1
-            mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(mask), p)))
-    return mask
-
-
 def smallest_prime_factor_sieve(limit: int) -> list[int]:
     """List t with t[k] = least prime factor of k for 2 <= k <= limit.
 
@@ -264,13 +271,6 @@ def smallest_prime_factor_sieve(limit: int) -> list[int]:
     for p in compress(range(1, limit + 1, 2), mask):
         table[p] = p
     return table
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """Primes <= limit in increasing order."""
-    if limit < 2:
-        return []
-    return [2, *compress(range(1, limit + 1, 2), _odd_prime_mask(limit))]
 
 
 def gcd_sum_direct(n: int) -> int:

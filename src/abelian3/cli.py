@@ -30,15 +30,16 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import click
 
 from . import rank3, typecounts
-from .config import ELEMENT_BOUND_ENV
+from .config import ELEMENT_BOUND_ENV, element_bound
 
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
 # (Python 3.11), end to end: `asymptotic --x-values 10000000` (sieve_s) takes
 # about 4.5 s and 645 MB, `--tail-terms 2000000` 2 s, `table 1 --limit 10000000`
 # 9 s, `poly 120` 1.3 s, `poly 1000000 --closed-form` 1.4 s, `table 2 --limit 50`
-# 1.3 s, `table 3 --limit 18` 1.2 s and `type-count` of 110 ones over 55 ones
-# 1.3 s. Hosts measured earlier ran these about twice as long.
+# 1.3 s, `table 3 --limit 18` 1.2 s, `type-count` of 110 ones over 55 ones
+# 1.3 s and `verify --max-order 200` 14 s. Hosts measured earlier ran these
+# about twice as long.
 MAX_SIEVE = 10**7
 MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
@@ -47,8 +48,11 @@ MAX_CLOSED_FORM_EXPONENT = 10**6
 # as many ones is the slowest shape of a given size.
 MAX_PARTITION_SIZE = 110
 # Largest --eval value shown, in decimal digits: CPython's default limit on
-# converting an int to a string.
+# converting an int to a string (lower when the interpreter's limit is lower).
 MAX_EVAL_DIGITS = 4300
+# verify checks every group of order at most --max-order; the oracle lattices
+# make its time grow about as the 2.6th power of the bound.
+MAX_VERIFY_ORDER = 200
 _TABLE_LIMITS = {"1": MAX_SIEVE, "2": 50, "3": 18}
 _TABLE_DEFAULTS = {"1": 50, "2": 10, "3": 4}
 
@@ -293,15 +297,18 @@ def _eval_columns(eval_p: int | None) -> list[Column]:
 
 def _with_value(build: Callable[[], typecounts.IntPolynomial], degree: int, p: int | None) -> tuple:
     """(build(), its value at p or None without --eval); a usage error for a
-    value of more than MAX_EVAL_DIGITS digits. Counting polynomials have
-    nonnegative coefficients, so p^degree bounds the value from below, which
-    refuses most such values before build runs."""
-    too_long = click.UsageError(f"--eval {p}: the value would have more than {MAX_EVAL_DIGITS} digits")
-    if p is not None and degree * math.log10(p) >= MAX_EVAL_DIGITS:
+    value of more than MAX_EVAL_DIGITS digits, or of more than the
+    interpreter's int-to-string limit when that is lower. Counting polynomials
+    have nonnegative coefficients, so p^degree bounds the value from below,
+    which refuses most such values before build runs."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = min(MAX_EVAL_DIGITS, limit) if limit else MAX_EVAL_DIGITS
+    too_long = click.UsageError(f"--eval {p}: the value would have more than {digits} digits")
+    if p is not None and degree * math.log10(p) >= digits:
         raise too_long
     poly = build()
     value = None if p is None else poly(p)
-    if value is not None and value >= 10**MAX_EVAL_DIGITS:
+    if value is not None and value >= 10**digits:
         raise too_long
     return poly, value
 
@@ -470,11 +477,17 @@ def _verify_text(row: tuple) -> str:
 
 
 @cli.command("verify")
-@click.option("--max-order", type=click.IntRange(min=1), default=120, show_default=True, help="Check all groups with m*n*r up to this bound.")
+@click.option("--max-order", type=click.IntRange(min=1, max=MAX_VERIFY_ORDER), default=120, show_default=True, help="Check all groups with m*n*r up to this bound.")
 @click.pass_context
 def cmd_verify(ctx: click.Context, max_order: int) -> None:
     """Cross-check enumeration, counting, and the brute-force lattice."""
     cfg: OutputConfig = ctx.obj
+    try:
+        bound = element_bound()
+    except ValueError as exc:  # a malformed ABELIAN3_ELEMENT_BOUND
+        raise click.UsageError(str(exc)) from exc
+    if max_order > bound:
+        raise click.UsageError(f"--max-order {max_order} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
     progress = None if cfg.quiet else (lambda msg: click.echo(msg, err=True))
     report = run_lattice_verification(max_order, progress=progress)
     row = (report.max_order, report.rank3_shapes, report.rank2_shapes, report.ok, report.failures)

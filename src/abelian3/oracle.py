@@ -4,12 +4,14 @@ Ground truth for the structured enumerations in rank2/rank3: nothing here
 shares code with those modules beyond modular addition itself. Groups are
 direct products of cyclic groups of the given orders; elements are encoded
 as mixed-radix integers and addition is a precomputed table, which keeps the
-join loops cheap.
+join loops cheap; one list of all elements, indexed by code, turns codes back
+into elements. The lattice walk joins only cyclic subgroups of prime-power
+order (see all_subgroups).
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -30,19 +32,25 @@ def closure(generators: Iterable[Element], orders: Sequence[int]) -> ElementSet:
     members = frozenset([0])
     for g in generators:
         members = _join(members, _encode(g, orders), table)
-    return _canonical(members, orders)
+    return _canonical(members, _elements(orders))
 
 
 def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
     """Every subgroup of prod Z_orders[i], as canonical element tuples.
 
-    Every subgroup is a join of cyclic subgroups, so a depth-first walk that
-    starts at the trivial subgroup and joins each subgroup it finds with each
-    cyclic subgroup not inside it reaches the whole lattice.
+    A depth-first walk starts at the trivial subgroup and joins each subgroup
+    it finds with each cyclic subgroup of prime-power order not inside it.
+    No subgroup is missed: a subgroup H of a finite abelian group is the
+    direct sum of its Sylow p-parts, each p-part is generated by its own
+    elements, and those have p-power order. So H is the join of finitely many
+    cyclic subgroups of prime-power order, and the walk reaches H along the
+    chain of joins that adds them one at a time. Joining a cyclic subgroup
+    whose order is not a prime power is redundant, since it is the join of
+    its prime-power parts.
     """
     orders = tuple(orders)
     table = _addition_table(orders)
-    generators = list(_cyclic_generators(table))
+    generators = [g for g, multiples in _cyclic_generators(table).items() if _is_prime_power(len(multiples))]
     found = {frozenset([0])}
     stack = list(found)
     while stack:
@@ -53,14 +61,16 @@ def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
                 if grown not in found:
                     found.add(grown)
                     stack.append(grown)
-    return {_canonical(sub, orders) for sub in found}
+    elements = _elements(orders)
+    return {_canonical(sub, elements) for sub in found}
 
 
 def cyclic_subgroups(orders: Sequence[int]) -> set[ElementSet]:
     """The distinct subgroups generated by single elements."""
     orders = tuple(orders)
     table = _addition_table(orders)
-    return {_canonical(multiples, orders) for multiples in _cyclic_generators(table).values()}
+    elements = _elements(orders)
+    return {_canonical(multiples, elements) for multiples in _cyclic_generators(table).values()}
 
 
 def _check_orders(orders: tuple[int, ...]) -> None:
@@ -86,12 +96,19 @@ def _encode(element: Sequence[int], orders: tuple[int, ...]) -> int:
     return code
 
 
-def _decode(code: int, orders: tuple[int, ...]) -> Element:
-    out = []
-    for o in orders:
-        code, digit = divmod(code, o)
-        out.append(digit)
-    return tuple(out)
+def _elements(orders: tuple[int, ...]) -> list[Element]:
+    """Every element, indexed by its code: the first axis varies fastest, as in _encode."""
+    return [t[::-1] for t in product(*map(range, reversed(orders)))]
+
+
+def _is_prime_power(n: int) -> bool:
+    """True for n = p^k with p prime and k >= 1; n is an element order, so trial division is cheap."""
+    if n < 2:
+        return False
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def _addition_table(orders: tuple[int, ...]) -> list[list[int]]:
@@ -140,5 +157,5 @@ def _join(sub: frozenset[int], g: int, table: list[list[int]]) -> frozenset[int]
     return frozenset(grown)
 
 
-def _canonical(member_codes: Iterable[int], orders: tuple[int, ...]) -> ElementSet:
-    return tuple(sorted(_decode(code, orders) for code in member_codes))
+def _canonical(member_codes: Iterable[int], elements: list[Element]) -> ElementSet:
+    return tuple(sorted(map(elements.__getitem__, member_codes)))

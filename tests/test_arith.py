@@ -204,6 +204,13 @@ class TestSieves:
             assert smallest_prime_factor_sieve(limit) == spf[: limit + 1], limit
             assert primes_up_to(limit) == primes[: bisect.bisect_right(primes, limit)], limit
 
+    def test_trial_division_primes_come_from_the_sieve(self):
+        # factorize's trial-division primes, built by the sieve at import, are
+        # exactly the primes below 1000 found by trial division
+        want = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+        assert len(want) == 168
+        assert arith._SMALL_PRIMES == want
+
 
 class TestGcdSum:
     def test_direct_small(self):

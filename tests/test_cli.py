@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from abelian3 import arith, cli as cli_module, oracle, rank3
-from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, Column, OutputConfig, _render_rows, cli, run_lattice_verification
+from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.typecounts import general_form
@@ -393,6 +393,14 @@ class TestVerify:
         assert "result: FAIL" in result.stdout
         assert "(2, 4, 2)" in result.stdout
 
+    def test_order_past_the_element_bound_is_usage_error(self, runner, monkeypatch):
+        monkeypatch.setenv(ELEMENT_BOUND_ENV, "20")
+        result = runner.invoke(cli, ["verify", "--max-order", "24"])
+        assert result.exit_code == 2
+        assert ELEMENT_BOUND_ENV in result.stderr
+        assert "FAIL" not in result.stdout
+        assert runner.invoke(cli, ["-q", "verify", "--max-order", "20"]).exit_code == 0
+
     def test_corruption_report_names_shapes(self, monkeypatch):
         original = rank3.derived_params
 
@@ -511,6 +519,26 @@ class TestInputBounds:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert f"more than {MAX_EVAL_DIGITS} digits" in result.stderr
+
+    def test_eval_under_a_lowered_int_string_limit(self):
+        # the interpreter refuses to print ints of more than 640 digits here;
+        # the value must be refused as too long, not crash when printed
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "abelian3.cli", "poly", "120", "--eval", "10000000000"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "more than 640 digits" in result.stderr
+
+    def test_verify_order_past_the_bound_fails_fast(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(cli, ["verify", "--max-order", str(MAX_VERIFY_ORDER + 1)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert str(MAX_VERIFY_ORDER) in result.stderr
 
     def test_value_just_past_the_digit_bound(self, runner):
         # p^4 has 4300 digits and passes the check before evaluation; the

@@ -111,6 +111,13 @@ class TestLattice:
         for group in SMALL_GROUPS:
             assert oracle.all_subgroups(group) == reference_all_subgroups(group), group
 
+    def test_matches_saturation_reference_in_any_axis_order(self):
+        # groups not written as d1 | d2 | d3: the element list's radix order
+        # and the prime-power generator filter must hold for every layout
+        groups = [(m, n, r) for m in range(1, 25) for n in range(1, 24 // m + 1) for r in range(1, 24 // (m * n) + 1)]
+        for group in [*groups, (4, 3, 2), (2, 3, 4), (8,), (2, 2, 2, 2)]:
+            assert oracle.all_subgroups(group) == reference_all_subgroups(group), group
+
     def test_rank2_projection_consistency(self):
         # collapsing a trivial third factor reproduces the rank-2 lattice
         for m in range(1, 7):
