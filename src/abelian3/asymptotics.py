@@ -16,9 +16,8 @@ exact-vs-main-term comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import MultiplicativeFunction, primes_up_to, sieve_multiplicative
 from .typecounts import h_recurrence, symbolic_count
@@ -66,8 +65,7 @@ def h_values(limit: int) -> list[int]:
     return sieve_multiplicative(H_COMPLEMENT, limit)
 
 
-@dataclass(frozen=True)
-class H3Estimate:
+class H3Estimate(NamedTuple):
     """The series constants by two routes, each with its own error bar.
 
     h3/h3prime come from the accelerated Euler product; their bounds are
@@ -185,8 +183,7 @@ def main_term(x: int, h3: float, h3prime: float) -> float:
     return x**3 / 3 * (h3 * (math.log(x) + 2 * EULER_GAMMA - 1 / 3) + h3prime)
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     x: int
     exact_sum: int
     main_term: float
@@ -233,8 +230,7 @@ def average_order_reports(
     return reports
 
 
-@dataclass(frozen=True)
-class DivisorSumCheck:
+class DivisorSumCheck(NamedTuple):
     """Classical divisor-sum partial sums against their main terms."""
 
     x: int

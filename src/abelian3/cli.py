@@ -24,7 +24,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import astuple, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import click
@@ -212,6 +211,16 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
     _render_rows(cfg, [(m, n, r, kind, order_, value)], columns, lambda row: str(row[-1]))
 
 
+def _check_element_bound(order: int, what: str) -> None:
+    """A usage error when ABELIAN3_ELEMENT_BOUND is malformed or order exceeds the bound."""
+    try:
+        bound = element_bound()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    if order > bound:
+        raise click.UsageError(f"{what} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
+
+
 def _element_cells(elements: Iterable[tuple[int, int, int]]) -> list[str]:
     return [f"{x},{y},{z}" for x, y, z in elements]
 
@@ -225,31 +234,25 @@ def _element_cells(elements: Iterable[tuple[int, int, int]]) -> list[str]:
 def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool) -> None:
     """Stream one line per subgroup, in deterministic (a,b,c,t,w,z) order."""
     group = (m, n, r)
+    if with_elements:
+        _check_element_bound(m * n * r, f"group order {m * n * r}")
     try:
         total = rank3.count_total(group)
     except ValueError as exc:  # an entry too hard to factor
         raise click.UsageError(str(exc)) from exc
     _note(cfg, f"# {total} subgroups of Z_{m} x Z_{n} x Z_{r}")
 
-    def rows() -> Iterable[tuple]:
-        for sx, basis in rank3.subgroup_stream(group):
-            row = (m, n, r, *sx, basis.s, basis.u, basis.v, basis.order)
-            yield (*row, sorted(rank3.subgroup_elements(basis))) if with_elements else row
-
     def to_text(row: tuple) -> str:
         a, b, c, t, w, z, s, u, v, order = row[3:13]
         line = f"a={a} b={b} c={c} t={t} w={w} z={z} | basis ({a},0,0) ({s},{b},0) ({u},{v},{c}) | order {order}"
         return f"{line} | elements ({') ('.join(_element_cells(row[13]))})" if with_elements else line
 
-    columns = [Column(name) for name in ("m", "n", "r", "a", "b", "c", "t", "w", "z", "s", "u", "v", "order")]
+    rows: Iterable[tuple] = rank3.subgroup_stream(group)
+    columns = [*map(Column, rank3.Subgroup._fields)]
     if with_elements:
+        rows = ((*sub, sorted(rank3.subgroup_elements(sub))) for sub in rows)
         columns.append(Column("elements", csv=lambda elements: " ".join(_element_cells(elements))))
-    try:
-        _render_rows(cfg, rows(), columns, to_text)
-    except ValueError as exc:
-        if "element bound" in str(exc):
-            raise click.UsageError(f"{exc} (set {ELEMENT_BOUND_ENV} to raise the cap)") from exc
-        raise
+    _render_rows(cfg, rows, columns, to_text)
 
 
 # A polynomial is shown as text in CSV and as its coefficient list in JSON.
@@ -448,7 +451,7 @@ def run_lattice_verification(
                 group = (m, n, r)
                 try:
                     want3 = lattice if r == 1 and lattice is not None else oracle.all_subgroups(group)
-                    sets3 = [tuple(sorted(rank3.subgroup_elements(basis))) for _, basis in rank3.subgroup_stream(group)]
+                    sets3 = [tuple(sorted(rank3.subgroup_elements(sub))) for sub in rank3.subgroup_stream(group)]
                     stream3, seen3 = len(sets3), set(sets3)
                     formulas3 = (rank3.count_total(group), rank3.count_total_divisor_sum(group))
                     if any(stream3 != formula for formula in formulas3):
@@ -482,12 +485,7 @@ def _verify_text(row: tuple) -> str:
 def cmd_verify(ctx: click.Context, max_order: int) -> None:
     """Cross-check enumeration, counting, and the brute-force lattice."""
     cfg: OutputConfig = ctx.obj
-    try:
-        bound = element_bound()
-    except ValueError as exc:  # a malformed ABELIAN3_ELEMENT_BOUND
-        raise click.UsageError(str(exc)) from exc
-    if max_order > bound:
-        raise click.UsageError(f"--max-order {max_order} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
+    _check_element_bound(max_order, f"--max-order {max_order}")
     progress = None if cfg.quiet else (lambda msg: click.echo(msg, err=True))
     report = run_lattice_verification(max_order, progress=progress)
     row = (report.max_order, report.rank3_shapes, report.rank2_shapes, report.ok, report.failures)
@@ -507,10 +505,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def _field_columns(cls: type) -> list[Column]:
-    return [Column(field.name) for field in fields(cls)]
-
-
 @cli.command("asymptotic")
 @click.option("--x-values", default="1000,10000,100000", show_default=True, help="Comma-separated checkpoints.")
 @click.option("--prime-limit", type=click.IntRange(min=100, max=MAX_SIEVE), default=100_000, show_default=True, help="Euler-product truncation.")
@@ -525,19 +519,19 @@ def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_term
         raise click.UsageError(f"x values must be <= {MAX_SIEVE}")
     from . import asymptotics
     est = asymptotics.h3_and_h3prime(prime_limit=prime_limit, tail_terms=tail_terms)
-    head_columns = [Column("kind"), *_field_columns(asymptotics.H3Estimate), Column("euler_gamma"), Column("theta_reference")]
-    head_row = ("constants", *astuple(est), asymptotics.EULER_GAMMA, str(asymptotics.THETA_REFERENCE))
+    head_columns = [Column("kind"), *map(Column, asymptotics.H3Estimate._fields), Column("euler_gamma"), Column("theta_reference")]
+    head_row = ("constants", *est, asymptotics.EULER_GAMMA, str(asymptotics.THETA_REFERENCE))
     head_text = (
         f"H3  = {est.h3!r} (+- {est.h3_bound:.3e}); direct {est.direct_h3!r} (+- {est.direct_h3_bound:.3e})\n"
         f"H3' = {est.h3prime!r} (+- {est.h3prime_bound:.3e}); direct {est.direct_h3prime!r} (+- {est.direct_h3prime_bound:.3e})\n"
         f"euler_gamma = {asymptotics.EULER_GAMMA!r}; theta_reference = {asymptotics.THETA_REFERENCE}\n"
         "# x  exact_sum  main_term  relative_error  error_exponent"
     )
-    rows = [("report", *astuple(rep)) for rep in asymptotics.average_order_reports(xs, estimate=est)]
+    rows = [("report", *rep) for rep in asymptotics.average_order_reports(xs, estimate=est)]
     _render_rows(
         cfg,
         rows,
-        [Column("kind", csv=None), *_field_columns(asymptotics.AsymptoticReport)],
+        [Column("kind", csv=None), *map(Column, asymptotics.AsymptoticReport._fields)],
         lambda row: f"{row[1]}\t{row[2]}\t{row[3]!r}\t{row[4]:.6e}\t{row[5]:.4f}",
         header=(head_columns, head_row, head_text),
     )

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import divisors
 
 
-@dataclass(frozen=True)
-class SubgroupBasis2:
+class SubgroupBasis2(NamedTuple):
     """Generators (a, 0) and (s, b) of one subgroup of Z_m x Z_n."""
 
     a: int

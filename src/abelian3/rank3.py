@@ -17,8 +17,9 @@ as reference routes for the tests and `verify`; the counts users get are
 products over the primes of m n r of terms that depend only on exponents.
 
 subgroup_stream walks the family once: divisor lists per group, (A, B, C, X)
-per divisor triple, gcd(t, X) per t, s, v and the least solution u0 of the
-u-congruence per (t, w), and u = u0 + (a/C) z per z.
+and the order per divisor triple, gcd(t, X) per t, s, v and the least
+solution u0 of the u-congruence per (t, w), and u = u0 + (a/C) z per z. It
+yields one Subgroup record per subgroup, whose fields are the CLI's columns.
 """
 
 from __future__ import annotations
@@ -52,21 +53,28 @@ class DerivedParams(NamedTuple):
     X: int
 
 
-class SubgroupBasis3(NamedTuple):
-    """Triangular basis (a, 0, 0), (s, b, 0), (u, v, c) inside group."""
+class Subgroup(NamedTuple):
+    """One subgroup of Z_m x Z_n x Z_r: its sextuple (a, b, c, t, w, z), the
+    shifts of its triangular basis (a, 0, 0), (s, b, 0), (u, v, c), and its
+    order (m/a)(n/b)(r/c). The fields are enumerate's output columns."""
 
+    m: int
+    n: int
+    r: int
     a: int
+    b: int
+    c: int
+    t: int
+    w: int
+    z: int
     s: int
     u: int
-    b: int
     v: int
-    c: int
-    group: Group3
+    order: int
 
     @property
-    def order(self) -> int:
-        m, n, r = self.group
-        return (m // self.a) * (n // self.b) * (r // self.c)
+    def group(self) -> Group3:
+        return self.m, self.n, self.r
 
     @property
     def generators(self) -> tuple[tuple[int, int, int], ...]:
@@ -93,8 +101,8 @@ def derived_params(a: int, b: int, c: int, group: Group3) -> DerivedParams:
     return DerivedParams(A=big_a, B=big_b, C=big_c, X=x)
 
 
-def subgroup_stream(group: Group3) -> Iterator[tuple[Sextuple, SubgroupBasis3]]:
-    """Yield (sextuple, basis) for every subgroup, in ascending (a, b, c, t, w, z).
+def subgroup_stream(group: Group3) -> Iterator[Subgroup]:
+    """Yield a Subgroup for every subgroup, in ascending (a, b, c, t, w, z).
 
     Each quantity is computed at the loop level where its inputs change (see
     the module docstring); the stream length equals count_total(group).
@@ -106,39 +114,35 @@ def subgroup_stream(group: Group3) -> Iterator[tuple[Sextuple, SubgroupBasis3]]:
             for c in divisors_r:
                 dp = derived_params(a, b, c, group)
                 rc, step = r // c, a // dp.C
+                order = (m // a) * (n // b) * rc
                 for t in range(dp.A):
                     g = math.gcd(t, dp.X)  # gcd(0, X) = X
                     for w in range(dp.B * g // dp.X):
                         s, v, u0 = _shifts(a, b, rc, dp, t, g, w)
                         for z in range(dp.C):
                             # positional arguments: keywords make the walk about a fifth slower
-                            yield Sextuple(a, b, c, t, w, z), SubgroupBasis3(a, s, u0 + step * z, b, v, c, group)
+                            yield Subgroup(m, n, r, a, b, c, t, w, z, s, u0 + step * z, v, order)
 
 
 def enumerate_sextuples(group: Group3) -> Iterator[Sextuple]:
     """The parameter sextuples of subgroup_stream, in ascending order."""
-    return (sx for sx, _ in subgroup_stream(group))
+    return (Sextuple(*sub[3:9]) for sub in subgroup_stream(group))
 
 
-def enumerate_subgroups(group: Group3) -> Iterator[SubgroupBasis3]:
-    """The materialized bases of subgroup_stream, in sextuple order."""
-    return (basis for _, basis in subgroup_stream(group))
-
-
-def materialize(sx: Sextuple, group: Group3) -> SubgroupBasis3:
+def materialize(sx: Sextuple, group: Group3) -> Subgroup:
     """Solve one sextuple on its own (the tests' reference for subgroup_stream).
 
     Checks the ranges with derived_params and gcd(t, X), takes (s, v, u0)
     from _shifts as the walk does, and sets u = u0 + (a/C) z.
     """
     m, n, r = _validated(group)
-    a, b, c = sx.a, sx.b, sx.c
+    a, b, c, t, w, z = sx
     dp = derived_params(a, b, c, group)
-    g = math.gcd(sx.t, dp.X)
-    if not (0 <= sx.t < dp.A and 0 <= sx.w < dp.B * g // dp.X and 0 <= sx.z < dp.C):
+    g = math.gcd(t, dp.X)
+    if not (0 <= t < dp.A and 0 <= w < dp.B * g // dp.X and 0 <= z < dp.C):
         raise ValueError(f"{sx} outside the admissible ranges for {group}")
-    s, v, u0 = _shifts(a, b, r // c, dp, sx.t, g, sx.w)
-    return SubgroupBasis3(a=a, s=s, u=u0 + (a // dp.C) * sx.z, b=b, v=v, c=c, group=group)
+    s, v, u0 = _shifts(a, b, r // c, dp, t, g, w)
+    return Subgroup(m, n, r, a, b, c, t, w, z, s, u0 + (a // dp.C) * z, v, (m // a) * (n // b) * (r // c))
 
 
 def _shifts(a: int, b: int, rc: int, dp: DerivedParams, t: int, g: int, w: int) -> tuple[int, int, int]:
@@ -158,13 +162,13 @@ def _shifts(a: int, b: int, rc: int, dp: DerivedParams, t: int, g: int, w: int) 
     return s, v, sol.base_solution
 
 
-def subgroup_elements(basis: SubgroupBasis3) -> set[tuple[int, int, int]]:
+def subgroup_elements(sub: Subgroup) -> set[tuple[int, int, int]]:
     """The full element set {i (a,0,0) + j (s,b,0) + k (u,v,c)}.
 
     Refuses groups larger than the configured element bound; override with
     the ABELIAN3_ELEMENT_BOUND environment variable when more is needed.
     """
-    m, n, r = basis.group
+    m, n, r, a, b, c, _, _, _, s, u, v, order = sub
     total = m * n * r
     bound = element_bound()
     if total > bound:
@@ -172,7 +176,6 @@ def subgroup_elements(basis: SubgroupBasis3) -> set[tuple[int, int, int]]:
             f"group order {total} exceeds the element bound {bound}; "
             f"raise ABELIAN3_ELEMENT_BOUND to materialize it"
         )
-    a, s, u, b, v, c = basis.a, basis.s, basis.u, basis.b, basis.v, basis.c
     elements = set()
     for k in range(r // c):
         third = k * c
@@ -182,7 +185,7 @@ def subgroup_elements(basis: SubgroupBasis3) -> set[tuple[int, int, int]]:
             shift = j * s + ku
             for i in range(m // a):
                 elements.add(((i * a + shift) % m, second, third))
-    assert len(elements) == basis.order
+    assert len(elements) == order
     return elements
 
 

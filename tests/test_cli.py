@@ -147,6 +147,34 @@ class TestEnumerate:
         assert result.exit_code == 2
         assert ELEMENT_BOUND_ENV in result.stderr
 
+    @pytest.mark.parametrize(
+        ("bound", "group"),
+        [("x", ("4", "4", "4")), ("0", ("4", "4", "4")), (None, ("64", "64", "2"))],
+        ids=["malformed", "zero", "oversized"],
+    )
+    def test_element_bound_checked_before_any_output(self, bound, group):
+        env = {key: value for key, value in os.environ.items() if key != ELEMENT_BOUND_ENV}
+        if bound is not None:
+            env[ELEMENT_BOUND_ENV] = bound
+        proc = subprocess.run(
+            [sys.executable, "-m", "abelian3.cli", "enumerate", *group, "--elements"],
+            capture_output=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert ELEMENT_BOUND_ENV.encode() in proc.stderr
+
+    @pytest.mark.parametrize("with_elements", [False, True])
+    def test_csv_header_is_the_record_fields(self, runner, with_elements):
+        args = ["-q", "--format", "csv", "enumerate", "2", "2", "2", *["--elements"] * with_elements]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0
+        header = ",".join(rank3.Subgroup._fields) + ",elements" * with_elements
+        assert result.stdout_bytes.split(b"\r\n")[0] == header.encode()
+
     def test_element_bound_env_override(self, runner, monkeypatch):
         monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
         result = runner.invoke(cli, ["-q", "enumerate", "64", "64", "2", "--elements"])

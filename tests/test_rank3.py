@@ -19,7 +19,6 @@ from abelian3.rank3 import (
     count_total_divisor_sum,
     derived_params,
     enumerate_sextuples,
-    enumerate_subgroups,
     materialize,
     subgroup_elements,
     subgroup_stream,
@@ -27,8 +26,8 @@ from abelian3.rank3 import (
 from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
 
 
-def canonical(basis):
-    return tuple(sorted(subgroup_elements(basis)))
+def canonical(sub):
+    return tuple(sorted(subgroup_elements(sub)))
 
 
 class TestDerivedParams:
@@ -106,17 +105,18 @@ class TestSubgroupStream:
             for n in range(1, 120 // m + 1):
                 for r in range(1, 120 // (m * n) + 1):
                     group = (m, n, r)
-                    pairs = list(subgroup_stream(group))
-                    sextuples = [sx for sx, _ in pairs]
-                    assert pairs == [(sx, materialize(sx, group)) for sx in sextuples], group
+                    subs = list(subgroup_stream(group))
+                    sextuples = [Sextuple(*sub[3:9]) for sub in subs]
+                    assert subs == [materialize(sx, group) for sx in sextuples], group
                     keys = [(sx.a, sx.b, sx.c, sx.t, sx.w, sx.z) for sx in sextuples]
                     assert all(x < y for x, y in zip(keys, keys[1:])), group
-                    assert len(pairs) == count_total(group) == count_total_divisor_sum(group), group
+                    assert len(subs) == count_total(group) == count_total_divisor_sum(group), group
 
     def test_projections(self):
-        pairs = list(subgroup_stream((4, 6, 8)))
-        assert list(enumerate_sextuples((4, 6, 8))) == [sx for sx, _ in pairs]
-        assert list(enumerate_subgroups((4, 6, 8))) == [basis for _, basis in pairs]
+        subs = list(subgroup_stream((4, 6, 8)))
+        assert list(enumerate_sextuples((4, 6, 8))) == [(sub.a, sub.b, sub.c, sub.t, sub.w, sub.z) for sub in subs]
+        assert all(type(sx) is Sextuple for sx in enumerate_sextuples((4, 6, 8)))
+        assert [sub.group for sub in subs] == [(4, 6, 8)] * len(subs)
 
     def test_solves_once_per_triple_and_shift(self, monkeypatch):
         calls = {"derived_params": 0, "solve_linear_congruence": 0}
@@ -132,11 +132,11 @@ class TestSubgroupStream:
 
         for name in calls:
             monkeypatch.setattr(rank3, name, counting(name))
-        sextuples = [sx for sx, _ in subgroup_stream((12, 12, 12))]
-        triples = {(sx.a, sx.b, sx.c) for sx in sextuples}
-        shifts = {(sx.a, sx.b, sx.c, sx.t, sx.w) for sx in sextuples}
+        subs = list(subgroup_stream((12, 12, 12)))
+        triples = {(sub.a, sub.b, sub.c) for sub in subs}
+        shifts = {(sub.a, sub.b, sub.c, sub.t, sub.w) for sub in subs}
         assert len(triples) == len(divisors(12)) ** 3
-        assert len(shifts) < len(sextuples)
+        assert len(shifts) < len(subs)
         assert calls == {"derived_params": len(triples), "solve_linear_congruence": len(shifts)}
 
 
@@ -151,6 +151,17 @@ class TestMaterialize:
         assert basis.order == 60
         assert basis.generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
+    def test_record_group_and_generators(self):
+        # the values the (Sextuple, basis) pair gave before the single record
+        sub = materialize(Sextuple(a=2, b=2, c=1, t=0, w=1, z=1), (2, 2, 2))
+        assert sub == (2, 2, 2, 2, 2, 1, 0, 1, 1, 0, 1, 1, 2)
+        assert sub.group == (2, 2, 2)
+        assert sub.generators == ((2, 0, 0), (0, 2, 0), (1, 1, 1))
+        sub = materialize(Sextuple(2, 3, 1, 1, 0, 0), (4, 6, 8))
+        assert sub.group == (4, 6, 8)
+        assert sub.generators == ((2, 0, 0), (1, 3, 0), (0, 0, 1))
+        assert sub.order == 2 * 2 * 8
+
     def test_shift_ranges_enforced(self):
         with pytest.raises(ValueError):
             materialize(Sextuple(2, 2, 1, t=5, w=0, z=0), (2, 2, 2))
@@ -164,29 +175,30 @@ class TestMaterialize:
             materialize(Sextuple(3, 1, 1, 0, 0, 0), (2, 2, 2))
 
     def test_orders_multiply_out(self):
-        for basis in enumerate_subgroups((4, 6, 2)):
-            m, n, r = basis.group
-            assert (m * n * r) % basis.order == 0
-            assert len(subgroup_elements(basis)) == basis.order
+        for sub in subgroup_stream((4, 6, 2)):
+            m, n, r = sub.group
+            assert (m * n * r) % sub.order == 0
+            assert sub.order == (m // sub.a) * (n // sub.b) * (r // sub.c)
+            assert len(subgroup_elements(sub)) == sub.order
 
 
 class TestElements:
     def test_bound_enforced(self, monkeypatch):
         monkeypatch.delenv(ELEMENT_BOUND_ENV, raising=False)
-        basis = rank3.SubgroupBasis3(a=1, s=0, u=0, b=1, v=0, c=1, group=(64, 64, 2))
+        sub = materialize(Sextuple(1, 1, 1, 0, 0, 0), (64, 64, 2))
         with pytest.raises(ValueError, match="element bound"):
-            subgroup_elements(basis)
+            subgroup_elements(sub)
 
     def test_bound_override(self, monkeypatch):
         monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
-        basis = rank3.SubgroupBasis3(a=1, s=0, u=0, b=1, v=0, c=1, group=(64, 64, 2))
-        assert len(subgroup_elements(basis)) == 8192
+        sub = materialize(Sextuple(1, 1, 1, 0, 0, 0), (64, 64, 2))
+        assert len(subgroup_elements(sub)) == 8192
 
     def test_sets_closed_under_addition(self):
         group = (4, 2, 3)
         m, n, r = group
-        for basis in enumerate_subgroups(group):
-            members = subgroup_elements(basis)
+        for sub in subgroup_stream(group):
+            members = subgroup_elements(sub)
             picks = sorted(members)[:5]
             for x in picks:
                 for y in picks:
@@ -380,14 +392,14 @@ class TestOracleAgreement:
         for m in range(1, 5):
             for n in range(1, 5):
                 for r in range(1, 5):
-                    got = {canonical(b) for b in enumerate_subgroups((m, n, r))}
+                    got = {canonical(sub) for sub in subgroup_stream((m, n, r))}
                     want = oracle.all_subgroups((m, n, r))
                     assert len(got) == count_total((m, n, r)), (m, n, r)
                     assert got == want, (m, n, r)
 
     @pytest.mark.parametrize("group", [(6, 4, 2), (9, 3, 3), (8, 4, 2), (5, 5, 5)])
     def test_spot_shapes(self, group):
-        got = {canonical(b) for b in enumerate_subgroups(group)}
+        got = {canonical(sub) for sub in subgroup_stream(group)}
         want = oracle.all_subgroups(group)
         assert len(got) == count_total(group)
         assert got == want
