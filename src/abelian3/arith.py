@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
     "CongruenceSolution",
@@ -28,9 +28,10 @@ __all__ = [
     "gcd_sum",
     "gcd_sum_direct",
     "is_prime",
+    "multiplicative_stream",
+    "odd_spf_sieve",
     "primes_up_to",
     "sieve_multiplicative",
-    "smallest_prime_factor_sieve",
     "solve_linear_congruence",
 ]
 
@@ -252,24 +253,22 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def smallest_prime_factor_sieve(limit: int) -> list[int]:
-    """List t with t[k] = least prime factor of k for 2 <= k <= limit.
+def odd_spf_sieve(limit: int) -> list[int]:
+    """List t with t[k // 2] = least prime factor of k for the odd 3 <= k <= limit.
 
-    Entries 0 and 1 are set to 0. The list starts as 2 on the even entries;
-    each odd prime p up to sqrt(limit) then writes p over its odd multiples
-    from p^2 on, the larger primes first so that the least prime factor is
-    written last, and the odd entries left are the primes themselves.
+    t has (limit + 1) // 2 entries, one per odd k <= limit; t[0] (k = 1) is 0.
+    Each odd prime p up to sqrt(limit) writes p over its odd multiples from
+    p^2 on, the larger primes first so that the least prime factor is written
+    last, and the entries left are the primes themselves.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    table = [2, 0] * (limit // 2 + 1)
-    del table[limit + 1 :]
-    table[0] = 0
     mask = _odd_prime_mask(limit)
+    table = [0] * len(mask)
     for p in reversed(list(compress(range(1, math.isqrt(limit) + 1, 2), mask))):
-        table[p * p :: 2 * p] = [p] * len(range(p * p, limit + 1, 2 * p))
+        table[p * p // 2 :: p] = [p] * len(range(p * p // 2, len(table), p))
     for p in compress(range(1, limit + 1, 2), mask):
-        table[p] = p
+        table[p // 2] = p
     return table
 
 
@@ -302,38 +301,49 @@ def evaluate(f: MultiplicativeFunction, n: int) -> int:
     return out
 
 
-def sieve_multiplicative(f: MultiplicativeFunction, limit: int) -> list[int]:
-    """Tabulate [f(0..limit)] with slot 0 set to 0 and slot 1 to 1.
+def multiplicative_stream(f: MultiplicativeFunction, limit: int) -> Iterator[int]:
+    """Yield f(1), f(2), ..., f(limit) in order, walking n once.
 
-    Walks n = 2..limit once with p = spf(n). When p^2 does not divide n, f(n)
-    is f(n/p) f(p); otherwise (about a third of all n) the whole power p^e is
-    divided out on the spot and f(n) is f(n/p^e) f(p^e). Prime powers get one
-    prime_power_rule call each, so the rule is never re-evaluated for a
-    repeated (p, e).
+    f is stored only where a later n looks it up: at the odd n <= limit // 2,
+    about limit / 4 values. An odd n with p = spf(n) and p^e exactly dividing
+    n is f(n / p^e) f(p^e), both odd arguments of at most n / 3, or
+    prime_power_rule(p, e) when n = p^e. An even n = 2^e m with m odd is
+    f(2^e) f(m), with m <= limit / 2 and f(2^e) from a table of its own.
+    Every prime power gets one prime_power_rule call.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    values = [0] * (limit + 1)
-    values[1] = 1
+    yield 1
     if limit == 1:
-        return values
-    spf = smallest_prime_factor_sieve(limit)
+        return
     rule = f.prime_power_rule
+    half = limit // 2
+    odd = [1] * ((half + 1) // 2)  # odd[n // 2] = f(n) for odd n <= half
+    # f(2^e) keyed by 2^(e+1): an even n with lowest set bit 2^e has odd part m,
+    # and n // 2^(e+1) is m // 2, the slot of f(m) in odd.
+    twos = {2 << e: rule(2, e) for e in range(1, limit.bit_length())}
+    spf = odd_spf_sieve(limit)
     for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        if m % p:
-            values[n] = values[m] * values[p] if m > 1 else rule(p, 1)
+        if not n & 1:
+            d = (n & -n) << 1
+            yield twos[d] * odd[n // d]
             continue
-        pp = p * p
-        m //= p
-        e = 2
+        p = pp = spf[n >> 1]
+        m = n // p
+        e = 1
         while m % p == 0:
             m //= p
             pp *= p
             e += 1
-        values[n] = values[m] * values[pp] if m > 1 else rule(p, e)
-    return values
+        value = odd[m >> 1] * odd[pp >> 1] if m > 1 else rule(p, e)
+        if n <= half:
+            odd[n >> 1] = value
+        yield value
+
+
+def sieve_multiplicative(f: MultiplicativeFunction, limit: int) -> list[int]:
+    """[f(0..limit)] with slot 0 set to 0: the list view of multiplicative_stream."""
+    return [0, *multiplicative_stream(f, limit)]
 
 
 TAU = MultiplicativeFunction(lambda p, e: e + 1, "tau")

@@ -16,11 +16,13 @@ exact-vs-main-term comparisons.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .arith import MultiplicativeFunction, primes_up_to, sieve_multiplicative
-from .typecounts import h_recurrence, symbolic_count
+from .arith import MultiplicativeFunction, multiplicative_stream, primes_up_to, sieve_multiplicative
+from .typecounts import general_form
 
 __all__ = [
     "AsymptoticReport",
@@ -50,9 +52,11 @@ DLOG_ZETA3 = -0.16482268215827725
 THETA_REFERENCE = Fraction(131, 416)
 
 
-S_DIAGONAL = MultiplicativeFunction(lambda p, e: symbolic_count(e, e, e)(p), "s")
-# Convolution complement of n^2 tau(n) inside s, solved on prime powers.
-H_COMPLEMENT = MultiplicativeFunction(lambda p, e: h_recurrence(e)(p), "h")
+# s(p^e) by the paper's closed form; typecounts.symbolic_count is the reference route.
+S_DIAGONAL = MultiplicativeFunction(lambda p, e: general_form(e)(p), "s")
+# Convolution complement of n^2 tau(n) inside s: h(p^e) = (3e - 1) p + (3e + 1),
+# proved in typecounts.h_closed_form; typecounts.h_recurrence is the defining route.
+H_COMPLEMENT = MultiplicativeFunction(lambda p, e: (3 * e - 1) * p + 3 * e + 1, "h")
 
 
 def sieve_s(limit: int) -> list[int]:
@@ -139,9 +143,12 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     # Direct route. The series sum_n h(n)/n^3 IS the constant: its local
     # factors are (1 - p^-3)^-2 f_p(3), so the zeta part needs no separate
     # treatment. The derivative is -sum_n h(n) log(n)/n^3.
-    hv = h_values(tail_terms)
-    terms = [hv[n] / n**3 for n in range(1, tail_terms + 1)]
-    log_terms = [hv[n] * math.log(n) / n**3 for n in range(1, tail_terms + 1)]
+    terms = array("d")
+    log_terms = array("d")
+    for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):
+        cube = n**3
+        terms.append(h / cube)
+        log_terms.append(h * math.log(n) / cube)
     half = tail_terms // 2
     direct_h3 = math.fsum(terms)
     direct_h3_half = math.fsum(terms[:half])
@@ -199,20 +206,19 @@ def average_order_reports(
 ) -> list[AsymptoticReport]:
     """Exact partial sums of s against the main term, at each x.
 
-    One sieve run covers all checkpoints. x values are deduplicated and
-    sorted ascending.
+    One walk of s covers all checkpoints, summed as it is made; x values are
+    deduplicated and sorted ascending.
     """
     xs = sorted(set(x_values))
     if not xs or xs[0] < 2:
         raise ValueError(f"need x values >= 2, got {x_values}")
     est = estimate if estimate is not None else h3_and_h3prime(prime_limit, tail_terms)
-    values = sieve_s(xs[-1])
+    walk = multiplicative_stream(S_DIAGONAL, xs[-1])
     reports = []
     acc = 0
     pos = 0
     for x in xs:
-        for n in range(pos + 1, x + 1):
-            acc += values[n]
+        acc += sum(islice(walk, x - pos))
         pos = x
         predicted = main_term(x, est.h3, est.h3prime)
         delta = abs(acc - predicted)

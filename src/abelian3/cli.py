@@ -33,12 +33,12 @@ from .config import ELEMENT_BOUND_ENV, element_bound
 
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
-# (Python 3.11), end to end: `asymptotic --x-values 10000000` (sieve_s) takes
-# about 4.5 s and 645 MB, `--tail-terms 2000000` 2 s, `table 1 --limit 10000000`
-# 9 s, `poly 120` 1.3 s, `poly 1000000 --closed-form` 1.4 s, `table 2 --limit 50`
-# 1.3 s, `table 3 --limit 18` 1.2 s, `type-count` of 110 ones over 55 ones
-# 1.3 s and `verify --max-order 200` 14 s. Hosts measured earlier ran these
-# about twice as long.
+# (Python 3.11), end to end: `asymptotic --x-values 10000000` (the walk of s)
+# takes 5.5-8.8 s and 207 MB, `--tail-terms 2000000` 3 s and 80 MB, `table 1
+# --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
+# --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
+# `type-count` of 110 ones over 55 ones 1.7 s and `verify --max-order 200`
+# 11.5 s. Timings on such a VM drift by up to a third from run to run.
 MAX_SIEVE = 10**7
 MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
@@ -273,10 +273,9 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
     if top > _TABLE_LIMITS[which]:
         raise click.UsageError(f"table {which} takes --limit at most {_TABLE_LIMITS[which]}, got {top}")
     if which == "1":
-        from . import asymptotics
-        values = asymptotics.sieve_s(top)
+        from . import arith, asymptotics
         _note(cfg, "# n  s(n)")
-        rows = ((k, values[k]) for k in range(1, top + 1))
+        rows = enumerate(arith.multiplicative_stream(asymptotics.S_DIAGONAL, top), 1)
         _render_rows(cfg, rows, [Column("n"), Column("s")], lambda row: f"{row[0]}\t{row[1]}")
         return
     if which == "2":

@@ -204,8 +204,9 @@ def count_degree(nu1: int, nu2: int, nu3: int) -> int:
     return nu1 + nu2 + nu3 - max(nu1, nu2, nu3)
 
 
+@lru_cache(maxsize=None)
 def general_form(nu: int) -> IntPolynomial:
-    """Closed form of symbolic_count(nu, nu, nu).
+    """Closed form of symbolic_count(nu, nu, nu); memoised on nu.
 
     Coefficient of p^(2 nu - j) is (nu - floor((j-1)/2)) (2j - floor((j-1)/2))
     for j = 0..2 nu; note floor((0-1)/2) = -1, which makes the j = 0 term

@@ -20,8 +20,8 @@ from abelian3.arith import (
     PILLAI,
     TAU,
     gcd_sum_direct,
+    odd_spf_sieve,
     sieve_multiplicative,
-    smallest_prime_factor_sieve,
 )
 from abelian3.asymptotics import (
     average_order_reports,
@@ -201,10 +201,10 @@ def test_08_multiplicativity_suite(criterion):
             assert count_total_divisor_sum(joint) == product, (g1, g2)
             checked += 1
 
-        spf = smallest_prime_factor_sieve(limit)
+        spf = odd_spf_sieve(limit)
 
         def canonical_split(n: int) -> tuple[int, int]:
-            p = int(spf[n])
+            p = spf[n // 2] if n % 2 else 2
             block = 1
             while n % p == 0:
                 n //= p

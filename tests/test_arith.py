@@ -22,9 +22,10 @@ from abelian3.arith import (
     gcd_sum,
     gcd_sum_direct,
     is_prime,
+    multiplicative_stream,
+    odd_spf_sieve,
     primes_up_to,
     sieve_multiplicative,
-    smallest_prime_factor_sieve,
     solve_linear_congruence,
 )
 
@@ -178,18 +179,19 @@ class TestDivisors:
 
 class TestSieves:
     def test_spf_small(self):
-        table = smallest_prime_factor_sieve(10)
-        assert table == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+        table = odd_spf_sieve(10)
+        assert table == [0, 3, 5, 7, 3]  # k = 1, 3, 5, 7, 9
 
     def test_spf_rejects_tiny(self):
         with pytest.raises(ValueError):
-            smallest_prime_factor_sieve(1)
+            odd_spf_sieve(1)
 
     def test_spf_spot_large(self):
-        table = smallest_prime_factor_sieve(10**6)
-        assert table[999983] == 999983  # prime
-        assert table[999982] == 2
-        assert table[994009] == 997  # 997^2
+        table = odd_spf_sieve(10**6)
+        assert len(table) == 500_000
+        assert table[999983 // 2] == 999983  # prime
+        assert table[999981 // 2] == 3
+        assert table[994009 // 2] == 997  # 997^2
 
     def test_primes_up_to(self):
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
@@ -201,7 +203,7 @@ class TestSieves:
         spf = [0, 0] + [next(p for p in range(2, k + 1) if k % p == 0) for k in range(2, top + 1)]
         primes = [k for k in range(2, top + 1) if spf[k] == k]
         for limit in range(2, top + 1):
-            assert smallest_prime_factor_sieve(limit) == spf[: limit + 1], limit
+            assert odd_spf_sieve(limit) == spf[1 : limit + 1 : 2], limit
             assert primes_up_to(limit) == primes[: bisect.bisect_right(primes, limit)], limit
 
     def test_trial_division_primes_come_from_the_sieve(self):
@@ -261,6 +263,18 @@ class TestMultiplicativeFunctions:
         table = sieve_multiplicative(fn, 10**4)
         for n in range(1, 10**4 + 1):
             assert table[n] == evaluate(fn, n), n
+
+    @pytest.mark.parametrize("fn", [TAU, PHI, PILLAI, MOBIUS], ids=lambda f: f.name)
+    def test_sieve_matches_evaluate_at_every_small_limit(self, fn):
+        # small limits reach the walk's edges: limit 1 and 2, and the last
+        # stored odd n at limit // 2 for odd and even limits
+        for limit in range(1, 65):
+            assert sieve_multiplicative(fn, limit) == [0, *(evaluate(fn, n) for n in range(1, limit + 1))], limit
+
+    def test_stream_yields_limit_values_in_order(self):
+        stream = multiplicative_stream(PILLAI, 1001)
+        assert next(stream) == 1
+        assert list(stream) == [evaluate(PILLAI, n) for n in range(2, 1002)]
 
     @pytest.mark.parametrize("limit", [2**20, 3**12])
     def test_sieve_at_prime_power_limit(self, limit):

@@ -1,5 +1,7 @@
 import csv
 import math
+import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from abelian3.asymptotics import (
     DLOG_ZETA3,
     EULER_GAMMA,
     H_COMPLEMENT,
+    S_DIAGONAL,
     ZETA2,
     ZETA3,
     average_order_reports,
@@ -19,13 +22,16 @@ from abelian3.asymptotics import (
     main_term,
     sieve_s,
 )
+from abelian3.cli import MAX_SIEVE
 from abelian3.rank3 import count_total_divisor_sum
-from abelian3.typecounts import h_recurrence
+from abelian3.typecounts import general_form, h_closed_form, h_recurrence, symbolic_count
 
 DATA = Path(__file__).parent / "data"
 
 H3_REFERENCE = 4.097828370243545
 H3PRIME_REFERENCE = -5.439673428401127
+# sum_{n <= x} s(n) as published in the README
+PUBLISHED_SUMS = {10**3: 8760275149, 10**4: 11900842447200, 10**5: 15036607291154046}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +77,18 @@ class TestHValues:
     def test_prime_rule_via_evaluate(self):
         for p in (2, 3, 5, 101):
             assert evaluate(H_COMPLEMENT, p) == 2 * p + 4
+
+
+class TestPrimePowerRules:
+    def test_rules_match_reference_routes_up_to_the_sieve_bound(self):
+        top = MAX_SIEVE.bit_length() - 1  # the largest e with 2^e <= MAX_SIEVE
+        assert top == 23
+        for e in range(1, top + 1):
+            assert general_form(e) == symbolic_count(e, e, e), e
+            assert h_closed_form(e) == h_recurrence(e), e
+            for p in (2, 3, 5, 7, 101):
+                assert S_DIAGONAL.prime_power_rule(p, e) == symbolic_count(e, e, e)(p), (p, e)
+                assert H_COMPLEMENT.prime_power_rule(p, e) == h_recurrence(e)(p), (p, e)
 
 
 class TestConvolution:
@@ -169,6 +187,43 @@ class TestReports:
         assert reports[0].relative_error < 0.05
         assert reports[1].relative_error < 0.005
         assert reports[1].relative_error < reports[0].relative_error
+
+    def test_published_sums(self, quick_estimate):
+        reports = average_order_reports([*PUBLISHED_SUMS], estimate=quick_estimate)
+        assert {rep.x: rep.exact_sum for rep in reports} == PUBLISHED_SUMS
+
+    def test_published_sums_by_convolution(self):
+        # sum_{n <= x} s(n) = sum_{d <= x} h(d) W(x // d) with W(q) = sum_{k <= q}
+        # k^2 tau(k), from the hyperbola identity in divisor_sum_check
+        weighted = lru_cache(maxsize=None)(lambda q: divisor_sum_check(q).weighted_exact if q > 1 else 1)
+        for x, want in PUBLISHED_SUMS.items():
+            assert sum(evaluate(H_COMPLEMENT, d) * weighted(x // d) for d in range(1, x + 1)) == want, x
+
+    @pytest.mark.parametrize("limit", [2, 3, 1000, 1001])
+    def test_checkpoints_at_the_walk_edges(self, quick_estimate, limit):
+        # 2 and 3 are the first values walked, limit // 2 the last stored odd
+        # n or its neighbour; duplicates and unsorted order collapse
+        s = [evaluate(S_DIAGONAL, n) for n in range(1, limit + 1)]
+        xs = [x for x in (limit, 3, limit // 2 + 1, 2, limit // 2, 3, limit) if 2 <= x <= limit]
+        reports = average_order_reports(xs, estimate=quick_estimate)
+        assert [rep.x for rep in reports] == sorted(set(xs))
+        for rep in reports:
+            assert rep.exact_sum == sum(s[: rep.x]), rep.x
+
+    def test_sums_without_holding_the_values(self, quick_estimate):
+        # the partial sums are added up as s is walked: they never hold the
+        # whole table, which sieve_multiplicative has to
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streamed = peak(lambda: average_order_reports([10**5], estimate=quick_estimate))
+        tabulated = peak(lambda: sieve_multiplicative(S_DIAGONAL, 10**5))
+        assert streamed < tabulated / 2, (streamed, tabulated)
 
     def test_duplicates_collapse(self, quick_estimate):
         reports = average_order_reports([500, 100, 500], estimate=quick_estimate)
