@@ -1,9 +1,9 @@
-"""Number-theoretic kernel: extended gcd, linear congruences, factorization,
-sieves, and multiplicative functions (including Pillai's gcd-sum function).
+"""Number-theoretic kernel: linear congruences, factorization, sieves, and
+multiplicative functions (including Pillai's gcd-sum function).
 
 Everything downstream leans on this module, so the contracts here are strict:
 exact integer arithmetic throughout, and explicit conventions for the
-degenerate inputs (gcd(0, 0), modulus 1, n = 1).
+degenerate inputs (modulus 1, n = 1).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "TAU",
     "divisors",
     "evaluate",
-    "ext_gcd",
     "factorize",
     "gcd_sum",
     "gcd_sum_direct",
@@ -35,12 +34,18 @@ __all__ = [
     "solve_linear_congruence",
 ]
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 14 primes. The first 13 make Miller-Rabin exact below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster 2017), and 43 also
+# rejects psi_13 itself, which passes every base up to 41.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin primality test with the bases _MR_BASES.
+
+    Exact for n <= psi_13 = 3317044064679887385961981. Above that, True means
+    n is a strong probable prime to every base, not a proof of primality.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -60,26 +65,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, u, v) with u*x + v*y = g = gcd(x, y) >= 0.
-
-    ext_gcd(0, 0) returns (0, 0, 0).
-    """
-    if x == 0 and y == 0:
-        return (0, 0, 0)
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 class CongruenceSolution(NamedTuple):
@@ -105,11 +90,11 @@ def solve_linear_congruence(coeff: int, rhs: int, modulus: int) -> CongruenceSol
     """
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
-    g, u, _ = ext_gcd(coeff % modulus, modulus)
+    g = math.gcd(coeff, modulus)
     if rhs % g:
         return None
     period = modulus // g
-    base = (u * ((rhs // g) % period)) % period
+    base = rhs // g * pow(coeff // g, -1, period) % period
     return CongruenceSolution(base_solution=base, period=period, count=g)
 
 

@@ -412,12 +412,12 @@ def run_lattice_verification(
 ) -> VerificationReport:
     """Compare structured enumeration against the brute-force oracle.
 
-    Covers every group Z_m x Z_n x Z_r with m n r <= max_order (and every
-    Z_m x Z_n with m n <= max_order): element-set equality with the oracle
-    lattice, stream length against both counting routes (the per-prime
-    count_total and the paper's divisor sum), and pairwise distinctness.
-    The oracle lattice of Z_m x Z_n is that of Z_m x Z_n x Z_1 with the third
-    coordinate dropped, so each (m, n) costs one oracle call.
+    Covers every group Z_m x Z_n x Z_r with m n r <= max_order: element-set
+    equality with the oracle lattice, stream length against every counting
+    route (the per-prime count_total and the paper's divisor sum), and
+    pairwise distinctness. Z_m x Z_n is the shape (m, n, 1), whose stream
+    length is also checked against the rank-2 gcd sum count_rank2(m, n);
+    rank2_shapes counts these shapes.
     Any exception inside one shape is recorded as a failure for that shape
     rather than aborting the campaign.
     """
@@ -429,38 +429,25 @@ def run_lattice_verification(
     rank2_shapes = 0
     for m in range(1, max_order + 1):
         for n in range(1, max_order // m + 1):
-            rank2_shapes += 1
-            lattice = None
-            try:
-                lattice = oracle.all_subgroups((m, n, 1))
-                want2 = {tuple(x[:2] for x in sub) for sub in lattice}
-                sets2 = [tuple(sorted(rank2.subgroup_elements_rank2(basis))) for basis in rank2.enumerate_rank2(m, n)]
-                stream2, seen2 = len(sets2), set(sets2)
-                formula2 = rank2.count_rank2(m, n)
-                if stream2 != formula2:
-                    failures.append(f"({m},{n}): stream {stream2} != formula {formula2}")
-                elif len(seen2) != stream2:
-                    failures.append(f"({m},{n}): {stream2 - len(seen2)} duplicate element sets")
-                elif seen2 != want2:
-                    failures.append(f"({m},{n}): {_difference_note(seen2, want2)}")
-            except Exception as exc:  # noqa: BLE001 - campaign must report, not die
-                failures.append(f"({m},{n}): {type(exc).__name__}: {exc}")
             for r in range(1, max_order // (m * n) + 1):
                 rank3_shapes += 1
+                rank2_shapes += r == 1
                 group = (m, n, r)
                 try:
-                    want3 = lattice if r == 1 and lattice is not None else oracle.all_subgroups(group)
-                    sets3 = [tuple(sorted(rank3.subgroup_elements(sub))) for sub in rank3.subgroup_stream(group)]
-                    stream3, seen3 = len(sets3), set(sets3)
-                    formulas3 = (rank3.count_total(group), rank3.count_total_divisor_sum(group))
-                    if any(stream3 != formula for formula in formulas3):
-                        note = f"formulas {formulas3} (per prime, divisor sum)"
-                        failures.append(f"{group}: stream {stream3} != {note}")
-                    elif len(seen3) != stream3:
-                        failures.append(f"{group}: {stream3 - len(seen3)} duplicate element sets")
-                    elif seen3 != want3:
-                        failures.append(f"{group}: {_difference_note(seen3, want3)}")
-                except Exception as exc:  # noqa: BLE001
+                    want = oracle.all_subgroups(group)
+                    sets = [tuple(sorted(rank3.subgroup_elements(sub))) for sub in rank3.subgroup_stream(group)]
+                    stream, seen = len(sets), set(sets)
+                    formulas = {"per prime": rank3.count_total(group), "divisor sum": rank3.count_total_divisor_sum(group)}
+                    if r == 1:
+                        formulas["rank-2 gcd sum"] = rank2.count_rank2(m, n)
+                    if any(stream != formula for formula in formulas.values()):
+                        note = f"formulas {tuple(formulas.values())} ({', '.join(formulas)})"
+                        failures.append(f"{group}: stream {stream} != {note}")
+                    elif len(seen) != stream:
+                        failures.append(f"{group}: {stream - len(seen)} duplicate element sets")
+                    elif seen != want:
+                        failures.append(f"{group}: {_difference_note(seen, want)}")
+                except Exception as exc:  # noqa: BLE001 - campaign must report, not die
                     failures.append(f"{group}: {type(exc).__name__}: {exc}")
         if progress is not None and m % 10 == 0:
             progress(f"checked m <= {m}")

@@ -17,7 +17,6 @@ from abelian3.arith import (
     Factorization,
     divisors,
     evaluate,
-    ext_gcd,
     factorize,
     gcd_sum,
     gcd_sum_direct,
@@ -36,20 +35,18 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
-class TestExtGcd:
-    def test_zero_zero_convention(self):
-        assert ext_gcd(0, 0) == (0, 0, 0)
-
-    def test_known_values(self):
-        assert ext_gcd(1, 7) == (1, 1, 0)
-        g, u, v = ext_gcd(6, 4)
-        assert g == 2 and u * 6 + v * 4 == 2
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-    def test_bezout(self, x, y):
-        g, u, v = ext_gcd(x, y)
-        assert g == math.gcd(x, y)
-        assert u * x + v * y == g
+class TestIsPrime:
+    # psi_12 and psi_13 (Sorenson and Webster 2017): the least strong
+    # pseudoprimes to the first 12 and the first 13 primes as bases.
+    @pytest.mark.parametrize(
+        "p, q",
+        [(399165290221, 798330580441), (1287836182261, 2575672364521)],
+        ids=["psi12", "psi13"],
+    )
+    def test_strong_pseudoprimes_to_the_first_primes(self, p, q):
+        assert not is_prime(p * q)
+        assert is_prime(p) and is_prime(q)
+        assert factorize(p * q).pairs == ((p, 1), (q, 1))
 
 
 class TestSolveLinearCongruence:

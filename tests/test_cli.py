@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from abelian3 import arith, cli as cli_module, oracle, rank3
+from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
 from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
@@ -84,6 +84,13 @@ class TestCount:
         assert time.perf_counter() - start < 5.0
         assert result.returncode == 2
         assert n in result.stderr.decode()
+
+    @pytest.mark.parametrize("n", ["318665857834031151167461", "3317044064679887385961981"], ids=["psi12", "psi13"])
+    def test_strong_pseudoprime_entry_is_factored(self, runner, n):
+        # a product of two primes, which Miller-Rabin to the first 12 primes calls prime
+        result = runner.invoke(cli, ["count", n, "1", "1"])
+        assert result.exit_code == 0
+        assert result.stdout == "4\n"
 
     @pytest.mark.parametrize(
         "command, options", [("count", ["--cyclic"]), ("count", ["--order", "1"]), ("enumerate", [])]
@@ -440,6 +447,28 @@ class TestVerify:
         report = run_lattice_verification(16)
         assert not report.ok
         assert any("(2, 4, 2)" in failure for failure in report.failures)
+
+    def test_rank2_gcd_sum_is_checked_on_the_r1_shapes(self, monkeypatch):
+        original = rank2.count_rank2
+        monkeypatch.setattr(rank2, "count_rank2", lambda m, n: original(m, n) + 1)
+        report = run_lattice_verification(6)
+        assert not report.ok
+        assert any("(2, 2, 1)" in failure and "rank-2 gcd sum" in failure for failure in report.failures)
+        rank2_groups = [(m, n, 1) for m in range(1, 7) for n in range(1, 6 // m + 1)]
+        assert [failure.split(":")[0] for failure in report.failures] == [str(group) for group in rank2_groups]
+        assert report.rank2_shapes == len(rank2_groups)
+
+    def test_a_raising_shape_gives_one_failure(self, monkeypatch):
+        original = oracle.all_subgroups
+
+        def raising(orders):
+            if tuple(orders) == (2, 3, 1):
+                raise RuntimeError("oracle down")
+            return original(orders)
+
+        monkeypatch.setattr(oracle, "all_subgroups", raising)
+        report = run_lattice_verification(6)
+        assert report.failures == ["(2, 3, 1): RuntimeError: oracle down"]
 
 
 class TestAsymptotic:

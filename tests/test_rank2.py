@@ -10,6 +10,7 @@ from abelian3.rank2 import (
     enumerate_rank2,
     subgroup_elements_rank2,
 )
+from abelian3.rank3 import subgroup_stream
 
 
 def canonical(basis):
@@ -52,9 +53,12 @@ class TestEnumerate:
         assert ((0, 0), (0, 1), (1, 0), (1, 1)) in sets
 
     def test_stream_length_matches_formula(self):
+        # verify checks the rank-3 stream of (m, n, 1); this ties enumerate_rank2 to it
         for m in range(1, 37):
             for n in range(1, 37):
-                assert sum(1 for _ in enumerate_rank2(m, n)) == count_rank2(m, n), (m, n)
+                bases = [(b.a, b.s, b.b) for b in enumerate_rank2(m, n)]
+                assert len(bases) == count_rank2(m, n), (m, n)
+                assert bases == [(sub.a, sub.s, sub.b) for sub in subgroup_stream((m, n, 1))], (m, n)
 
     def test_element_sets_distinct_and_closed(self):
         # every output is genuinely a subgroup, and no subgroup repeats
