@@ -33,13 +33,15 @@ from .config import ELEMENT_BOUND_ENV, element_bound
 
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
-# (Python 3.11), end to end: `asymptotic --x-values 10000000` (the walk of s)
-# takes 5.5-8.8 s and 207 MB, `--tail-terms 2000000` 3 s and 80 MB, `table 1
+# (Python 3.11), end to end: `asymptotic --x-values 1000000000` (sublinear in x)
+# takes 3.4-5.0 s and 26 MB, `--tail-terms 2000000` 3 s and 80 MB, `table 1
 # --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
 # `type-count` of 110 ones over 55 ones 1.7 s and `verify --max-order 200`
 # 11.5 s. Timings on such a VM drift by up to a third from run to run.
 MAX_SIEVE = 10**7
+# Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
+MAX_PARTIAL_SUM_X = 10**9
 MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
 MAX_CLOSED_FORM_EXPONENT = 10**6
@@ -501,8 +503,8 @@ def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_term
     xs = _parse_int_list(x_values, "x values")
     if min(xs) < 2:
         raise click.UsageError("x values must be >= 2")
-    if max(xs) > MAX_SIEVE:
-        raise click.UsageError(f"x values must be <= {MAX_SIEVE}")
+    if max(xs) > MAX_PARTIAL_SUM_X or sum(x**0.75 for x in set(xs)) > 2 * MAX_PARTIAL_SUM_X**0.75:
+        raise click.UsageError(f"x values must be <= {MAX_PARTIAL_SUM_X}, and their x^(3/4) sum to at most twice {MAX_PARTIAL_SUM_X}^(3/4)")
     from . import asymptotics
     est = asymptotics.h3_and_h3prime(prime_limit=prime_limit, tail_terms=tail_terms)
     head_columns = [Column("kind"), *map(Column, asymptotics.H3Estimate._fields), Column("euler_gamma"), Column("theta_reference")]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from abelian3.arith import TAU, evaluate, sieve_multiplicative
+from abelian3.arith import TAU, evaluate, multiplicative_stream, primes_up_to, sieve_multiplicative
 from abelian3.asymptotics import (
     DLOG_ZETA2,
     DLOG_ZETA3,
@@ -20,9 +20,10 @@ from abelian3.asymptotics import (
     h3_and_h3prime,
     h_values,
     main_term,
+    s_partial_sum,
     sieve_s,
 )
-from abelian3.cli import MAX_SIEVE
+from abelian3.cli import MAX_PARTIAL_SUM_X, MAX_SIEVE
 from abelian3.rank3 import count_total_divisor_sum
 from abelian3.typecounts import general_form, h_closed_form, h_recurrence, symbolic_count
 
@@ -89,6 +90,13 @@ class TestPrimePowerRules:
             for p in (2, 3, 5, 7, 101):
                 assert S_DIAGONAL.prime_power_rule(p, e) == symbolic_count(e, e, e)(p), (p, e)
                 assert H_COMPLEMENT.prime_power_rule(p, e) == h_recurrence(e)(p), (p, e)
+
+    def test_s_rule_matches_reference_route_up_to_the_partial_sum_bound(self):
+        # s_partial_sum evaluates s(p^e) for every p^e <= x
+        top = MAX_PARTIAL_SUM_X.bit_length() - 1
+        assert top == 29
+        for e in range(1, top + 1):
+            assert general_form(e) == symbolic_count(e, e, e), e
 
 
 class TestConvolution:
@@ -174,6 +182,61 @@ class TestMainTerm:
             main_term(1, 1.0, 0.0)
 
 
+def _walked_sums(xs):
+    # {x: sum_{n <= x} s(n)} for each x in xs, from one cumulative walk of s
+    want = set(xs)
+    out = {}
+    acc = 0
+    for n, s in enumerate(multiplicative_stream(S_DIAGONAL, max(want)), 1):
+        acc += s
+        if n in want:
+            out[n] = acc
+    return out
+
+
+def _edge_checkpoints(top):
+    # isqrt(x) and x // isqrt(x) step at k^2 and k (k + 1); every k below 100,
+    # then a sparse spread of k (primes among them) up to isqrt(top)
+    ks = [*range(1, 100), *range(100, math.isqrt(top), 73), 997, math.isqrt(top)]
+    return sorted({x for k in ks for x in (k * k - 1, k * k, k * k + 1, k * (k + 1)) if 1 <= x <= top})
+
+
+# every proper prime power up to 10^4, then the powers of 2, 3, 5, 7 and the
+# squares of the ten largest primes below 1000 up to 10^6
+_PRIME_POWERS = sorted(
+    {p**e for p in primes_up_to(100) for e in range(2, 14) if p**e <= 10**4}
+    | {p**e for p in (2, 3, 5, 7) for e in range(1, 20) if p**e <= 10**6}
+    | {p * p for p in primes_up_to(1000)[-10:]}
+)
+
+
+class TestPartialSum:
+    @pytest.fixture(scope="class")
+    def walked(self):
+        return _walked_sums([*_edge_checkpoints(10**6), *_PRIME_POWERS, 10**6])
+
+    def test_every_x_up_to_3000(self):
+        acc = 0
+        for x, s in enumerate(multiplicative_stream(S_DIAGONAL, 3000), 1):
+            acc += s
+            assert s_partial_sum(x) == acc, x
+
+    def test_square_edges(self, walked):
+        for x in _edge_checkpoints(10**6):
+            assert s_partial_sum(x) == walked[x], x
+
+    def test_prime_powers(self, walked):
+        for x in _PRIME_POWERS:
+            assert s_partial_sum(x) == walked[x], x
+
+    def test_a_million(self, walked):
+        assert s_partial_sum(10**6) == walked[10**6] == 18180133262721163994
+
+    def test_rejects_x_below_one(self):
+        with pytest.raises(ValueError):
+            s_partial_sum(0)
+
+
 class TestReports:
     def test_exact_sums_and_accuracy(self, quick_estimate):
         reports = average_order_reports([100, 1000], estimate=quick_estimate)
@@ -201,8 +264,8 @@ class TestReports:
 
     @pytest.mark.parametrize("limit", [2, 3, 1000, 1001])
     def test_checkpoints_at_the_walk_edges(self, quick_estimate, limit):
-        # 2 and 3 are the first values walked, limit // 2 the last stored odd
-        # n or its neighbour; duplicates and unsorted order collapse
+        # 2 and 3 are the smallest checkpoints, limit // 2 and its neighbour the
+        # edge of the walk's stored odd n; duplicates and unsorted order collapse
         s = [evaluate(S_DIAGONAL, n) for n in range(1, limit + 1)]
         xs = [x for x in (limit, 3, limit // 2 + 1, 2, limit // 2, 3, limit) if 2 <= x <= limit]
         reports = average_order_reports(xs, estimate=quick_estimate)
@@ -211,8 +274,8 @@ class TestReports:
             assert rep.exact_sum == sum(s[: rep.x]), rep.x
 
     def test_sums_without_holding_the_values(self, quick_estimate):
-        # the partial sums are added up as s is walked: they never hold the
-        # whole table, which sieve_multiplicative has to
+        # s_partial_sum keeps O(sqrt(x)) prime sums: it never holds the whole
+        # table, which sieve_multiplicative has to
         def peak(run) -> int:
             tracemalloc.start()
             try:
@@ -224,6 +287,17 @@ class TestReports:
         streamed = peak(lambda: average_order_reports([10**5], estimate=quick_estimate))
         tabulated = peak(lambda: sieve_multiplicative(S_DIAGONAL, 10**5))
         assert streamed < tabulated / 2, (streamed, tabulated)
+
+    def test_ten_million_in_bounded_memory(self, quick_estimate):
+        # an O(x) table of s at 10^7 would take well over 100 MB
+        tracemalloc.start()
+        try:
+            (rep,) = average_order_reports([10**7], estimate=quick_estimate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.exact_sum == 21324853476244529645898
+        assert peak < 2 * 2**20, peak
 
     def test_duplicates_collapse(self, quick_estimate):
         reports = average_order_reports([500, 100, 500], estimate=quick_estimate)

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
-from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, cli, run_lattice_verification
+from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, cli, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.typecounts import general_form
@@ -533,6 +533,8 @@ class TestInputBounds:
         [
             ["table", "1", "--limit", "100000000"],
             ["asymptotic", "--x-values", "100,100000000000"],
+            ["asymptotic", "--x-values", str(MAX_PARTIAL_SUM_X + 1)],
+            ["asymptotic", "--x-values", ",".join(str(MAX_PARTIAL_SUM_X - k) for k in range(3))],
             ["asymptotic", "--prime-limit", str(MAX_SIEVE + 1)],
             ["asymptotic", "--tail-terms", str(MAX_TAIL_TERMS + 1)],
         ],
@@ -542,7 +544,8 @@ class TestInputBounds:
         result = runner.invoke(cli, args)
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
-        assert str(MAX_TAIL_TERMS if "--tail-terms" in args else MAX_SIEVE) in result.stderr
+        bound = {"--tail-terms": MAX_TAIL_TERMS, "--x-values": MAX_PARTIAL_SUM_X}.get(args[1], MAX_SIEVE)
+        assert str(bound) in result.stderr
 
     @pytest.mark.parametrize(
         "args",
