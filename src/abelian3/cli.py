@@ -38,7 +38,7 @@ _FORMATS = ("text", "json", "csv")
 # --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
 # `type-count` of 110 ones over 55 ones 1.7 s and `verify --max-order 200`
-# 11.5 s. Timings on such a VM drift by up to a third from run to run.
+# 5.1-6.3 s. Timings on such a VM drift by up to a third from run to run.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
@@ -51,8 +51,8 @@ MAX_PARTITION_SIZE = 110
 # Largest --eval value shown, in decimal digits: CPython's default limit on
 # converting an int to a string (lower when the interpreter's limit is lower).
 MAX_EVAL_DIGITS = 4300
-# verify checks every group of order at most --max-order; the oracle lattices
-# make its time grow about as the 2.6th power of the bound.
+# verify checks every group of order at most --max-order; its time grows about
+# as the 1.9th power of the bound.
 MAX_VERIFY_ORDER = 200
 _TABLE_LIMITS = {"1": MAX_SIEVE, "2": 50, "3": 18}
 _TABLE_DEFAULTS = {"1": 50, "2": 10, "3": 4}
@@ -145,7 +145,9 @@ def _render_rows(
         emit = lambda row: chunk.append(text(row) + "\n")
     elif fmt == "json":
         names, values = shown(columns)
-        emit = lambda row: chunk.append(_json_line(dict(zip(names, values(row)))) + "\n")
+        # rows of plain ints (type excludes bool) fill one template; others go through the encoder
+        line = "{" + ",".join(_json_line(name).replace("%", "%%") + ":%d" for name in names) + "}\n"
+        emit = lambda row: chunk.append(line % vals if set(map(type, vals := tuple(values(row)))) == {int} else _json_line(dict(zip(names, vals))) + "\n")
         if header is not None:
             head_names, head_values = shown(header[0])
             chunk.append(_json_line(dict(zip(head_names, head_values(header[1])))) + "\n")

@@ -2,23 +2,31 @@
 
 Ground truth for the structured enumerations in rank2/rank3: nothing here
 shares code with those modules beyond modular addition itself. Groups are
-direct products of cyclic groups of the given orders; elements are encoded
-as mixed-radix integers and addition is a precomputed table, which keeps the
-join loops cheap; one list of all elements, indexed by code, turns codes back
-into elements. The lattice walk joins only cyclic subgroups of prime-power
-order (see all_subgroups).
+direct products of cyclic groups of the given orders. Elements are encoded
+as mixed-radix integers with the last axis varying fastest, so ascending
+codes are ascending element tuples, and a set of elements is an int with
+one bit per code. Translating a set by an element rotates the digit blocks
+of each axis the element moves along (see _axes). The lattice walk joins
+only cyclic subgroups of prime-power order (see all_subgroups).
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
-from math import gcd, prod
+from itertools import compress, product
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .config import element_bound
 
 Element = tuple[int, ...]
 ElementSet = tuple[Element, ...]  # sorted canonical form, hashable
+# (lo, up, hi, down): x -> (x & lo) << up | (x & hi) >> down translates x along one axis
+Shift = tuple[int, int, int, int]
+
+# Joins one all_subgroups call may make: groups of order <= 200 need at most 8,805
+# ((4, 4, 8)), (32, 64) 27,069; at ~18 us a join on 4096 elements, refusing takes < 1 s.
+MAX_JOINS = 1 << 15
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def closure(generators: Iterable[Element], orders: Sequence[int]) -> ElementSet:
@@ -28,11 +36,11 @@ def closure(generators: Iterable[Element], orders: Sequence[int]) -> ElementSet:
     subgroup. Generators are reduced modulo the orders first.
     """
     orders = tuple(orders)
-    table = _addition_table(orders)
-    members = frozenset([0])
+    axes = _axes(orders)
+    members = 1
     for g in generators:
-        members = _join(members, _encode(g, orders), table)
-    return _canonical(members, _elements(orders))
+        members = _join(members, *_multiples([x % o for x, o in zip(g, orders, strict=True)], axes))
+    return _decode(members, list(product(*map(range, orders))))
 
 
 def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
@@ -44,33 +52,44 @@ def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
     direct sum of its Sylow p-parts, each p-part is generated by its own
     elements, and those have p-power order. So H is the join of finitely many
     cyclic subgroups of prime-power order, and the walk reaches H along the
-    chain of joins that adds them one at a time. Joining a cyclic subgroup
-    whose order is not a prime power is redundant, since it is the join of
-    its prime-power parts.
+    chain of joins that adds them one at a time. Those cyclic subgroups are
+    listed inside each Sylow p-subgroup: the elements whose digits are
+    multiples of the part of each order prime to p. More than MAX_JOINS joins
+    raise ValueError.
     """
     orders = tuple(orders)
-    table = _addition_table(orders)
-    generators = [g for g, multiples in _cyclic_generators(table).items() if _is_prime_power(len(multiples))]
-    found = {frozenset([0])}
-    stack = list(found)
+    axes = _axes(orders)
+    total = prod(orders)
+    primes = [p for p in range(2, total + 1) if total % p == 0 and all(p % q for q in range(2, isqrt(p) + 1))]
+    generators = [
+        (1 << codes[0], codes, moves)
+        for p in primes
+        for codes, moves in _cyclic_generators(axes, [o // gcd(o, p ** o.bit_length()) for o in orders])
+        if len(codes) > 1
+    ]
+    found = {1}
+    stack = [1]
+    joins = 0
     while stack:
         sub = stack.pop()
-        for g in generators:
-            if g not in sub:
-                grown = _join(sub, g, table)
+        for bit, codes, moves in generators:
+            if not sub & bit:
+                joins += 1
+                if joins > MAX_JOINS:
+                    raise ValueError(f"the subgroup lattice of {orders} needs more than {MAX_JOINS} joins")
+                grown = _join(sub, codes, moves)
                 if grown not in found:
                     found.add(grown)
                     stack.append(grown)
-    elements = _elements(orders)
-    return {_canonical(sub, elements) for sub in found}
+    elements = list(product(*map(range, orders)))
+    return {_decode(sub, elements) for sub in found}
 
 
 def cyclic_subgroups(orders: Sequence[int]) -> set[ElementSet]:
     """The distinct subgroups generated by single elements."""
     orders = tuple(orders)
-    table = _addition_table(orders)
-    elements = _elements(orders)
-    return {_canonical(multiples, elements) for multiples in _cyclic_generators(table).values()}
+    elements = list(product(*map(range, orders)))
+    return {_decode(sum(1 << code for code in codes), elements) for codes, _ in _cyclic_generators(_axes(orders), [1] * len(orders))}
 
 
 def _check_orders(orders: tuple[int, ...]) -> None:
@@ -85,77 +104,66 @@ def _check_orders(orders: tuple[int, ...]) -> None:
         )
 
 
-def _encode(element: Sequence[int], orders: tuple[int, ...]) -> int:
-    if len(element) != len(orders):
-        raise ValueError(f"element {element} does not match orders {orders}")
-    code = 0
-    stride = 1
-    for x, o in zip(element, orders):
-        code += (x % o) * stride
-        stride *= o
-    return code
+def _axes(orders: tuple[int, ...]) -> list[tuple[int, int, list[Shift]]]:
+    """(order o, stride s, shifts) per axis; s is the product of the later orders.
 
-
-def _elements(orders: tuple[int, ...]) -> list[Element]:
-    """Every element, indexed by its code: the first axis varies fastest, as in _encode."""
-    return [t[::-1] for t in product(*map(range, reversed(orders)))]
-
-
-def _is_prime_power(n: int) -> bool:
-    """True for n = p^k with p prime and k >= 1; n is an element order, so trial division is cheap."""
-    if n < 2:
-        return False
-    p = next(d for d in range(2, n + 1) if n % d == 0)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _addition_table(orders: tuple[int, ...]) -> list[list[int]]:
-    """table[x][y] is the code of decode(x) + decode(y), built one axis at a time.
-
-    For an axis of order o and stride s, with x and y below s, the sum of
-    x + s*a and y + s*b is table[x][y] + s*((a + b) % o).
+    Digit blocks of the axis are s*o bits long. Adding a (0 < a < o) moves the
+    digits below o - a up by a*s bits and the rest down by (o - a)*s bits, so
+    shifts[a] is (lo, a*s, hi, (o - a)*s) with lo and hi masking those digits.
     """
     _check_orders(orders)
-    table = [[0]]
-    stride = 1
+    total = prod(orders)
+    full = (1 << total) - 1
+    axes = []
+    stride = total
     for o in orders:
-        shifted = [[[v + stride * c for v in row] for c in range(o)] for row in table]
-        table = [list(chain.from_iterable(s[a:] + s[:a])) for a in range(o) for s in shifted]
-        stride *= o
-    return table
+        repeat = full // ((1 << stride) - 1)  # bit 0 of every block
+        stride //= o
+        lows = [((1 << (o - a) * stride) - 1) * repeat for a in range(o)]
+        axes.append((o, stride, [(lo, a * stride, full ^ lo, (o - a) * stride) for a, lo in enumerate(lows)]))
+    return axes
 
 
-def _cyclic_generators(table: list[list[int]]) -> dict[int, list[int]]:
-    """One generator per cyclic subgroup, mapped to its multiples 0, g, 2g, ...
+def _cyclic_generators(axes: list, steps: Sequence[int]) -> list[tuple[list[int], tuple[Shift, ...]]]:
+    """_multiples of one generator g per cyclic subgroup of the subgroup whose
+    digits are multiples of steps, in code order.
 
     k*g generates <g> exactly when gcd(k, ord g) = 1; such k*g are not listed.
     """
-    covered: set[int] = set()
-    generators: dict[int, list[int]] = {}
-    for g in range(len(table)):
-        if g not in covered:
-            multiples = [0]
-            x = g
-            while x:
-                multiples.append(x)
-                x = table[x][g]
-            covered.update(x for k, x in enumerate(multiples) if gcd(k, len(multiples)) == 1)
-            generators[g] = multiples
+    covered = bytearray(prod(o for o, _, _ in axes))
+    generators = []
+    digits = [range(0, o, step) for (o, _, _), step in zip(axes, steps)]
+    places = [range(0, o * stride, step * stride) for (o, stride, _), step in zip(axes, steps)]
+    for g, code in zip(product(*digits), map(sum, product(*places))):
+        if not covered[code]:
+            codes, moves = _multiples(g, axes)
+            for k, c in enumerate(codes, 1):
+                covered[c] |= gcd(k, len(codes)) == 1
+            generators.append((codes, moves))
     return generators
 
 
-def _join(sub: frozenset[int], g: int, table: list[list[int]]) -> frozenset[int]:
-    """sub + <g> as the union of the cosets sub + k*g, up to the first k*g in sub."""
-    grown = set(sub)
-    x = g
-    while x not in sub:
-        row = table[x]
-        grown.update([row[h] for h in sub])
-        x = row[g]
-    return frozenset(grown)
+def _multiples(g: Sequence[int], axes: list) -> tuple[list[int], tuple[Shift, ...]]:
+    """The codes of g, 2g, ..., ord(g)*g = 0, and the shifts that translate by g; g is reduced."""
+    n = lcm(*(o // gcd(x, o) for x, (o, _, _) in zip(g, axes)))
+    columns = [[k * x % o * stride for k in range(1, n + 1)] for x, (o, stride, _) in zip(g, axes)]
+    return list(map(sum, zip(*columns))), tuple(shifts[x] for x, (_, _, shifts) in zip(g, axes) if x)
 
 
-def _canonical(member_codes: Iterable[int], elements: list[Element]) -> ElementSet:
-    return tuple(sorted(map(elements.__getitem__, member_codes)))
+def _join(sub: int, codes: list[int], moves: tuple[Shift, ...]) -> int:
+    """sub + <g> as the OR of the translates sub + k*g, up to the first k*g in sub;
+    codes lists the codes of g, 2g, ..., and moves translates by g."""
+    grown = t = sub
+    for code in codes:
+        if sub >> code & 1:
+            return grown
+        for lo, up, hi, down in moves:
+            t = (t & lo) << up | (t & hi) >> down
+        grown |= t
+    return grown
+
+
+def _decode(members: int, elements: list[Element]) -> ElementSet:
+    """The elements, listed by code, whose code bits are set in members. Built as a list
+    first: tuple() of an unsized iterator over-allocates, adding 0.5 MB to verify's peak RSS."""
+    return tuple([*compress(elements, bin(members)[:1:-1].encode().translate(_BITS))])

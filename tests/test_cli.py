@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
 from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, cli, run_lattice_verification
@@ -279,6 +283,34 @@ class TestChunkedOutput:
         result = runner.invoke(cli, ["-q", "--format", fmt, "enumerate", "12", "12", "12"])
         assert isinstance(result.exception, RuntimeError)
         assert result.stdout_bytes == "".join(want).encode()
+
+
+class TestJsonRows:
+    @given(
+        names=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True),
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(min_value=-(2**80), max_value=2**80),
+                    st.booleans(),
+                    st.none(),
+                    st.floats(),
+                    st.lists(st.integers(), max_size=2),
+                ),
+                min_size=4,
+                max_size=4,
+            )
+            | st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=4, max_size=4),
+            max_size=8,
+        ),
+    )
+    @example(names=["%", "a%d"], rows=[[1, 2, 3, 4]])
+    def test_lines_equal_json_dumps(self, names, rows):
+        # rows of plain ints take a %d template, the rest the encoder; both must match json.dumps
+        rows = [row[: len(names)] for row in rows]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _render_rows(OutputConfig(fmt="json", quiet=True), rows, [Column(name) for name in names], str)
+        assert out.getvalue() == "".join(json.dumps(dict(zip(names, row)), separators=(",", ":")) + "\n" for row in rows)
 
 
 class TestTable:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -148,23 +149,27 @@ class TestCyclic:
 
 
 class TestAdditionTable:
+    """Addition as the oracle does it: translating bitmasks of element codes."""
+
     @pytest.mark.parametrize("orders", [(1,), (5,), (4, 6, 5), (3, 1, 7), (2, 2, 2, 2)])
     def test_matches_mixed_radix_definition(self, orders):
-        def encode(digits):
-            code, stride = 0, 1
+        def encode(digits):  # mixed radix, the last axis varying fastest
+            code = 0
             for d, o in zip(digits, orders):
-                code += (d % o) * stride
-                stride *= o
+                code = code * o + d % o
             return code
 
-        table = oracle._addition_table(orders)
         points = elements(orders)
-        assert len(table) == len(points)
+        assert [encode(x) for x in sorted(points)] == list(range(len(points)))
+        assert oracle._decode((1 << len(points)) - 1, points) == tuple(sorted(points))
+        axes = oracle._axes(orders)
         for x in points:
-            row = table[encode(x)]
-            assert len(row) == len(points)
+            _, moves = oracle._multiples(x, axes)
             for y in points:
-                assert row[encode(y)] == encode([a + b for a, b in zip(x, y)]), (x, y)
+                mask = 1 << encode(y)
+                for lo, up, hi, down in moves:
+                    mask = (mask & lo) << up | (mask & hi) >> down
+                assert mask == 1 << encode([a + b for a, b in zip(x, y)]), (x, y)
 
     def test_lattice_runs_without_numpy(self):
         code = (
@@ -190,6 +195,20 @@ class TestBound:
             oracle.closure([(0, 0)], (3, 3))
         monkeypatch.setenv(ELEMENT_BOUND_ENV, "9")
         assert len(oracle.closure([(1, 0), (0, 1)], (3, 3))) == 9
+
+    def test_join_budget(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\(16, 16, 16\) needs more than 32768 joins"):
+            oracle.all_subgroups((16, 16, 16))
+        assert time.perf_counter() - start < 2
+        monkeypatch.setattr(oracle, "MAX_JOINS", 8804)
+        with pytest.raises(ValueError, match=r"\(4, 4, 8\) needs more than 8804 joins"):
+            oracle.all_subgroups((4, 4, 8))
+
+    def test_budget_covers_largest_rank2_group(self):
+        # Z_32 x Z_64 has sum(gcd(a, b) for a | 32, b | 64) subgroups and needs 27,069 joins
+        divisors = lambda n: [d for d in range(1, n + 1) if n % d == 0]
+        assert len(oracle.all_subgroups((32, 64))) == sum(math.gcd(a, b) for a in divisors(32) for b in divisors(64))
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
