@@ -9,7 +9,6 @@ degenerate inputs (modulus 1, n = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Callable, Iterator, NamedTuple
 
@@ -98,7 +97,6 @@ def solve_linear_congruence(coeff: int, rhs: int, modulus: int) -> CongruenceSol
     return CongruenceSolution(base_solution=base, period=period, count=g)
 
 
-@dataclass(frozen=True)
 class Factorization:
     """Prime-power decomposition as ((p1, e1), ...) with p1 < p2 < ...
 
@@ -106,14 +104,15 @@ class Factorization:
     construction.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
         previous = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= previous or e < 1 or not is_prime(p):
                 raise ValueError(f"invalid factorization pair ({p}, {e})")
             previous = p
+        self.pairs = pairs
 
     @property
     def value(self) -> int:

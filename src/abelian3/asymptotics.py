@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -50,7 +49,7 @@ DLOG_ZETA3 = -0.16482268215827725
 # Best-published exponent in the divisor-problem error term that the
 # literature quotes for this average order; recorded for reference output,
 # not used in any computation.
-THETA_REFERENCE = Fraction(131, 416)
+THETA_REFERENCE = "131/416"
 
 
 # s(p^e) by the paper's closed form; typecounts.symbolic_count is the reference route.

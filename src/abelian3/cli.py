@@ -12,23 +12,23 @@ Subcommands:
 
 Global flags: --format {text,json,csv} and --quiet. JSON output is one
 object per line; CSV follows RFC 4180. Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure or stdout closed by its reader, 2 usage error.
 
 Every command hands its results to _render_rows as plain tuples plus a column
 spec; _render_rows and _note are the only code that looks at the format.
+Start-up is most of what a command costs, so the library modules and the json
+and csv modules are imported where they are first needed.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+import argparse
 import math
+import os
 import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-import click
-
-from . import rank3, typecounts
+from . import typecounts
 from .config import ELEMENT_BOUND_ENV, element_bound
 
 _FORMATS = ("text", "json", "csv")
@@ -78,17 +78,6 @@ class Column(NamedTuple):
 
 Columns = Sequence[Column]
 
-_JSON = json.JSONEncoder(separators=(",", ":"))
-# JSONEncoder.encode builds a new C encoder on every call, which costs about a
-# third of encoding a 13-key row. This one, from CPython's json module, is built
-# once with _JSON's settings; markers=None skips the cycle check, as rows are
-# built fresh from numbers, strings and lists.
-_json_chunks = json.encoder.c_make_encoder(None, _JSON.default, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
-
-
-def _json_line(value) -> str:
-    return "".join(_json_chunks(value, 0))
-
 # A quarter of Linux's default 64-KiB pipe capacity: a chunk written to a pipe
 # whose reader keeps up never waits for the reader, while a chunk at least as
 # large as the pipe makes every write wait until the reader has drained it.
@@ -105,10 +94,7 @@ def _note(cfg: OutputConfig, message: str) -> None:
     """Commentary channel: text-mode header lines, stderr otherwise."""
     if cfg.quiet:
         return
-    if cfg.fmt == "text":
-        click.echo(message)
-    else:
-        click.echo(message, err=True)
+    print(message, file=sys.stdout if cfg.fmt == "text" else sys.stderr)
 
 
 def _render_rows(
@@ -144,17 +130,25 @@ def _render_rows(
             _note(cfg, header[2])
         emit = lambda row: chunk.append(text(row) + "\n")
     elif fmt == "json":
+        from json import encoder
+        # JSONEncoder.encode builds a new C encoder on every call, which costs
+        # about a third of encoding a 13-key row. This one is built once with the
+        # settings of JSONEncoder(separators=(",", ":")); markers=None skips the
+        # cycle check, as rows are built fresh from numbers, strings and lists.
+        chunks = encoder.c_make_encoder(None, encoder.JSONEncoder().default, encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
+        json_line = lambda value: "".join(chunks(value, 0))
         names, values = shown(columns)
         # rows of plain ints (type excludes bool) fill one template; others go through the encoder
-        line = "{" + ",".join(_json_line(name).replace("%", "%%") + ":%d" for name in names) + "}\n"
-        emit = lambda row: chunk.append(line % vals if set(map(type, vals := tuple(values(row)))) == {int} else _json_line(dict(zip(names, vals))) + "\n")
+        line = "{" + ",".join(json_line(name).replace("%", "%%") + ":%d" for name in names) + "}\n"
+        emit = lambda row: chunk.append(line % vals if set(map(type, vals := tuple(values(row)))) == {int} else json_line(dict(zip(names, vals))) + "\n")
         if header is not None:
             head_names, head_values = shown(header[0])
-            chunk.append(_json_line(dict(zip(head_names, head_values(header[1])))) + "\n")
+            chunk.append(json_line(dict(zip(head_names, head_values(header[1])))) + "\n")
     else:
         if header is not None:
             head_names, head_values = shown(header[0])
             _note(cfg, "\n".join(f"{name}={value}" for name, value in zip(head_names, head_values(header[1]))))
+        import csv
         names, values = shown(columns)
         writer = csv.writer(chunk, lineterminator="\r\n")
         writer.writerow(names)
@@ -173,34 +167,28 @@ def _render_rows(
         sys.stdout.flush()
 
 
-@click.group()
-@click.option(
-    "--format",
-    "-f",
-    "fmt",
-    type=click.Choice(_FORMATS),
-    default="text",
-    show_default=True,
-    help="Output format for results on stdout.",
-)
-@click.option("--quiet", "-q", is_flag=True, help="Suppress headers and progress chatter.")
-@click.pass_context
-def cli(ctx: click.Context, fmt: str, quiet: bool) -> None:
-    """Subgroup counting and enumeration for Z_m x Z_n x Z_r."""
-    ctx.obj = OutputConfig(fmt=fmt, quiet=quiet)
+class UsageError(Exception):
+    """A bad command line that the parser could not see; main reports it as argparse does, with exit code 2."""
 
 
-@cli.command("count")
-@click.argument("m", type=click.IntRange(min=1))
-@click.argument("n", type=click.IntRange(min=1))
-@click.argument("r", type=click.IntRange(min=1))
-@click.option("--order", "order_", type=int, default=None, help="Count only subgroups of this order.")
-@click.option("--cyclic", is_flag=True, help="Count only cyclic subgroups.")
-@click.pass_obj
+def _int_range(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an int from lo to hi (no upper bound when hi is None)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range " + (f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"))
+        return value
+
+    parse.__name__ = "int"  # argparse names the type so in "invalid int value" errors
+    return parse
+
+
 def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyclic: bool) -> None:
     """Number of subgroups of Z_M x Z_N x Z_R."""
     if order_ is not None and cyclic:
-        raise click.UsageError("--order and --cyclic are mutually exclusive")
+        raise UsageError("--order and --cyclic are mutually exclusive")
+    from . import rank3
     group = (m, n, r)
     try:
         if cyclic:
@@ -210,7 +198,7 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
         else:
             kind, value = "total", rank3.count_total(group)
     except ValueError as exc:  # an order not dividing m n r, or an entry too hard to factor
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     columns = [Column(name) for name in ("m", "n", "r", "kind", "order", "count")]
     _render_rows(cfg, [(m, n, r, kind, order_, value)], columns, lambda row: str(row[-1]))
 
@@ -220,30 +208,25 @@ def _check_element_bound(order: int, what: str) -> None:
     try:
         bound = element_bound()
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     if order > bound:
-        raise click.UsageError(f"{what} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
+        raise UsageError(f"{what} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
 
 
 def _element_cells(elements: Iterable[tuple[int, int, int]]) -> list[str]:
     return [f"{x},{y},{z}" for x, y, z in elements]
 
 
-@cli.command("enumerate")
-@click.argument("m", type=click.IntRange(min=1))
-@click.argument("n", type=click.IntRange(min=1))
-@click.argument("r", type=click.IntRange(min=1))
-@click.option("--elements", "with_elements", is_flag=True, help="Include the full element set of each subgroup.")
-@click.pass_obj
 def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool) -> None:
     """Stream one line per subgroup, in deterministic (a,b,c,t,w,z) order."""
+    from . import rank3
     group = (m, n, r)
     if with_elements:
         _check_element_bound(m * n * r, f"group order {m * n * r}")
     try:
         total = rank3.count_total(group)
     except ValueError as exc:  # an entry too hard to factor
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     _note(cfg, f"# {total} subgroups of Z_{m} x Z_{n} x Z_{r}")
 
     def to_text(row: tuple) -> str:
@@ -267,15 +250,11 @@ def _poly_cells(poly: typecounts.IntPolynomial) -> tuple[str, tuple[int, ...]]:
     return str(poly), poly.coefficients
 
 
-@cli.command("table")
-@click.argument("which", type=click.Choice(["1", "2", "3"]))
-@click.option("--limit", type=click.IntRange(min=1), default=None, help="Rows: table 1 max n, table 2 max exponent, table 3 max largest exponent.")
-@click.pass_obj
 def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
     """Reference tables: 1 = s(n) values, 2 = s(p^v) polynomials, 3 = mixed exponents."""
     top = limit if limit is not None else _TABLE_DEFAULTS[which]
     if top > _TABLE_LIMITS[which]:
-        raise click.UsageError(f"table {which} takes --limit at most {_TABLE_LIMITS[which]}, got {top}")
+        raise UsageError(f"table {which} takes --limit at most {_TABLE_LIMITS[which]}, got {top}")
     if which == "1":
         from . import arith, asymptotics
         _note(cfg, "# n  s(n)")
@@ -309,7 +288,7 @@ def _with_value(build: Callable[[], typecounts.IntPolynomial], degree: int, p: i
     which refuses most such values before build runs."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     digits = min(MAX_EVAL_DIGITS, limit) if limit else MAX_EVAL_DIGITS
-    too_long = click.UsageError(f"--eval {p}: the value would have more than {digits} digits")
+    too_long = UsageError(f"--eval {p}: the value would have more than {digits} digits")
     if p is not None and degree * math.log10(p) >= digits:
         raise too_long
     poly = build()
@@ -325,12 +304,7 @@ def _poly_text(row: tuple) -> str:
     return poly if p is None else f"{poly}\nat p={p}: {value}"
 
 
-@cli.command("poly")
-@click.argument("exponents", type=click.IntRange(min=0), nargs=-1, required=True)
-@click.option("--eval", "eval_p", type=click.IntRange(min=2), default=None, help="Also evaluate at this prime p.")
-@click.option("--closed-form", is_flag=True, help="Use the closed-form route (equal exponents only).")
-@click.pass_obj
-def cmd_poly(cfg: OutputConfig, exponents: tuple[int, ...], eval_p: int | None, closed_form: bool) -> None:
+def cmd_poly(cfg: OutputConfig, exponents: list[int], eval_p: int | None, closed_form: bool) -> None:
     """Subgroup count of Z_p^NU1 x Z_p^NU2 x Z_p^NU3 as a polynomial in p.
 
     Pass one exponent for the equal-exponent case or all three.
@@ -340,12 +314,12 @@ def cmd_poly(cfg: OutputConfig, exponents: tuple[int, ...], eval_p: int | None, 
     elif len(exponents) == 3:
         nu1, nu2, nu3 = exponents
     else:
-        raise click.UsageError("pass exactly one exponent or exactly three")
+        raise UsageError("pass exactly one exponent or exactly three")
     if closed_form and not (nu1 == nu2 == nu3):
-        raise click.UsageError("--closed-form needs equal exponents")
+        raise UsageError("--closed-form needs equal exponents")
     bound = MAX_CLOSED_FORM_EXPONENT if closed_form else MAX_EXPONENT
     if max(exponents) > bound:
-        raise click.UsageError(f"exponents must be <= {bound}{' with --closed-form' * closed_form}, got {max(exponents)}")
+        raise UsageError(f"exponents must be <= {bound}{' with --closed-form' * closed_form}, got {max(exponents)}")
     build = (lambda: typecounts.general_form(nu1)) if closed_form else (lambda: typecounts.symbolic_count(nu1, nu2, nu3))
     poly, value = _with_value(build, typecounts.count_degree(nu1, nu2, nu3), eval_p)
     row = (nu1, nu2, nu3, *_poly_cells(poly), eval_p, value)
@@ -361,24 +335,19 @@ def _parse_partition(text: str) -> typecounts.Partition:
         parts = tuple(int(piece) for piece in text.split(","))
         return typecounts.Partition(parts)
     except ValueError as exc:
-        raise click.UsageError(f"bad partition {text!r}: {exc}") from exc
+        raise UsageError(f"bad partition {text!r}: {exc}") from exc
 
 
-@cli.command("type-count")
-@click.argument("lam")
-@click.argument("mu")
-@click.option("--eval", "eval_p", type=click.IntRange(min=2), default=None, help="Also evaluate at this prime p.")
-@click.pass_obj
 def cmd_type_count(cfg: OutputConfig, lam: str, mu: str, eval_p: int | None) -> None:
     """Subgroups of type MU inside a p-group of type LAM (partitions like 3,2,1)."""
     lam_part = _parse_partition(lam)
     mu_part = _parse_partition(mu)
     if lam_part.size > MAX_PARTITION_SIZE:
-        raise click.UsageError(f"LAM must have parts summing to at most {MAX_PARTITION_SIZE}, got {lam_part.size}")
+        raise UsageError(f"LAM must have parts summing to at most {MAX_PARTITION_SIZE}, got {lam_part.size}")
     try:
         degree = typecounts.type_count_degree(lam_part, mu_part)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     poly, value = _with_value(lambda: typecounts.type_count(lam_part, mu_part), degree, eval_p)
     row = (lam_part.parts, mu_part.parts, *_poly_cells(poly), eval_p, value)
     joined = lambda parts: ",".join(map(str, parts))
@@ -427,7 +396,7 @@ def run_lattice_verification(
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
-    from . import oracle, rank2
+    from . import oracle, rank2, rank3
     failures: list[str] = []
     rank3_shapes = 0
     rank2_shapes = 0
@@ -469,48 +438,39 @@ def _verify_text(row: tuple) -> str:
     return "\n".join([*lines, *(f"FAIL {failure}" for failure in failures), f"result: {'PASS' if ok else 'FAIL'}"])
 
 
-@cli.command("verify")
-@click.option("--max-order", type=click.IntRange(min=1, max=MAX_VERIFY_ORDER), default=120, show_default=True, help="Check all groups with m*n*r up to this bound.")
-@click.pass_context
-def cmd_verify(ctx: click.Context, max_order: int) -> None:
+def cmd_verify(cfg: OutputConfig, max_order: int) -> None:
     """Cross-check enumeration, counting, and the brute-force lattice."""
-    cfg: OutputConfig = ctx.obj
     _check_element_bound(max_order, f"--max-order {max_order}")
-    progress = None if cfg.quiet else (lambda msg: click.echo(msg, err=True))
+    progress = None if cfg.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = run_lattice_verification(max_order, progress=progress)
     row = (report.max_order, report.rank3_shapes, report.rank2_shapes, report.ok, report.failures)
     columns = [*map(Column, ("max_order", "rank3_shapes", "rank2_shapes")), Column("ok", csv=int), Column("failures", csv="; ".join)]
     _render_rows(cfg, [row], columns, _verify_text)
     if not report.ok:
-        ctx.exit(1)
+        sys.exit(1)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(piece) for piece in text.split(",") if piece.strip()]
     except ValueError as exc:
-        raise click.UsageError(f"bad {what} {text!r}") from exc
+        raise UsageError(f"bad {what} {text!r}") from exc
     if not values:
-        raise click.UsageError(f"empty {what}")
+        raise UsageError(f"empty {what}")
     return values
 
 
-@cli.command("asymptotic")
-@click.option("--x-values", default="1000,10000,100000", show_default=True, help="Comma-separated checkpoints.")
-@click.option("--prime-limit", type=click.IntRange(min=100, max=MAX_SIEVE), default=100_000, show_default=True, help="Euler-product truncation.")
-@click.option("--tail-terms", type=click.IntRange(min=16, max=MAX_TAIL_TERMS), default=200_000, show_default=True, help="Direct-sum truncation for the cross-check.")
-@click.pass_obj
 def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_terms: int) -> None:
     """Exact partial sums of s(n) against the main term."""
     xs = _parse_int_list(x_values, "x values")
     if min(xs) < 2:
-        raise click.UsageError("x values must be >= 2")
+        raise UsageError("x values must be >= 2")
     if max(xs) > MAX_PARTIAL_SUM_X or sum(x**0.75 for x in set(xs)) > 2 * MAX_PARTIAL_SUM_X**0.75:
-        raise click.UsageError(f"x values must be <= {MAX_PARTIAL_SUM_X}, and their x^(3/4) sum to at most twice {MAX_PARTIAL_SUM_X}^(3/4)")
+        raise UsageError(f"x values must be <= {MAX_PARTIAL_SUM_X}, and their x^(3/4) sum to at most twice {MAX_PARTIAL_SUM_X}^(3/4)")
     from . import asymptotics
     est = asymptotics.h3_and_h3prime(prime_limit=prime_limit, tail_terms=tail_terms)
     head_columns = [Column("kind"), *map(Column, asymptotics.H3Estimate._fields), Column("euler_gamma"), Column("theta_reference")]
-    head_row = ("constants", *est, asymptotics.EULER_GAMMA, str(asymptotics.THETA_REFERENCE))
+    head_row = ("constants", *est, asymptotics.EULER_GAMMA, asymptotics.THETA_REFERENCE)
     head_text = (
         f"H3  = {est.h3!r} (+- {est.h3_bound:.3e}); direct {est.direct_h3!r} (+- {est.direct_h3_bound:.3e})\n"
         f"H3' = {est.h3prime!r} (+- {est.h3prime_bound:.3e}); direct {est.direct_h3prime!r} (+- {est.direct_h3prime_bound:.3e})\n"
@@ -527,8 +487,59 @@ def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_term
     )
 
 
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="abelian3", description="Subgroup counting and enumeration for Z_m x Z_n x Z_r.")
+    parser.add_argument("--format", "-f", dest="fmt", choices=_FORMATS, default="text", help="Output format for results on stdout (default: text).")
+    parser.add_argument("--quiet", "-q", action="store_true", help="Suppress headers and progress chatter.")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(name: str, run: Callable, *dims: str, eval_p: bool = False) -> argparse.ArgumentParser:
+        """A subparser for run, with a positional int of at least 1 per name in dims and, with eval_p, --eval."""
+        sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__)
+        sub.set_defaults(run=run, usage_error=sub.error)
+        for dim in dims:
+            sub.add_argument(dim, type=_int_range(1), metavar=dim.upper())
+        if eval_p:
+            sub.add_argument("--eval", dest="eval_p", type=_int_range(2), metavar="P", help="Also evaluate at this prime p.")
+        return sub
+
+    sub = command("count", cmd_count, "m", "n", "r")
+    sub.add_argument("--order", dest="order_", type=int, metavar="ORDER", help="Count only subgroups of this order.")
+    sub.add_argument("--cyclic", action="store_true", help="Count only cyclic subgroups.")
+    sub = command("enumerate", cmd_enumerate, "m", "n", "r")
+    sub.add_argument("--elements", dest="with_elements", action="store_true", help="Include the full element set of each subgroup.")
+    sub = command("table", cmd_table)
+    sub.add_argument("which", choices=["1", "2", "3"])
+    sub.add_argument("--limit", type=_int_range(1), help="Rows: table 1 max n, table 2 max exponent, table 3 max largest exponent.")
+    sub = command("poly", cmd_poly, eval_p=True)
+    sub.add_argument("exponents", type=_int_range(0), nargs="+", metavar="NU")
+    sub.add_argument("--closed-form", action="store_true", help="Use the closed-form route (equal exponents only).")
+    sub = command("type-count", cmd_type_count, eval_p=True)
+    sub.add_argument("lam", metavar="LAM")
+    sub.add_argument("mu", metavar="MU")
+    sub = command("verify", cmd_verify)
+    sub.add_argument("--max-order", type=_int_range(1, MAX_VERIFY_ORDER), default=120, help="Check all groups with m*n*r up to this bound (default: 120).")
+    sub = command("asymptotic", cmd_asymptotic)
+    sub.add_argument("--x-values", default="1000,10000,100000", help="Comma-separated checkpoints (default: 1000,10000,100000).")
+    sub.add_argument("--prime-limit", type=_int_range(100, MAX_SIEVE), default=100_000, help="Euler-product truncation (default: 100000).")
+    sub.add_argument("--tail-terms", type=_int_range(16, MAX_TAIL_TERMS), default=200_000, help="Direct-sum truncation for the cross-check (default: 200000).")
+    return parser
+
+
 def main() -> None:
-    cli(prog_name="abelian3")
+    """Run `abelian3 ARGS` for the arguments in sys.argv; exit code 1 when verify fails or the reader closes stdout, 2 on a usage error."""
+    options = vars(_parser().parse_args(sys.argv[1:]))
+    run, usage_error = options.pop("run"), options.pop("usage_error")
+    cfg = OutputConfig(options.pop("fmt"), options.pop("quiet"))
+    try:
+        run(cfg, **options)
+    except UsageError as exc:
+        usage_error(str(exc))
+    except BrokenPipeError:
+        # The reader left: point stdout at /dev/null so that flushing at exit
+        # raises nothing, and end as a failed write.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ Agreement between the routes is what the test suite leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -243,18 +242,22 @@ def gaussian_binomial(r: int, k: int) -> IntPolynomial:
     return num.exact_div(den)
 
 
-@dataclass(frozen=True)
 class Partition:
     """Weakly decreasing tuple of positive parts; () is the empty partition."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...]) -> None:
         previous = None
-        for part in self.parts:
+        for part in parts:
             if part < 1 or (previous is not None and part > previous):
-                raise ValueError(f"parts must be weakly decreasing positives, got {self.parts}")
+                raise ValueError(f"parts must be weakly decreasing positives, got {parts}")
             previous = part
+        self.parts = parts
+
+    def __str__(self) -> str:
+        """The parts as the command line takes them: 3,2,1, or 0 for the empty partition."""
+        return ",".join(map(str, self.parts)) or "0"
 
     @property
     def size(self) -> int:

@@ -10,15 +10,15 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
-from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, cli, run_lattice_verification
+from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.typecounts import general_form
+from conftest import CliRunner
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,22 +39,22 @@ def run_cli(args):
 
 class TestCount:
     def test_total(self, runner):
-        result = runner.invoke(cli, ["count", "4", "6", "8"])
+        result = runner.invoke(main, ["count", "4", "6", "8"])
         assert result.exit_code == 0
         assert result.stdout == "162\n"
 
     def test_by_order(self, runner):
-        result = runner.invoke(cli, ["count", "2", "2", "2", "--order", "2"])
+        result = runner.invoke(main, ["count", "2", "2", "2", "--order", "2"])
         assert result.exit_code == 0
         assert result.stdout == "7\n"
 
     def test_cyclic(self, runner):
-        result = runner.invoke(cli, ["count", "3", "3", "1", "--cyclic"])
+        result = runner.invoke(main, ["count", "3", "3", "1", "--cyclic"])
         assert result.exit_code == 0
         assert result.stdout == "5\n"
 
     def test_json_record(self, runner):
-        result = runner.invoke(cli, ["--format", "json", "count", "4", "6", "8"])
+        result = runner.invoke(main, ["--format", "json", "count", "4", "6", "8"])
         assert result.exit_code == 0
         assert json.loads(result.stdout) == {
             "m": 4, "n": 6, "r": 8, "kind": "total", "order": None, "count": 162,
@@ -64,21 +64,21 @@ class TestCount:
         assert ", " not in result.stdout and ": " not in result.stdout
 
     def test_csv_record(self, runner):
-        result = runner.invoke(cli, ["--format", "csv", "count", "2", "2", "2"])
+        result = runner.invoke(main, ["--format", "csv", "count", "2", "2", "2"])
         assert result.exit_code == 0
         assert result.stdout.splitlines() == ["m,n,r,kind,order,count", "2,2,2,total,,16"]
 
     def test_order_and_cyclic_conflict(self, runner):
-        result = runner.invoke(cli, ["count", "2", "2", "2", "--order", "2", "--cyclic"])
+        result = runner.invoke(main, ["count", "2", "2", "2", "--order", "2", "--cyclic"])
         assert result.exit_code == 2
 
     def test_non_divisor_order(self, runner):
-        result = runner.invoke(cli, ["count", "2", "2", "2", "--order", "5"])
+        result = runner.invoke(main, ["count", "2", "2", "2", "--order", "5"])
         assert result.exit_code == 2
         assert "does not divide" in result.stderr
 
     def test_rejects_nonpositive_modulus(self, runner):
-        result = runner.invoke(cli, ["count", "0", "1", "1"])
+        result = runner.invoke(main, ["count", "0", "1", "1"])
         assert result.exit_code == 2
 
     def test_unfactorable_entry_fails_fast(self):
@@ -92,7 +92,7 @@ class TestCount:
     @pytest.mark.parametrize("n", ["318665857834031151167461", "3317044064679887385961981"], ids=["psi12", "psi13"])
     def test_strong_pseudoprime_entry_is_factored(self, runner, n):
         # a product of two primes, which Miller-Rabin to the first 12 primes calls prime
-        result = runner.invoke(cli, ["count", n, "1", "1"])
+        result = runner.invoke(main, ["count", n, "1", "1"])
         assert result.exit_code == 0
         assert result.stdout == "4\n"
 
@@ -102,14 +102,14 @@ class TestCount:
     def test_factoring_failure_is_usage_error(self, runner, monkeypatch, command, options):
         monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
         n = str(999999999999947 * 999999999999989)
-        result = runner.invoke(cli, [command, "1", n, "1", *options])
+        result = runner.invoke(main, [command, "1", n, "1", *options])
         assert result.exit_code == 2
         assert f"cannot factor {n}" in result.stderr
 
 
 class TestEnumerate:
     def test_text_lines(self, runner):
-        result = runner.invoke(cli, ["-q", "enumerate", "2", "2", "2"])
+        result = runner.invoke(main, ["-q", "enumerate", "2", "2", "2"])
         assert result.exit_code == 0
         lines = result.stdout.splitlines()
         assert len(lines) == 16
@@ -118,12 +118,12 @@ class TestEnumerate:
         )
 
     def test_header_note(self, runner):
-        result = runner.invoke(cli, ["enumerate", "2", "2", "2"])
+        result = runner.invoke(main, ["enumerate", "2", "2", "2"])
         assert result.stdout.splitlines()[0] == "# 16 subgroups of Z_2 x Z_2 x Z_2"
         assert len(result.stdout.splitlines()) == 17
 
     def test_json_stream(self, runner):
-        result = runner.invoke(cli, ["-q", "--format", "json", "enumerate", "4", "3", "2"])
+        result = runner.invoke(main, ["-q", "--format", "json", "enumerate", "4", "3", "2"])
         assert result.exit_code == 0
         records = [json.loads(line) for line in result.stdout.splitlines()]
         assert len(records) == rank3.count_total((4, 3, 2))
@@ -135,7 +135,7 @@ class TestEnumerate:
 
     def test_json_elements(self, runner):
         result = runner.invoke(
-            cli, ["-q", "--format", "json", "enumerate", "2", "2", "2", "--elements"]
+            main, ["-q", "--format", "json", "enumerate", "2", "2", "2", "--elements"]
         )
         assert result.exit_code == 0
         for line in result.stdout.splitlines():
@@ -146,15 +146,28 @@ class TestEnumerate:
 
     def test_csv_elements_column(self, runner):
         result = runner.invoke(
-            cli, ["-q", "--format", "csv", "enumerate", "2", "1", "1", "--elements"]
+            main, ["-q", "--format", "csv", "enumerate", "2", "1", "1", "--elements"]
         )
         lines = result.stdout.splitlines()
         assert lines[0].endswith(",elements")
         assert any('"0,0,0 1,0,0"' in line for line in lines[1:])
 
+    def test_reader_closing_the_pipe_ends_without_traceback(self):
+        # as in `abelian3 enumerate 60 60 60 | head -1`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "abelian3.cli", "enumerate", "60", "60", "60"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"# ")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in proc.stderr.read()
+        proc.stderr.close()
+
     def test_element_bound_is_usage_error(self, runner, monkeypatch):
         monkeypatch.delenv(ELEMENT_BOUND_ENV, raising=False)
-        result = runner.invoke(cli, ["-q", "enumerate", "64", "64", "2", "--elements"])
+        result = runner.invoke(main, ["-q", "enumerate", "64", "64", "2", "--elements"])
         assert result.exit_code == 2
         assert ELEMENT_BOUND_ENV in result.stderr
 
@@ -181,19 +194,19 @@ class TestEnumerate:
     @pytest.mark.parametrize("with_elements", [False, True])
     def test_csv_header_is_the_record_fields(self, runner, with_elements):
         args = ["-q", "--format", "csv", "enumerate", "2", "2", "2", *["--elements"] * with_elements]
-        result = runner.invoke(cli, args)
+        result = runner.invoke(main, args)
         assert result.exit_code == 0
         header = ",".join(rank3.Subgroup._fields) + ",elements" * with_elements
         assert result.stdout_bytes.split(b"\r\n")[0] == header.encode()
 
     def test_element_bound_env_override(self, runner, monkeypatch):
         monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
-        result = runner.invoke(cli, ["-q", "enumerate", "64", "64", "2", "--elements"])
+        result = runner.invoke(main, ["-q", "enumerate", "64", "64", "2", "--elements"])
         assert result.exit_code == 0
 
     def test_without_elements_no_bound(self, runner, monkeypatch):
         monkeypatch.delenv(ELEMENT_BOUND_ENV, raising=False)
-        result = runner.invoke(cli, ["-q", "--format", "json", "enumerate", "64", "64", "2"])
+        result = runner.invoke(main, ["-q", "--format", "json", "enumerate", "64", "64", "2"])
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == rank3.count_total((64, 64, 2))
 
@@ -234,7 +247,7 @@ class TestChunkedOutput:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_several_chunks_match_line_by_line_rendering(self, runner, fmt):
         group = (12, 12, 12)
-        result = runner.invoke(cli, ["--format", fmt, "enumerate", "12", "12", "12"])
+        result = runner.invoke(main, ["--format", fmt, "enumerate", "12", "12", "12"])
         assert result.exit_code == 0
         header = f"# {rank3.count_total(group)} subgroups of Z_12 x Z_12 x Z_12\n" if fmt == "text" else ""
         want = header + "".join(reference_lines(group, fmt))
@@ -244,7 +257,7 @@ class TestChunkedOutput:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_line_longer_than_a_chunk_is_written_whole(self, runner, monkeypatch, fmt):
         monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
-        result = runner.invoke(cli, ["-q", "--format", fmt, "enumerate", "8192", "1", "1", "--elements"])
+        result = runner.invoke(main, ["-q", "--format", fmt, "enumerate", "8192", "1", "1", "--elements"])
         assert result.exit_code == 0
         want = reference_lines((8192, 1, 1), fmt, with_elements=True)
         assert len(want[fmt == "csv"]) > _CHUNK_CHARS
@@ -280,7 +293,7 @@ class TestChunkedOutput:
             raise RuntimeError("walk failed")
 
         monkeypatch.setattr(rank3, "subgroup_stream", failing)
-        result = runner.invoke(cli, ["-q", "--format", fmt, "enumerate", "12", "12", "12"])
+        result = runner.invoke(main, ["-q", "--format", fmt, "enumerate", "12", "12", "12"])
         assert isinstance(result.exception, RuntimeError)
         assert result.stdout_bytes == "".join(want).encode()
 
@@ -322,17 +335,17 @@ class TestTable:
         assert proc.stdout == fixture
 
     def test_text_with_limit(self, runner):
-        result = runner.invoke(cli, ["-q", "table", "1", "--limit", "5"])
+        result = runner.invoke(main, ["-q", "table", "1", "--limit", "5"])
         assert result.stdout.splitlines() == ["1\t1", "2\t16", "3\t28", "4\t129", "5\t64"]
 
     def test_json_coefficients(self, runner):
-        result = runner.invoke(cli, ["-q", "--format", "json", "table", "2", "--limit", "2"])
+        result = runner.invoke(main, ["-q", "--format", "json", "table", "2", "--limit", "2"])
         lines = result.stdout.splitlines()
         assert json.loads(lines[0]) == {"nu": 1, "coefficients": [4, 2, 2]}
         assert json.loads(lines[1]) == {"nu": 2, "coefficients": [7, 5, 8, 4, 3]}
 
     def test_mixed_table_nesting(self, runner):
-        result = runner.invoke(cli, ["-q", "--format", "json", "table", "3", "--limit", "2"])
+        result = runner.invoke(main, ["-q", "--format", "json", "table", "3", "--limit", "2"])
         triples = [
             (rec["nu1"], rec["nu2"], rec["nu3"])
             for rec in map(json.loads, result.stdout.splitlines())
@@ -340,40 +353,40 @@ class TestTable:
         assert triples == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
 
     def test_unknown_table(self, runner):
-        assert runner.invoke(cli, ["table", "4"]).exit_code == 2
+        assert runner.invoke(main, ["table", "4"]).exit_code == 2
 
 
 class TestPoly:
     def test_single_exponent(self, runner):
-        result = runner.invoke(cli, ["-q", "poly", "2"])
+        result = runner.invoke(main, ["-q", "poly", "2"])
         assert result.exit_code == 0
         assert result.stdout == "7+5 p+8 p^2+4 p^3+3 p^4\n"
 
     def test_three_exponents_with_eval(self, runner):
-        result = runner.invoke(cli, ["-q", "poly", "2", "3", "4", "--eval", "5"])
+        result = runner.invoke(main, ["-q", "poly", "2", "3", "4", "--eval", "5"])
         assert result.exit_code == 0
         assert result.stdout.splitlines()[1] == "at p=5: 27900"
 
     def test_closed_form_matches_default(self, runner):
-        direct = runner.invoke(cli, ["-q", "poly", "3"])
-        closed = runner.invoke(cli, ["-q", "poly", "3", "3", "3", "--closed-form"])
+        direct = runner.invoke(main, ["-q", "poly", "3"])
+        closed = runner.invoke(main, ["-q", "poly", "3", "3", "3", "--closed-form"])
         assert direct.stdout == closed.stdout
 
     def test_closed_form_needs_equal_exponents(self, runner):
-        result = runner.invoke(cli, ["poly", "1", "2", "3", "--closed-form"])
+        result = runner.invoke(main, ["poly", "1", "2", "3", "--closed-form"])
         assert result.exit_code == 2
 
     def test_two_exponents_rejected(self, runner):
-        assert runner.invoke(cli, ["poly", "1", "2"]).exit_code == 2
+        assert runner.invoke(main, ["poly", "1", "2"]).exit_code == 2
 
     def test_json_output(self, runner):
-        result = runner.invoke(cli, ["--format", "json", "poly", "1", "--eval", "3"])
+        result = runner.invoke(main, ["--format", "json", "poly", "1", "--eval", "3"])
         assert json.loads(result.stdout) == {
             "nu1": 1, "nu2": 1, "nu3": 1, "coefficients": [4, 2, 2], "p": 3, "value": 28,
         }
 
     def test_csv_output(self, runner):
-        result = runner.invoke(cli, ["--format", "csv", "poly", "2", "3", "4", "--eval", "5"])
+        result = runner.invoke(main, ["--format", "csv", "poly", "2", "3", "4", "--eval", "5"])
         lines = result.stdout.splitlines()
         assert lines[0] == "nu1,nu2,nu3,s_poly,p,value"
         assert lines[1].endswith(",5,27900")
@@ -381,43 +394,48 @@ class TestPoly:
 
 class TestTypeCount:
     def test_text(self, runner):
-        result = runner.invoke(cli, ["-q", "type-count", "2,1", "1"])
+        result = runner.invoke(main, ["-q", "type-count", "2,1", "1"])
         assert result.exit_code == 0
         assert result.stdout == "1+p\n"
 
     def test_eval(self, runner):
-        result = runner.invoke(cli, ["-q", "type-count", "2,1", "1", "--eval", "3"])
+        result = runner.invoke(main, ["-q", "type-count", "2,1", "1", "--eval", "3"])
         assert result.stdout.splitlines() == ["1+p", "at p=3: 4"]
 
     def test_empty_mu(self, runner):
-        result = runner.invoke(cli, ["-q", "type-count", "2,1", "0"])
+        result = runner.invoke(main, ["-q", "type-count", "2,1", "0"])
         assert result.stdout == "1\n"
 
     def test_json(self, runner):
-        result = runner.invoke(cli, ["--format", "json", "type-count", "1,1,1", "1,1"])
+        result = runner.invoke(main, ["--format", "json", "type-count", "1,1,1", "1,1"])
         assert json.loads(result.stdout) == {
             "lam": [1, 1, 1], "mu": [1, 1], "coefficients": [1, 1, 1],
         }
 
     def test_uncontained_type(self, runner):
-        result = runner.invoke(cli, ["type-count", "1", "2"])
+        result = runner.invoke(main, ["type-count", "1", "2"])
         assert result.exit_code == 2
 
+    def test_uncontained_type_names_the_partitions_as_given(self, runner):
+        result = runner.invoke(main, ["type-count", "3,1", "2,2"])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("error: 2,2 is not contained in 3,1\n")
+
     def test_bad_partition_text(self, runner):
-        assert runner.invoke(cli, ["type-count", "1,x", "1"]).exit_code == 2
-        assert runner.invoke(cli, ["type-count", "1,2", "1"]).exit_code == 2
+        assert runner.invoke(main, ["type-count", "1,x", "1"]).exit_code == 2
+        assert runner.invoke(main, ["type-count", "1,2", "1"]).exit_code == 2
 
 
 class TestVerify:
     def test_small_pass(self, runner):
-        result = runner.invoke(cli, ["-q", "verify", "--max-order", "12"])
+        result = runner.invoke(main, ["-q", "verify", "--max-order", "12"])
         assert result.exit_code == 0
         lines = result.stdout.splitlines()
         assert lines[-1] == "result: PASS"
         assert any(line.startswith("rank-3 groups checked:") for line in lines)
 
     def test_json_report(self, runner):
-        result = runner.invoke(cli, ["-q", "--format", "json", "verify", "--max-order", "10"])
+        result = runner.invoke(main, ["-q", "--format", "json", "verify", "--max-order", "10"])
         assert result.exit_code == 0
         rec = json.loads(result.stdout)
         assert rec["ok"] is True
@@ -425,7 +443,7 @@ class TestVerify:
         assert rec["rank3_shapes"] > rec["rank2_shapes"] > 0
 
     def test_progress_goes_to_stderr(self, runner):
-        result = runner.invoke(cli, ["verify", "--max-order", "10"])
+        result = runner.invoke(main, ["verify", "--max-order", "10"])
         assert "checked m <= 10" in result.stderr
         assert "checked m <=" not in result.stdout
 
@@ -455,18 +473,18 @@ class TestVerify:
             return DerivedParams(A=dp.A, B=dp.B, C=dp.C, X=1)
 
         monkeypatch.setattr(rank3, "derived_params", corrupted)
-        result = runner.invoke(cli, ["-q", "verify", "--max-order", "16"])
+        result = runner.invoke(main, ["-q", "verify", "--max-order", "16"])
         assert result.exit_code == 1
         assert "result: FAIL" in result.stdout
         assert "(2, 4, 2)" in result.stdout
 
     def test_order_past_the_element_bound_is_usage_error(self, runner, monkeypatch):
         monkeypatch.setenv(ELEMENT_BOUND_ENV, "20")
-        result = runner.invoke(cli, ["verify", "--max-order", "24"])
+        result = runner.invoke(main, ["verify", "--max-order", "24"])
         assert result.exit_code == 2
         assert ELEMENT_BOUND_ENV in result.stderr
         assert "FAIL" not in result.stdout
-        assert runner.invoke(cli, ["-q", "verify", "--max-order", "20"]).exit_code == 0
+        assert runner.invoke(main, ["-q", "verify", "--max-order", "20"]).exit_code == 0
 
     def test_corruption_report_names_shapes(self, monkeypatch):
         original = rank3.derived_params
@@ -507,7 +525,7 @@ class TestAsymptotic:
     ARGS = ["--x-values", "100,1000", "--prime-limit", "1000", "--tail-terms", "20000"]
 
     def test_json_stream(self, runner):
-        result = runner.invoke(cli, ["-q", "--format", "json", "asymptotic", *self.ARGS])
+        result = runner.invoke(main, ["-q", "--format", "json", "asymptotic", *self.ARGS])
         assert result.exit_code == 0
         records = [json.loads(line) for line in result.stdout.splitlines()]
         assert records[0]["kind"] == "constants"
@@ -517,14 +535,14 @@ class TestAsymptotic:
         assert reports[1]["relative_error"] < 0.005
 
     def test_text_rows(self, runner):
-        result = runner.invoke(cli, ["-q", "asymptotic", *self.ARGS])
+        result = runner.invoke(main, ["-q", "asymptotic", *self.ARGS])
         assert result.exit_code == 0
         rows = result.stdout.splitlines()
         assert len(rows) == 2
         assert rows[0].split("\t")[0] == "100"
 
     def test_csv_header_only_data_on_stdout(self, runner):
-        result = runner.invoke(cli, ["--format", "csv", "asymptotic", *self.ARGS])
+        result = runner.invoke(main, ["--format", "csv", "asymptotic", *self.ARGS])
         lines = result.stdout.splitlines()
         assert lines[0] == "x,exact_sum,main_term,relative_error,error_exponent_estimate"
         assert len(lines) == 3
@@ -532,12 +550,12 @@ class TestAsymptotic:
         assert "h3=" in result.stderr
 
     def test_rejects_tiny_x(self, runner):
-        result = runner.invoke(cli, ["asymptotic", "--x-values", "1,10"])
+        result = runner.invoke(main, ["asymptotic", "--x-values", "1,10"])
         assert result.exit_code == 2
 
     def test_rejects_malformed_x(self, runner):
-        assert runner.invoke(cli, ["asymptotic", "--x-values", "abc"]).exit_code == 2
-        assert runner.invoke(cli, ["asymptotic", "--x-values", ","]).exit_code == 2
+        assert runner.invoke(main, ["asymptotic", "--x-values", "abc"]).exit_code == 2
+        assert runner.invoke(main, ["asymptotic", "--x-values", ","]).exit_code == 2
 
 
 class TestDeterminism:
@@ -573,7 +591,7 @@ class TestInputBounds:
     )
     def test_sieve_sizes_past_the_bound_fail_fast(self, runner, args):
         start = time.perf_counter()
-        result = runner.invoke(cli, args)
+        result = runner.invoke(main, args)
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         bound = {"--tail-terms": MAX_TAIL_TERMS, "--x-values": MAX_PARTIAL_SUM_X}.get(args[1], MAX_SIEVE)
@@ -593,7 +611,7 @@ class TestInputBounds:
     )
     def test_exponents_past_the_bound_fail_fast(self, runner, args):
         start = time.perf_counter()
-        result = runner.invoke(cli, args)
+        result = runner.invoke(main, args)
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
 
@@ -607,7 +625,7 @@ class TestInputBounds:
     )
     def test_oversized_values_fail_fast(self, runner, args):
         start = time.perf_counter()
-        result = runner.invoke(cli, args)
+        result = runner.invoke(main, args)
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert f"more than {MAX_EVAL_DIGITS} digits" in result.stderr
@@ -627,7 +645,7 @@ class TestInputBounds:
 
     def test_verify_order_past_the_bound_fails_fast(self, runner):
         start = time.perf_counter()
-        result = runner.invoke(cli, ["verify", "--max-order", str(MAX_VERIFY_ORDER + 1)])
+        result = runner.invoke(main, ["verify", "--max-order", str(MAX_VERIFY_ORDER + 1)])
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert str(MAX_VERIFY_ORDER) in result.stderr
@@ -637,17 +655,17 @@ class TestInputBounds:
         # value, 3 p^4 + ..., has one more
         p = 8 * 10**1074
         assert p**4 < 10**MAX_EVAL_DIGITS <= general_form(2)(p)
-        result = runner.invoke(cli, ["poly", "2", "--eval", str(p)])
+        result = runner.invoke(main, ["poly", "2", "--eval", str(p)])
         assert result.exit_code == 2
         assert f"more than {MAX_EVAL_DIGITS} digits" in result.stderr
 
     def test_bounds_are_inclusive(self, runner):
-        assert runner.invoke(cli, ["-q", "poly", "1", "1", str(MAX_EXPONENT)]).exit_code == 0
+        assert runner.invoke(main, ["-q", "poly", "1", "1", str(MAX_EXPONENT)]).exit_code == 0
         # general_form is linear in the exponent; only symbolic_count needs MAX_EXPONENT.
-        assert runner.invoke(cli, ["-q", "poly", "3000", "--closed-form"]).exit_code == 0
-        assert runner.invoke(cli, ["-q", "asymptotic", "--x-values", "100", "--prime-limit", "1000", "--tail-terms", "1000"]).exit_code == 0
-        assert runner.invoke(cli, ["-q", "type-count", str(MAX_PARTITION_SIZE), "1"]).exit_code == 0
-        result = runner.invoke(cli, ["-q", "poly", "2", "--eval", str(7 * 10**1074)])
+        assert runner.invoke(main, ["-q", "poly", "3000", "--closed-form"]).exit_code == 0
+        assert runner.invoke(main, ["-q", "asymptotic", "--x-values", "100", "--prime-limit", "1000", "--tail-terms", "1000"]).exit_code == 0
+        assert runner.invoke(main, ["-q", "type-count", str(MAX_PARTITION_SIZE), "1"]).exit_code == 0
+        result = runner.invoke(main, ["-q", "poly", "2", "--eval", str(7 * 10**1074)])
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()[-1].split(": ")[1]) == MAX_EVAL_DIGITS
 
@@ -667,25 +685,38 @@ class TestFormatKnowledge:
 
 
 class TestImports:
-    def test_count_loads_only_its_modules(self):
+    @pytest.mark.parametrize(
+        ("args", "modules", "formats", "first_line"),
+        [
+            ("count 1 1 1", "arith cli config rank3 typecounts", "", "1"),
+            ("--format json count 1 1 1", "arith cli config rank3 typecounts", "json", '{"m":1,"n":1,"r":1,"kind":"total","order":null,"count":1}'),
+            ("--format csv count 1 1 1", "arith cli config rank3 typecounts", "csv", "m,n,r,kind,order,count"),
+            ("poly 2", "cli config typecounts", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
+            ("type-count 2,1 1", "cli config typecounts", "", "1+p"),
+            ("table 2", "cli config typecounts", "", "# nu  s(p^nu x p^nu x p^nu)"),
+            ("-q asymptotic --x-values 100 --prime-limit 1000 --tail-terms 1000", "arith asymptotics cli config typecounts", "", "100\t5847260\t5598747.422792255\t4.438717e-02\t2.6977"),
+        ],
+        ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "asymptotic"],
+    )
+    def test_count_loads_only_its_modules(self, args, modules, formats, first_line):
+        # formats: the output-format modules this command needs
         code = (
             "import sys\n"
             "from abelian3 import cli\n"
-            "sys.argv = ['abelian3', 'count', '1', '1', '1']\n"
-            "try:\n"
-            "    cli.main()\n"
-            "except SystemExit as exc:\n"
-            "    assert not exc.code, exc.code\n"
-            "loaded = sorted(name for name in sys.modules if name.startswith('abelian3.'))\n"
-            "assert loaded == ['abelian3.arith', 'abelian3.cli', 'abelian3.config', 'abelian3.rank3', 'abelian3.typecounts'], loaded\n"
-            "heavy = [name for name in ('fractions', 'numpy', 'mpmath') if name in sys.modules]\n"
-            "assert not heavy, heavy\n"
+            f"sys.argv = ['abelian3', *{args.split()!r}]\n"
+            "cli.main()\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n"
         )
         src = str(Path(cli_module.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "1\n"
+        assert result.stdout.splitlines()[0] == first_line
+        loaded = set(result.stderr.splitlines()[-1].split())
+        assert sorted(name for name in loaded if name.startswith("abelian3.")) == [f"abelian3.{name}" for name in modules.split()]
+        assert sorted(loaded & {"json", "csv"}) == formats.split()
+        heavy = loaded & {"click", "dataclasses", "inspect", "fractions", "decimal", "numpy", "mpmath"}
+        assert not heavy, heavy
 
     def test_no_module_imports_numpy_or_mpmath(self):
         package = Path(cli_module.__file__).parent
@@ -703,10 +734,10 @@ class TestImports:
 
 class TestTopLevel:
     def test_help_lists_commands(self, runner):
-        result = runner.invoke(cli, ["--help"])
+        result = runner.invoke(main, ["--help"])
         assert result.exit_code == 0
         for name in ("count", "enumerate", "table", "poly", "type-count", "verify", "asymptotic"):
             assert name in result.stdout
 
     def test_unknown_format(self, runner):
-        assert runner.invoke(cli, ["--format", "yaml", "count", "1", "1", "1"]).exit_code == 2
+        assert runner.invoke(main, ["--format", "yaml", "count", "1", "1", "1"]).exit_code == 2

@@ -11,9 +11,9 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from abelian3.cli import cli
+from abelian3.cli import main
+from conftest import CliRunner
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 ASYMPTOTIC = ["asymptotic", "--x-values", "100,500", "--prime-limit", "1000", "--tail-terms", "20000"]
@@ -46,7 +46,7 @@ def argvs() -> list[list[str]]:
 
 
 def digest(argv: list[str]) -> dict:
-    result = CliRunner().invoke(cli, argv)
+    result = CliRunner().invoke(main, argv)
     return {
         "stdout": hashlib.sha256(result.stdout_bytes).hexdigest(),
         "stderr": hashlib.sha256(result.stderr_bytes).hexdigest(),

@@ -1,10 +1,10 @@
 """The README's examples run as shown.
 
 Every fenced ``python`` block is executed. Every ``$ abelian3 ...`` line in a
-fenced block is run through click's CliRunner, and its stdout must equal the
-lines shown after it, up to the next command or the end of the block, with
-runs of whitespace collapsed (the README shows tabs as spaces). A ``...``
-line ends the comparison for its command.
+fenced block is run in process by conftest's CliRunner, and its stdout must
+equal the lines shown after it, up to the next command or the end of the
+block, with runs of whitespace collapsed (the README shows tabs as spaces). A
+``...`` line ends the comparison for its command.
 """
 
 import re
@@ -12,9 +12,9 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from abelian3.cli import cli
+from abelian3.cli import main
+from conftest import CliRunner
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
@@ -53,7 +53,7 @@ def test_python_block_runs(source):
 
 @pytest.mark.parametrize(("command", "shown", "complete"), CLI_EXAMPLES, ids=[cmd for cmd, _, _ in CLI_EXAMPLES])
 def test_cli_example_output(command, shown, complete):
-    result = CliRunner().invoke(cli, shlex.split(command)[1:])
+    result = CliRunner().invoke(main, shlex.split(command)[1:])
     assert result.exit_code == 0, result.output
     got = _collapsed(result.stdout.splitlines())
     assert (got if complete else got[: len(shown)]) == _collapsed(shown)

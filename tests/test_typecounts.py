@@ -220,6 +220,9 @@ class TestPartition:
     def test_size(self):
         assert Partition((3, 2, 2)).size == 7
 
+    def test_str_is_the_command_line_form(self):
+        assert [str(Partition(parts)) for parts in [(3, 2, 2), (1,), ()]] == ["3,2,2", "1", "0"]
+
     def test_conjugate(self):
         assert Partition(()).conjugate() == ()
         assert Partition((3, 2)).conjugate() == (2, 2, 1)
@@ -282,11 +285,11 @@ class TestTypeCount:
             assert type_count(lam, mu).degree == type_count_degree(lam, mu), mu
 
     def test_degree_rejects_uncontained_type(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^3 is not contained in 2,1$"):
             type_count_degree(Partition((2, 1)), Partition((3,)))
 
     def test_rejects_uncontained_type(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^3 is not contained in 2,1$"):
             type_count(Partition((2, 1)), Partition((3,)))
 
     @pytest.mark.parametrize("p", [2, 3])
