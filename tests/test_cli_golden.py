@@ -17,30 +17,35 @@ from conftest import CliRunner
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 ASYMPTOTIC = ["asymptotic", "--x-values", "100,500", "--prime-limit", "1000", "--tail-terms", "20000"]
-# (arguments, whether -q changes the output)
+# (arguments, the -q settings to pin: both when -q changes the output)
+PLAIN, BOTH, QUIET = (False,), (False, True), (True,)
 INPUTS = [
-    (["count", "4", "6", "8"], False),
-    (["count", "4", "6", "8", "--order", "8"], False),
-    (["count", "4", "6", "8", "--cyclic"], False),
-    (["enumerate", "3", "4", "6"], True),
-    (["enumerate", "3", "4", "6", "--elements"], True),
-    (["table", "1", "--limit", "5"], True),
-    (["table", "2", "--limit", "4"], True),
-    (["table", "3", "--limit", "3"], True),
-    (["poly", "2", "3", "4", "--eval", "5"], False),
-    (["poly", "3", "--closed-form"], False),
-    (["type-count", "2,1", "1", "--eval", "3"], False),
-    (["type-count", "2,1", "0"], False),
-    (["verify", "--max-order", "12"], True),
-    (ASYMPTOTIC, True),
+    (["count", "4", "6", "8"], PLAIN),
+    (["count", "4", "6", "8", "--order", "8"], PLAIN),
+    (["count", "4", "6", "8", "--cyclic"], PLAIN),
+    (["enumerate", "3", "4", "6"], BOTH),
+    (["enumerate", "3", "4", "6", "--elements"], BOTH),
+    # one run of 1,024 rows (about 80 KB), longer than a chunk
+    (["enumerate", "1024", "1", "1024"], BOTH),
+    # the stream of the benchmark's enumerate-verify workload at seed 1
+    (["enumerate", "80", "80", "90"], QUIET),
+    (["table", "1", "--limit", "5"], BOTH),
+    (["table", "2", "--limit", "4"], BOTH),
+    (["table", "3", "--limit", "3"], BOTH),
+    (["poly", "2", "3", "4", "--eval", "5"], PLAIN),
+    (["poly", "3", "--closed-form"], PLAIN),
+    (["type-count", "2,1", "1", "--eval", "3"], PLAIN),
+    (["type-count", "2,1", "0"], PLAIN),
+    (["verify", "--max-order", "12"], BOTH),
+    (ASYMPTOTIC, BOTH),
 ]
 
 
 def argvs() -> list[list[str]]:
     out = []
-    for args, quiet_matters in INPUTS:
+    for args, quiets in INPUTS:
         for fmt in ("text", "json", "csv"):
-            for quiet in (False, True) if quiet_matters else (False,):
+            for quiet in quiets:
                 out.append(["--format", fmt, *["-q"] * quiet, *args])
     return out
 
