@@ -9,6 +9,7 @@ degenerate inputs (modulus 1, n = 1).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import compress, repeat
 from typing import Callable, Iterator, NamedTuple
 
@@ -154,6 +155,7 @@ _RHO_BUDGET = 1 << 22
 _RHO_BATCH = 128  # differences multiplied together per gcd
 
 
+@lru_cache(maxsize=32)  # enumerate's header count and its walk's divisor lists factor the same entries
 def factorize(n: int) -> Factorization:
     """Factor n >= 1: trial division by the primes below 1000, then Pollard-Brent rho.
 

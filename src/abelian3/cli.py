@@ -14,8 +14,9 @@ Global flags: --format {text,json,csv} and --quiet. JSON output is one
 object per line; CSV follows RFC 4180. Exit codes: 0 success, 1 verification
 failure or stdout closed by its reader, 2 usage error.
 
-Every command hands its results to _render_rows as plain tuples plus a column
-spec; _render_rows and _note are the only code that looks at the format.
+Every command hands its results to _render_rows as plain tuples (enumerate as
+runs of rows) plus a column spec; _render_rows and _note are the only code
+that looks at the format.
 Start-up is most of what a command costs, so the library modules and the json
 and csv modules are imported where they are first needed.
 """
@@ -26,6 +27,8 @@ import argparse
 import math
 import os
 import sys
+from bisect import bisect_left
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import typecounts
@@ -82,12 +85,7 @@ Columns = Sequence[Column]
 # whose reader keeps up never waits for the reader, while a chunk at least as
 # large as the pipe makes every write wait until the reader has drained it.
 _CHUNK_CHARS = 16 * 1024
-
-
-class _Chunk(list):
-    """Pending output lines; write is list.append, so csv.writer adds its rows here."""
-
-    write = list.append
+_BATCH_LINES = 256  # lines formatted before they are cut into chunks
 
 
 def _note(cfg: OutputConfig, message: str) -> None:
@@ -103,19 +101,23 @@ def _render_rows(
     columns: Columns,
     text: Callable[[tuple], str],
     header: tuple[Columns, tuple, str] | None = None,
+    run: tuple[int, int] | None = None,
 ) -> None:
-    """Write each row to stdout in cfg's format, joined in chunks of about _CHUNK_CHARS.
+    """Write each row to stdout in cfg's format, in chunks of about _CHUNK_CHARS.
 
     A row holds one value per column; text turns it into one or more lines
     of text output (joined by newlines). header is an optional leading record
     with columns, row and text of its own: the first JSON line, or else
     commentary (see _note), as its text or, for CSV, as name=value lines.
-    A line longer than a chunk is written whole. The rest is written and
-    stdout flushed at the end, also when rows raises, so the rows yielded
-    before an error still reach stdout.
+    With run = (i, j), an item of rows is a run (row, length, step) of ints:
+    the rows k < length with row[i] + k and row[j] + step k (step >= 1) in
+    columns i and j. Its other cells are formatted once, into a line with two
+    %d holes filled per row; text must show cells as str does, i and j once
+    each in that order. A write ends with the first line that brings it to
+    _CHUNK_CHARS, so long runs are written in pieces; the lines formatted
+    before rows raises are written too.
     """
-    fmt = cfg.fmt
-    chunk = _Chunk()
+    fmt, lead = cfg.fmt, []
 
     def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:
         """Names of the columns fmt shows, and row -> their values in fmt."""
@@ -128,7 +130,8 @@ def _render_rows(
     if fmt == "text":
         if header is not None:
             _note(cfg, header[2])
-        emit = lambda row: chunk.append(text(row) + "\n")
+        lines = map("%s\n".__mod__, map(text, rows))
+        marked = lambda marks: text(marks) + "\n"
     elif fmt == "json":
         from json import encoder
         # JSONEncoder.encode builds a new C encoder on every call, which costs
@@ -140,30 +143,44 @@ def _render_rows(
         names, values = shown(columns)
         # rows of plain ints (type excludes bool) fill one template; others go through the encoder
         line = "{" + ",".join(json_line(name).replace("%", "%%") + ":%d" for name in names) + "}\n"
-        emit = lambda row: chunk.append(line % vals if set(map(type, vals := tuple(values(row)))) == {int} else json_line(dict(zip(names, vals))) + "\n")
+        lines = map(lambda row: line % vals if set(map(type, vals := tuple(values(row)))) == {int} else json_line(dict(zip(names, vals))) + "\n", rows)
+        marked = lambda marks: "{" + ",".join(json_line(name) + ":" + mark for name, mark in zip(names, marks)) + "}\n"
         if header is not None:
             head_names, head_values = shown(header[0])
-            chunk.append(json_line(dict(zip(head_names, head_values(header[1])))) + "\n")
+            lead.append(json_line(dict(zip(head_names, head_values(header[1])))) + "\n")
     else:
         if header is not None:
             head_names, head_values = shown(header[0])
             _note(cfg, "\n".join(f"{name}={value}" for name, value in zip(head_names, head_values(header[1]))))
         import csv
         names, values = shown(columns)
-        writer = csv.writer(chunk, lineterminator="\r\n")
-        writer.writerow(names)
-        emit = lambda row: writer.writerow(values(row))
-    size = sum(map(len, chunk))
+        # writerow returns what write returns, and str(line) is the line itself
+        writer = csv.writer(argparse.Namespace(write=str), lineterminator="\r\n")
+        lead.append(writer.writerow(names))
+        lines = map(writer.writerow, rows if values is _same else map(values, rows))
+        marked = lambda marks: ",".join(marks) + "\r\n"
+    if run is not None:
+        # the run's line as a str.format template: cell k is {k}, cells i and j are %d holes
+        i, j = run
+        marks = [f"\0{k}\0" for k in range(len(columns))]
+        template = marked(marks).replace("%", "%%").replace("{", "{{").replace("}", "}}")
+        assert template.count(marks[i]) == template.count(marks[j]) == 1 and template.index(marks[i]) < template.index(marks[j])
+        for k, mark in enumerate(marks):
+            template = template.replace(mark, "%d" if k in run else f"{{{k}}}")
+        lines = chain.from_iterable(map(template.format(*row).__mod__, zip(range(row[i], row[i] + length), range(row[j], row[j] + step * length, step))) for row, length, step in rows)
+    lines, pending, start = chain(lead, lines), [], 0
     try:
-        for row in rows:
-            emit(row)
-            size += len(chunk[-1])
-            if size >= _CHUNK_CHARS:
-                sys.stdout.write("".join(chunk))
-                chunk.clear()
-                size = 0
+        while True:
+            pending, start = ["".join(pending[start:])], 0  # what is not written yet, as one string
+            pending.extend(islice(lines, _BATCH_LINES))
+            if len(pending) == 1:
+                break
+            ends = list(accumulate(map(len, pending)))
+            while (end := bisect_left(ends, (start and ends[start - 1]) + _CHUNK_CHARS, start)) < len(ends):
+                sys.stdout.write("".join(pending[start : end + 1]))
+                start = end + 1
     finally:
-        sys.stdout.write("".join(chunk))
+        sys.stdout.write("".join(pending[start:]))
         sys.stdout.flush()
 
 
@@ -234,12 +251,13 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
         line = f"a={a} b={b} c={c} t={t} w={w} z={z} | basis ({a},0,0) ({s},{b},0) ({u},{v},{c}) | order {order}"
         return f"{line} | elements ({') ('.join(_element_cells(row[13]))})" if with_elements else line
 
-    rows: Iterable[tuple] = rank3.subgroup_stream(group)
     columns = [*map(Column, rank3.Subgroup._fields)]
     if with_elements:
-        rows = ((*sub, sorted(rank3.subgroup_elements(sub))) for sub in rows)
+        rows = ((*sub, sorted(rank3.subgroup_elements(sub))) for sub in rank3.subgroup_stream(group))
         columns.append(Column("elements", csv=lambda elements: " ".join(_element_cells(elements))))
-    _render_rows(cfg, rows, columns, to_text)
+        _render_rows(cfg, rows, columns, to_text)
+    else:  # the rows of a run differ in z and u only
+        _render_rows(cfg, rank3.subgroup_runs(group), columns, to_text, run=tuple(map(rank3.Subgroup._fields.index, "zu")))
 
 
 # A polynomial is shown as text in CSV and as its coefficient list in JSON.

@@ -16,10 +16,12 @@ what makes the paper's divisor-sum counting formulas exact. Those sums stay
 as reference routes for the tests and `verify`; the counts users get are
 products over the primes of m n r of terms that depend only on exponents.
 
-subgroup_stream walks the family once: divisor lists per group, (A, B, C, X)
-and the order per divisor triple, gcd(t, X) per t, s, v and the least
-solution u0 of the u-congruence per (t, w), and u = u0 + (a/C) z per z. It
-yields one Subgroup record per subgroup, whose fields are the CLI's columns.
+subgroup_runs walks the family once: divisor lists per group, (A, B, C, X)
+and the order per divisor triple, gcd(t, X) per t, and s, v and the least
+solution u0 of the u-congruence per (t, w). That solve fixes a run of C
+subgroups, u = u0 + (a/C) z for 0 <= z < C, which the walk yields as one
+item. subgroup_stream expands the runs into one Subgroup record per
+subgroup, whose fields are the CLI's columns.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .config import element_bound
 from .typecounts import order_terms, symbolic_count
 
 Group3 = tuple[int, int, int]
+_new_tuple = tuple.__new__  # Subgroup(...) without the Python frame of NamedTuple.__new__
 
 
 class Sextuple(NamedTuple):
@@ -101,27 +104,33 @@ def derived_params(a: int, b: int, c: int, group: Group3) -> DerivedParams:
     return DerivedParams(A=big_a, B=big_b, C=big_c, X=x)
 
 
-def subgroup_stream(group: Group3) -> Iterator[Subgroup]:
-    """Yield a Subgroup for every subgroup, in ascending (a, b, c, t, w, z).
+def subgroup_runs(group: Group3) -> Iterator[tuple[Subgroup, int, int]]:
+    """Yield a run (first, C, a/C) per (a, b, c, t, w), in ascending order.
 
-    Each quantity is computed at the loop level where its inputs change (see
-    the module docstring); the stream length equals count_total(group).
+    A run is the C subgroups first with z = k and u = first.u + (a/C) k for
+    0 <= k < C, so the run lengths sum to count_total(group). The module
+    docstring lists what is computed at which loop level.
     """
     m, n, r = _validated(group)
-    divisors_n, divisors_r = divisors(n), divisors(r)
-    for a in divisors(m):
-        for b in divisors_n:
-            for c in divisors_r:
-                dp = derived_params(a, b, c, group)
-                rc, step = r // c, a // dp.C
-                order = (m // a) * (n // b) * rc
-                for t in range(dp.A):
-                    g = math.gcd(t, dp.X)  # gcd(0, X) = X
-                    for w in range(dp.B * g // dp.X):
-                        s, v, u0 = _shifts(a, b, rc, dp, t, g, w)
-                        for z in range(dp.C):
-                            # positional arguments: keywords make the walk about a fifth slower
-                            yield Subgroup(m, n, r, a, b, c, t, w, z, s, u0 + step * z, v, order)
+    for a, b, c in product(divisors(m), divisors(n), divisors(r)):
+        dp = derived_params(a, b, c, group)
+        rc, step = r // c, a // dp.C
+        order = (m // a) * (n // b) * rc
+        for t in range(dp.A):
+            g = math.gcd(t, dp.X)  # gcd(0, X) = X
+            for w in range(dp.B * g // dp.X):
+                s, v, u0 = _shifts(a, b, rc, dp, t, g, w)
+                # positional arguments: keywords make the walk about a fifth slower
+                yield Subgroup(m, n, r, a, b, c, t, w, 0, s, u0, v, order), dp.C, step
+
+
+def subgroup_stream(group: Group3) -> Iterator[Subgroup]:
+    """Yield a Subgroup for every subgroup, in ascending (a, b, c, t, w, z): the runs of subgroup_runs, expanded."""
+    for first, length, step in subgroup_runs(group):
+        yield first
+        m, n, r, a, b, c, t, w, _, s, u0, v, order = first
+        for z in range(1, length):
+            yield _new_tuple(Subgroup, (m, n, r, a, b, c, t, w, z, s, u0 + step * z, v, order))
 
 
 def enumerate_sextuples(group: Group3) -> Iterator[Sextuple]:
@@ -248,13 +257,10 @@ def count_total_divisor_sum(group: Group3) -> int:
     """
     m, n, r = _validated(group)
     pillai = lru_cache(maxsize=None)(gcd_sum)
-    divisors_n, divisors_r = divisors(n), divisors(r)
     total = 0
-    for a in divisors(m):
-        for b in divisors_n:
-            for c in divisors_r:
-                dp = derived_params(a, b, c, group)
-                total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * pillai(dp.X)
+    for a, b, c in product(divisors(m), divisors(n), divisors(r)):
+        dp = derived_params(a, b, c, group)
+        total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * pillai(dp.X)
     return total
 
 
@@ -267,15 +273,12 @@ def count_cyclic_divisor_sum(group: Group3) -> int:
     """
     m, n, r = _validated(group)
     phi = lru_cache(maxsize=None)(lambda k: evaluate(PHI, k))
-    divisors_n, divisors_r = divisors(n), divisors(r)
     total = 0
-    for a in divisors(m):
-        for b in divisors_n:
-            for c in divisors_r:
-                num = phi(a) * phi(b) * phi(c)
-                den = phi(math.lcm(a, b, c))
-                assert num % den == 0
-                total += num // den
+    for a, b, c in product(divisors(m), divisors(n), divisors(r)):
+        num = phi(a) * phi(b) * phi(c)
+        den = phi(math.lcm(a, b, c))
+        assert num % den == 0
+        total += num // den
     return total
 
 

@@ -165,6 +165,18 @@ class TestEnumerate:
         assert b"Traceback" not in proc.stderr.read()
         proc.stderr.close()
 
+    def test_each_entry_is_factored_once(self, runner, monkeypatch):
+        # the header's count_total and the walk's divisor lists share one factorization per entry
+        n = 1000003 * 1000033  # past trial division, so factorize runs rho
+        rho, rho_calls = arith._rho_divisor, []
+        monkeypatch.setattr(arith, "_rho_divisor", lambda *args: rho_calls.append(args) or rho(*args))
+        arith.factorize.cache_clear()
+        result = runner.invoke(main, ["-q", "enumerate", str(n), "1", "1"])
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == rank3.count_total((n, 1, 1)) == 4
+        assert arith.factorize.cache_info().misses == 2  # n and 1
+        assert len(rho_calls) == 1
+
     def test_element_bound_is_usage_error(self, runner, monkeypatch):
         monkeypatch.delenv(ELEMENT_BOUND_ENV, raising=False)
         result = runner.invoke(main, ["-q", "enumerate", "64", "64", "2", "--elements"])
@@ -284,15 +296,17 @@ class TestChunkedOutput:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_rows_before_an_error_reach_stdout(self, runner, monkeypatch, fmt):
-        rows = 7
+        walk = rank3.subgroup_runs
+        lengths = [length for _, length, _ in walk((12, 12, 12))]
+        runs = [length > 1 for length in lengths].index(True) + 2  # past the first run of several rows
+        rows = sum(lengths[:runs])
         want = reference_lines((12, 12, 12), fmt)[: rows + (fmt == "csv")]
-        walk = rank3.subgroup_stream
 
         def failing(group):
-            yield from islice(walk(group), rows)
+            yield from islice(walk(group), runs)
             raise RuntimeError("walk failed")
 
-        monkeypatch.setattr(rank3, "subgroup_stream", failing)
+        monkeypatch.setattr(rank3, "subgroup_runs", failing)
         result = runner.invoke(main, ["-q", "--format", fmt, "enumerate", "12", "12", "12"])
         assert isinstance(result.exception, RuntimeError)
         assert result.stdout_bytes == "".join(want).encode()
@@ -324,6 +338,65 @@ class TestJsonRows:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             _render_rows(OutputConfig(fmt="json", quiet=True), rows, [Column(name) for name in names], str)
         assert out.getvalue() == "".join(json.dumps(dict(zip(names, row)), separators=(",", ":")) + "\n" for row in rows)
+
+
+def rendered(fmt, rows, columns, text, run=None):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _render_rows(OutputConfig(fmt=fmt, quiet=True), rows, columns, text, run=run)
+    return out.getvalue()
+
+
+def expand(runs, i, j):
+    """The rows a run (row, length, step) stands for: row[i] + k and row[j] + step k."""
+    return [
+        (*row[:i], row[i] + k, *row[i + 1 : j], row[j] + step * k, *row[j + 1 :])
+        for row, length, step in runs
+        for k in range(length)
+    ]
+
+
+class TestRuns:
+    @given(
+        fmt=st.sampled_from(["text", "json", "csv"]),
+        names=st.lists(st.text(alphabet='ab%{}",\\ \n', max_size=4), min_size=2, max_size=5, unique=True),
+        data=st.data(),
+    )
+    @example(fmt="json", names=["%", "a%d", "{0}"], data=None)
+    def test_a_run_renders_as_its_rows(self, fmt, names, data):
+        if data is None:
+            i, j, runs = 0, 2, [((0, 5, 7), 3, 2), ((1, 0, 9), 1, 1)]
+        else:
+            i, j = sorted(data.draw(st.lists(st.integers(0, len(names) - 1), min_size=2, max_size=2, unique=True)))
+            cell = st.integers(min_value=0, max_value=2**70)
+            row = st.tuples(*[cell] * len(names))
+            runs = data.draw(st.lists(st.tuples(row, st.integers(1, 30), st.integers(1, 2**40)), max_size=6))
+        columns = [Column(name) for name in names]
+        # names with %, braces and quotes in the text lines too, around every cell
+        text = lambda row: "|".join(f"{name}{{%d}}{cell}" for name, cell in zip(names, row))
+        assert rendered(fmt, runs, columns, text, run=(i, j)) == rendered(fmt, expand(runs, i, j), columns, text)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_a_run_longer_than_a_chunk_is_written_in_pieces(self, monkeypatch, fmt):
+        sizes, written = [], io.StringIO()
+
+        class Recorder:
+            def write(self, data):
+                sizes.append(len(data))
+                written.write(data)
+
+            def flush(self):
+                pass
+
+        columns = [Column(name) for name in rank3.Subgroup._fields]
+        run = (rank3.Subgroup._fields.index("z"), rank3.Subgroup._fields.index("u"))
+        runs = [(rank3.Subgroup(1024, 1, 1024, 1024, 1, 1, 0, 0, 0, 0, 0, 0, 1024), 20_000, 1)]
+        text = lambda row: " ".join(map(str, row))
+        want = rendered(fmt, expand(runs, *run), columns, text)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        _render_rows(OutputConfig(fmt=fmt, quiet=True), runs, columns, text, run=run)
+        assert written.getvalue() == want
+        assert len(want) > 10 * _CHUNK_CHARS
+        assert max(sizes) <= 32 * 1024
 
 
 class TestTable:

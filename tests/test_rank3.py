@@ -12,6 +12,7 @@ from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank2 import count_rank2
 from abelian3.rank3 import (
     Sextuple,
+    Subgroup,
     count_by_order,
     count_cyclic,
     count_cyclic_divisor_sum,
@@ -21,6 +22,7 @@ from abelian3.rank3 import (
     enumerate_sextuples,
     materialize,
     subgroup_elements,
+    subgroup_runs,
     subgroup_stream,
 )
 from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
@@ -138,6 +140,29 @@ class TestSubgroupStream:
         assert len(triples) == len(divisors(12)) ** 3
         assert len(shifts) < len(subs)
         assert calls == {"derived_params": len(triples), "solve_linear_congruence": len(shifts)}
+
+
+SMALL_SHAPES = [(m, n, r) for m in range(1, 121) for n in range(1, 120 // m + 1) for r in range(1, 120 // (m * n) + 1)]
+
+
+class TestSubgroupRuns:
+    def test_stream_is_the_expansion_of_the_runs(self):
+        for group in SMALL_SHAPES:
+            runs = list(subgroup_runs(group))
+            expanded = [first._replace(z=k, u=first.u + step * k) for first, length, step in runs for k in range(length)]
+            stream = list(subgroup_stream(group))
+            assert stream == expanded, group
+            assert all(type(sub) is Subgroup for sub in stream), group
+
+    def test_a_run_is_one_congruence_solve(self):
+        # C = gcd(a, r/c) subgroups per (a, b, c, t, w), u stepping by a/C
+        for group in [*SMALL_SHAPES, (1024, 1, 1024)]:
+            runs = list(subgroup_runs(group))
+            for first, length, step in runs:
+                big_c = derived_params(first.a, first.b, first.c, group).C
+                assert (first.z, length, step) == (0, big_c, first.a // big_c), (group, first)
+            assert len({first[3:8] for first, _, _ in runs}) == len(runs), group
+            assert sum(length for _, length, _ in runs) == count_total(group), group
 
 
 class TestMaterialize:
