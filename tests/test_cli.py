@@ -355,25 +355,24 @@ def expand(runs, i, j):
     ]
 
 
+@st.composite
+def named_runs(draw):
+    """Column names (with %, braces and quotes), the run columns (i, j) and runs of nonnegative ints."""
+    names = draw(st.lists(st.text(alphabet='ab%{}",\\ \n', max_size=4), min_size=2, max_size=5, unique=True))
+    i, j = sorted(draw(st.lists(st.integers(0, len(names) - 1), min_size=2, max_size=2, unique=True)))
+    row = st.tuples(*[st.integers(min_value=0, max_value=2**70)] * len(names))
+    return names, (i, j), draw(st.lists(st.tuples(row, st.integers(1, 30), st.integers(1, 2**40)), max_size=6))
+
+
 class TestRuns:
-    @given(
-        fmt=st.sampled_from(["text", "json", "csv"]),
-        names=st.lists(st.text(alphabet='ab%{}",\\ \n', max_size=4), min_size=2, max_size=5, unique=True),
-        data=st.data(),
-    )
-    @example(fmt="json", names=["%", "a%d", "{0}"], data=None)
-    def test_a_run_renders_as_its_rows(self, fmt, names, data):
-        if data is None:
-            i, j, runs = 0, 2, [((0, 5, 7), 3, 2), ((1, 0, 9), 1, 1)]
-        else:
-            i, j = sorted(data.draw(st.lists(st.integers(0, len(names) - 1), min_size=2, max_size=2, unique=True)))
-            cell = st.integers(min_value=0, max_value=2**70)
-            row = st.tuples(*[cell] * len(names))
-            runs = data.draw(st.lists(st.tuples(row, st.integers(1, 30), st.integers(1, 2**40)), max_size=6))
+    @given(fmt=st.sampled_from(["text", "json", "csv"]), case=named_runs())
+    @example(fmt="json", case=(["%", "a%d", "{0}"], (0, 2), [((0, 5, 7), 3, 2), ((1, 0, 9), 1, 1)]))
+    def test_a_run_renders_as_its_rows(self, fmt, case):
+        names, run, runs = case
         columns = [Column(name) for name in names]
-        # names with %, braces and quotes in the text lines too, around every cell
+        # the text lines hold the names and more %, braces and quotes around every cell
         text = lambda row: "|".join(f"{name}{{%d}}{cell}" for name, cell in zip(names, row))
-        assert rendered(fmt, runs, columns, text, run=(i, j)) == rendered(fmt, expand(runs, i, j), columns, text)
+        assert rendered(fmt, runs, columns, text, run=run) == rendered(fmt, expand(runs, *run), columns, text)
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_a_run_longer_than_a_chunk_is_written_in_pieces(self, monkeypatch, fmt):
