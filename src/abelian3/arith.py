@@ -1,9 +1,9 @@
-"""Number-theoretic kernel: linear congruences, factorization, sieves, and
-multiplicative functions (including Pillai's gcd-sum function).
+"""Number-theoretic kernel: factorization, sieves, and multiplicative
+functions (including Pillai's gcd-sum function).
 
 Everything downstream leans on this module, so the contracts here are strict:
-exact integer arithmetic throughout, and explicit conventions for the
-degenerate inputs (modulus 1, n = 1).
+exact integer arithmetic throughout, and an explicit convention for the
+degenerate input n = 1.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from itertools import compress, repeat
 from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
-    "CongruenceSolution",
     "Factorization",
     "MultiplicativeFunction",
     "MOBIUS",
@@ -31,7 +30,6 @@ __all__ = [
     "odd_spf_sieve",
     "primes_up_to",
     "sieve_multiplicative",
-    "solve_linear_congruence",
 ]
 
 # The first 14 primes. The first 13 make Miller-Rabin exact below
@@ -65,37 +63,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class CongruenceSolution(NamedTuple):
-    """Solution family u = base_solution + k * period for 0 <= k < count.
-
-    base_solution lies in [0, period); the family lists every solution in
-    [0, modulus) exactly once.
-    """
-
-    base_solution: int
-    period: int
-    count: int
-
-    def solutions(self) -> list[int]:
-        return [self.base_solution + k * self.period for k in range(self.count)]
-
-
-def solve_linear_congruence(coeff: int, rhs: int, modulus: int) -> CongruenceSolution | None:
-    """Solve coeff * u = rhs (mod modulus) over u in [0, modulus).
-
-    Returns None when g = gcd(coeff, modulus) does not divide rhs. Otherwise
-    there are exactly g solutions, spaced modulus/g apart.
-    """
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    g = math.gcd(coeff, modulus)
-    if rhs % g:
-        return None
-    period = modulus // g
-    base = rhs // g * pow(coeff // g, -1, period) % period
-    return CongruenceSolution(base_solution=base, period=period, count=g)
 
 
 class Factorization:

@@ -16,9 +16,10 @@ what makes the paper's divisor-sum counting formulas exact. Those sums stay
 as reference routes for the tests and `verify`; the counts users get are
 products over the primes of m n r of terms that depend only on exponents.
 
-subgroup_runs walks the family once: divisor lists per group, (A, B, C, X)
-and the order per divisor triple, gcd(t, X) per t, and s, v and the least
-solution u0 of the u-congruence per (t, w). That solve fixes a run of C
+subgroup_runs walks the family once: divisor lists per group; (A, B, C, X),
+the order and the inverse of (r/c)/C modulo a/C per divisor triple;
+gcd(t, X) per t; and s, v and the least solution u0 of the u-congruence
+(r/c) u = (r/c) v s / b (mod a) per (t, w). That solve fixes a run of C
 subgroups, u = u0 + (a/C) z for 0 <= z < C, which the walk yields as one
 item. subgroup_stream expands the runs into one Subgroup record per
 subgroup, whose fields are the CLI's columns.
@@ -29,10 +30,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import arith
-from .arith import PHI, divisors, evaluate, gcd_sum, solve_linear_congruence
+from .arith import PHI, divisors, evaluate, gcd_sum
 from .config import element_bound
 from .typecounts import order_terms, symbolic_count
 
@@ -116,10 +117,11 @@ def subgroup_runs(group: Group3) -> Iterator[tuple[Subgroup, int, int]]:
         dp = derived_params(a, b, c, group)
         rc, step = r // c, a // dp.C
         order = (m // a) * (n // b) * rc
+        shifts = _shift_rule(a, b, rc, dp)
         for t in range(dp.A):
             g = math.gcd(t, dp.X)  # gcd(0, X) = X
             for w in range(dp.B * g // dp.X):
-                s, v, u0 = _shifts(a, b, rc, dp, t, g, w)
+                s, v, u0 = shifts(t, g, w)
                 # positional arguments: keywords make the walk about a fifth slower
                 yield Subgroup(m, n, r, a, b, c, t, w, 0, s, u0, v, order), dp.C, step
 
@@ -142,7 +144,7 @@ def materialize(sx: Sextuple, group: Group3) -> Subgroup:
     """Solve one sextuple on its own (the tests' reference for subgroup_stream).
 
     Checks the ranges with derived_params and gcd(t, X), takes (s, v, u0)
-    from _shifts as the walk does, and sets u = u0 + (a/C) z.
+    from the triple's _shift_rule as the walk does, and sets u = u0 + (a/C) z.
     """
     m, n, r = _validated(group)
     a, b, c, t, w, z = sx
@@ -150,25 +152,36 @@ def materialize(sx: Sextuple, group: Group3) -> Subgroup:
     g = math.gcd(t, dp.X)
     if not (0 <= t < dp.A and 0 <= w < dp.B * g // dp.X and 0 <= z < dp.C):
         raise ValueError(f"{sx} outside the admissible ranges for {group}")
-    s, v, u0 = _shifts(a, b, r // c, dp, t, g, w)
+    s, v, u0 = _shift_rule(a, b, r // c, dp)(t, g, w)
     return Subgroup(m, n, r, a, b, c, t, w, z, s, u0 + (a // dp.C) * z, v, (m // a) * (n // b) * (r // c))
 
 
-def _shifts(a: int, b: int, rc: int, dp: DerivedParams, t: int, g: int, w: int) -> tuple[int, int, int]:
-    """(s, v, u0) for one (a, b, c, t, w), given rc = r/c and g = gcd(t, X).
+def _shift_rule(a: int, b: int, rc: int, dp: DerivedParams) -> Callable[[int, int, int], tuple[int, int, int]]:
+    """The shift algebra of one divisor triple, given rc = r/c: a function
+    (t, g, w) -> (s, v, u0) for g = gcd(t, X).
 
     s = a t / A and v = b X w / (B g) are exact divisions; u0 is the least of
-    the C solutions, a/C apart, of (r/c) u = (r/c) v s / b (mod a).
+    the C solutions, a/C apart, of (r/c) u = (r/c) v s / b (mod a). C =
+    gcd(r/c, a) and the inverse of (r/c)/C modulo a/C depend only on the
+    triple, so they are computed here, once.
     """
-    assert (a * t) % dp.A == 0
-    s = a * t // dp.A
-    den = dp.B * g
-    assert (b * dp.X * w) % den == 0
-    v = b * dp.X * w // den
-    assert (rc * v) % b == 0
-    sol = solve_linear_congruence(rc, (rc * v // b) * s, a)
-    assert sol is not None and sol.count == dp.C
-    return s, v, sol.base_solution
+    big_a, big_b, big_c, x = dp
+    assert math.gcd(rc, a) == big_c
+    period = a // big_c
+    inverse = pow(rc // big_c, -1, period)
+
+    def shifts(t: int, g: int, w: int) -> tuple[int, int, int]:
+        assert (a * t) % big_a == 0
+        s = a * t // big_a
+        den = big_b * g
+        assert (b * x * w) % den == 0
+        v = b * x * w // den
+        assert (rc * v) % b == 0
+        rhs = (rc * v // b) * s
+        assert rhs % big_c == 0
+        return s, v, rhs // big_c * inverse % period
+
+    return shifts
 
 
 def subgroup_elements(sub: Subgroup) -> set[tuple[int, int, int]]:
@@ -239,14 +252,16 @@ def count_by_order(group: Group3, delta: int) -> int:
 def count_cyclic(group: Group3) -> int:
     """Number of cyclic subgroups of Z_m x Z_n x Z_r.
 
-    Product over the primes p of m n r of the sum over exponent triples
-    (i, j, k) of phi(p^i) phi(p^j) phi(p^k) / phi(p^max(i, j, k)).
+    Product over the primes p of m n r of 1 + the sum over k >= 1 of the
+    number of elements of order p^k over phi(p^k), the number of generators
+    of each cyclic subgroup of that order. The elements of order dividing
+    p^k number the product over the axes of p^min(k, e), so the sum has
+    max(e) terms; count_cyclic_divisor_sum is the paper's route.
     """
     total = 1
-    for p, (e1, e2, e3) in _prime_exponents(group).items():
-        phi = [1] + [(p - 1) * p**i for i in range(max(e1, e2, e3))]  # phi[i] = phi(p^i)
-        triples = product(range(e1 + 1), range(e2 + 1), range(e3 + 1))
-        total *= sum(phi[i] * phi[j] * phi[k] // phi[max(i, j, k)] for i, j, k in triples)
+    for p, exps in _prime_exponents(group).items():
+        dividing = [math.prod(p ** min(k, e) for e in exps) for k in range(max(exps) + 1)]
+        total *= 1 + sum((dividing[k] - dividing[k - 1]) // ((p - 1) * p ** (k - 1)) for k in range(1, len(dividing)))
     return total
 
 

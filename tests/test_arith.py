@@ -13,7 +13,6 @@ from abelian3.arith import (
     PHI,
     PILLAI,
     TAU,
-    CongruenceSolution,
     Factorization,
     divisors,
     evaluate,
@@ -25,7 +24,6 @@ from abelian3.arith import (
     odd_spf_sieve,
     primes_up_to,
     sieve_multiplicative,
-    solve_linear_congruence,
 )
 
 
@@ -47,44 +45,6 @@ class TestIsPrime:
         assert not is_prime(p * q)
         assert is_prime(p) and is_prime(q)
         assert factorize(p * q).pairs == ((p, 1), (q, 1))
-
-
-class TestSolveLinearCongruence:
-    def test_examples(self):
-        assert solve_linear_congruence(2, 4, 6) == CongruenceSolution(2, 3, 2)
-        assert solve_linear_congruence(2, 3, 4) is None
-        assert solve_linear_congruence(1, 0, 5) == CongruenceSolution(0, 5, 1)
-
-    def test_modulus_one(self):
-        sol = solve_linear_congruence(0, 7, 1)
-        assert sol == CongruenceSolution(0, 1, 1)
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            solve_linear_congruence(1, 1, 0)
-
-    def test_exhaustive_small_moduli(self):
-        # Full cross-check against brute force for every modulus <= 40.
-        for modulus in range(1, 41):
-            for coeff in range(modulus):
-                for rhs in range(modulus):
-                    truth = {u for u in range(modulus) if (coeff * u - rhs) % modulus == 0}
-                    sol = solve_linear_congruence(coeff, rhs, modulus)
-                    if sol is None:
-                        assert truth == set()
-                    else:
-                        assert 0 <= sol.base_solution < sol.period
-                        assert set(sol.solutions()) == truth
-                        assert sol.count == len(truth)
-
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 1000))
-    def test_sampled_larger_moduli(self, coeff, rhs, modulus):
-        truth = {u for u in range(modulus) if (coeff * u - rhs) % modulus == 0}
-        sol = solve_linear_congruence(coeff, rhs, modulus)
-        if sol is None:
-            assert truth == set()
-        else:
-            assert set(sol.solutions()) == truth
 
 
 class TestFactorize:

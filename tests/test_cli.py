@@ -53,6 +53,15 @@ class TestCount:
         assert result.exit_code == 0
         assert result.stdout == "5\n"
 
+    def test_cyclic_large_exponents_finish_fast(self):
+        # Z_{p^e}^3 has 1 + (p^2 + p + 1)(p^(2e) - 1)/(p^2 - 1) cyclic subgroups
+        x = str(2**300)
+        start = time.perf_counter()
+        result = run_cli(["count", x, x, x, "--cyclic"])
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 0
+        assert result.stdout == b"%d\n" % (1 + 7 * (4**300 - 1) // 3)
+
     def test_json_record(self, runner):
         result = runner.invoke(main, ["--format", "json", "count", "4", "6", "8"])
         assert result.exit_code == 0

@@ -1,6 +1,6 @@
 import math
 import time
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -121,25 +121,26 @@ class TestSubgroupStream:
         assert [sub.group for sub in subs] == [(4, 6, 8)] * len(subs)
 
     def test_solves_once_per_triple_and_shift(self, monkeypatch):
-        calls = {"derived_params": 0, "solve_linear_congruence": 0}
+        # derived_params and the shift rule once per divisor triple; the
+        # rule's function once per (a, b, c, t, w)
+        calls = {"derived_params": 0, "_shift_rule": 0, "shifts": 0}
 
-        def counting(name):
-            original = getattr(rank3, name)
-
+        def counting(name, original):
             def counted(*args):
                 calls[name] += 1
                 return original(*args)
 
             return counted
 
-        for name in calls:
-            monkeypatch.setattr(rank3, name, counting(name))
+        rule = rank3._shift_rule
+        monkeypatch.setattr(rank3, "derived_params", counting("derived_params", rank3.derived_params))
+        monkeypatch.setattr(rank3, "_shift_rule", counting("_shift_rule", lambda *args: counting("shifts", rule(*args))))
         subs = list(subgroup_stream((12, 12, 12)))
         triples = {(sub.a, sub.b, sub.c) for sub in subs}
         shifts = {(sub.a, sub.b, sub.c, sub.t, sub.w) for sub in subs}
         assert len(triples) == len(divisors(12)) ** 3
         assert len(shifts) < len(subs)
-        assert calls == {"derived_params": len(triples), "solve_linear_congruence": len(shifts)}
+        assert calls == {"derived_params": len(triples), "_shift_rule": len(triples), "shifts": len(shifts)}
 
 
 SMALL_SHAPES = [(m, n, r) for m in range(1, 121) for n in range(1, 120 // m + 1) for r in range(1, 120 // (m * n) + 1)]
@@ -163,6 +164,18 @@ class TestSubgroupRuns:
                 assert (first.z, length, step) == (0, big_c, first.a // big_c), (group, first)
             assert len({first[3:8] for first, _, _ in runs}) == len(runs), group
             assert sum(length for _, length, _ in runs) == count_total(group), group
+
+    def test_first_u_is_the_least_solution_of_the_u_congruence(self):
+        # brute force over [0, a): (r/c) u = (r/c) v s / b (mod a) has exactly
+        # C solutions, and the run starts at the least
+        for group in [*SMALL_SHAPES, (1024, 1, 1024)]:
+            for first, _, _ in subgroup_runs(group):
+                a, rc = first.a, first.r // first.c
+                assert (rc * first.v * first.s) % first.b == 0, (group, first)
+                rhs = rc * first.v * first.s // first.b
+                solutions = [u for u in range(a) if (rc * u - rhs) % a == 0]
+                assert len(solutions) == derived_params(first.a, first.b, first.c, group).C, (group, first)
+                assert first.u == solutions[0], (group, first)
 
 
 class TestMaterialize:
@@ -337,6 +350,12 @@ class TestCountCyclic:
     def test_never_exceeds_total(self):
         for group in [(2, 2, 2), (4, 6, 8), (9, 9, 3)]:
             assert count_cyclic(group) <= count_total(group)
+
+    def test_prime_powers_match_divisor_sum(self):
+        for p in (2, 3, 5, 7):
+            for exps in product(range(7), repeat=3):
+                group = tuple(p**e for e in exps)
+                assert count_cyclic(group) == count_cyclic_divisor_sum(group), group
 
 
 class TestPrimePower:
