@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import typecounts
@@ -41,12 +41,16 @@ _FORMATS = ("text", "json", "csv")
 # --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
 # `type-count` of 110 ones over 55 ones 1.7 s and `verify --max-order 200`
-# 5.1-6.3 s. Timings on such a VM drift by up to a third from run to run.
+# about 3.8 s. Timings on such a VM drift by up to a third from run to run.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
 MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
+# count and count --order build one term per exponent triple: (nu1+1)(nu2+1)(nu3+1)
+# of them for each distinct (v_p(m), v_p(n), v_p(r)). (2^78, 2^78, 2^78) has
+# 493,039 and takes 0.7-0.9 s end to end by either route on the VM above.
+MAX_EXPONENT_TRIPLES = 500_000
 MAX_CLOSED_FORM_EXPONENT = 10**6
 # type-count's LAM may have parts summing to at most this; all ones over half
 # as many ones is the slowest shape of a given size.
@@ -210,10 +214,11 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
     try:
         if cyclic:
             kind, value = "cyclic", rank3.count_cyclic(group)
-        elif order_ is not None:
-            kind, value = "by-order", rank3.count_by_order(group, order_)
         else:
-            kind, value = "total", rank3.count_total(group)
+            patterns = {tuple(exps) for exps in rank3.prime_exponents(group).values()}
+            if (triples := sum(math.prod(e + 1 for e in exps) for exps in patterns)) > MAX_EXPONENT_TRIPLES:
+                raise UsageError(f"the prime exponents of m, n and r give {triples} exponent triples; count takes at most {MAX_EXPONENT_TRIPLES} (count --cyclic takes any)")
+            kind, value = ("by-order", rank3.count_by_order(group, order_)) if order_ is not None else ("total", rank3.count_total(group))
     except ValueError as exc:  # an order not dividing m n r, or an entry too hard to factor
         raise UsageError(str(exc)) from exc
     columns = [Column(name) for name in ("m", "n", "r", "kind", "order", "count")]
@@ -228,10 +233,6 @@ def _check_element_bound(order: int, what: str) -> None:
         raise UsageError(str(exc)) from exc
     if order > bound:
         raise UsageError(f"{what} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
-
-
-def _element_cells(elements: Iterable[tuple[int, int, int]]) -> list[str]:
-    return [f"{x},{y},{z}" for x, y, z in elements]
 
 
 def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool) -> None:
@@ -249,12 +250,15 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
     def to_text(row: tuple) -> str:
         a, b, c, t, w, z, s, u, v, order = row[3:13]
         line = f"a={a} b={b} c={c} t={t} w={w} z={z} | basis ({a},0,0) ({s},{b},0) ({u},{v},{c}) | order {order}"
-        return f"{line} | elements ({') ('.join(_element_cells(row[13]))})" if with_elements else line
+        return f"{line} | elements ({') ('.join(decode(row[13], cells))})" if with_elements else line
 
     columns = [*map(Column, rank3.Subgroup._fields)]
-    if with_elements:
-        rows = ((*sub, sorted(rank3.subgroup_elements(sub))) for sub in rank3.subgroup_stream(group))
-        columns.append(Column("elements", csv=lambda elements: " ".join(_element_cells(elements))))
+    if with_elements:  # a row's last cell is its element mask, which picks from the group's elements in code order
+        from .oracle import decode
+        elements = list(product(range(m), range(n), range(r)))
+        cells = [f"{x},{y},{z}" for x, y, z in elements]
+        rows = ((*sub, rank3.subgroup_elements(sub)) for sub in rank3.subgroup_stream(group))
+        columns.append(Column("elements", csv=lambda mask: " ".join(decode(mask, cells)), json=lambda mask: decode(mask, elements)))
         _render_rows(cfg, rows, columns, to_text)
     else:  # the rows of a run differ in z and u only
         _render_rows(cfg, rank3.subgroup_runs(group), columns, to_text, run=tuple(map(rank3.Subgroup._fields.index, "zu")))
@@ -384,16 +388,15 @@ class VerificationReport(NamedTuple):
         return not self.failures
 
 
-def _difference_note(got: set, want: set) -> str:
-    extra = sorted(got - want)
-    missing = sorted(want - got)
+def _difference_note(got: set[int], want: set[int], group: tuple[int, int, int]) -> str:
+    """The masks in one set only, decoded to element lists, the first three of each side in ascending order."""
+    from .oracle import decode
+    elements = list(product(*map(range, group)))
     bits = []
-    if extra:
-        shown = "; ".join(str(list(s)) for s in extra[:3])
-        bits.append(f"{len(extra)} unexpected sets (first: {shown})")
-    if missing:
-        shown = "; ".join(str(list(s)) for s in missing[:3])
-        bits.append(f"{len(missing)} missing sets (first: {shown})")
+    for side, masks in (("unexpected", got - want), ("missing", want - got)):
+        if masks:
+            shown = "; ".join(map(str, sorted(decode(mask, elements) for mask in masks)[:3]))
+            bits.append(f"{len(masks)} {side} sets (first: {shown})")
     return ", ".join(bits) if bits else "sets differ"
 
 
@@ -403,10 +406,10 @@ def run_lattice_verification(
 ) -> VerificationReport:
     """Compare structured enumeration against the brute-force oracle.
 
-    Covers every group Z_m x Z_n x Z_r with m n r <= max_order: element-set
-    equality with the oracle lattice, stream length against every counting
-    route (the per-prime count_total and the paper's divisor sum), and
-    pairwise distinctness. Z_m x Z_n is the shape (m, n, 1), whose stream
+    Covers every group Z_m x Z_n x Z_r with m n r <= max_order: equality of
+    the element masks with the oracle lattice, stream length against every
+    counting route (the per-prime count_total and the paper's divisor sum),
+    and pairwise distinctness. Z_m x Z_n is the shape (m, n, 1), whose stream
     length is also checked against the rank-2 gcd sum count_rank2(m, n);
     rank2_shapes counts these shapes.
     Any exception inside one shape is recorded as a failure for that shape
@@ -426,8 +429,8 @@ def run_lattice_verification(
                 group = (m, n, r)
                 try:
                     want = oracle.all_subgroups(group)
-                    sets = [tuple(sorted(rank3.subgroup_elements(sub))) for sub in rank3.subgroup_stream(group)]
-                    stream, seen = len(sets), set(sets)
+                    masks = [rank3.subgroup_elements(sub) for sub in rank3.subgroup_stream(group)]
+                    stream, seen = len(masks), set(masks)
                     formulas = {"per prime": rank3.count_total(group), "divisor sum": rank3.count_total_divisor_sum(group)}
                     if r == 1:
                         formulas["rank-2 gcd sum"] = rank2.count_rank2(m, n)
@@ -437,7 +440,7 @@ def run_lattice_verification(
                     elif len(seen) != stream:
                         failures.append(f"{group}: {stream - len(seen)} duplicate element sets")
                     elif seen != want:
-                        failures.append(f"{group}: {_difference_note(seen, want)}")
+                        failures.append(f"{group}: {_difference_note(seen, want, group)}")
                 except Exception as exc:  # noqa: BLE001 - campaign must report, not die
                     failures.append(f"{group}: {type(exc).__name__}: {exc}")
         if progress is not None and m % 10 == 0:

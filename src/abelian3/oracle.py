@@ -12,25 +12,24 @@ only cyclic subgroups of prime-power order (see all_subgroups).
 
 from __future__ import annotations
 
-from itertools import compress, product
+import re
+from itertools import product
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .config import element_bound
 
 Element = tuple[int, ...]
-ElementSet = tuple[Element, ...]  # sorted canonical form, hashable
 # (lo, up, hi, down): x -> (x & lo) << up | (x & hi) >> down translates x along one axis
 Shift = tuple[int, int, int, int]
 
 # Joins one all_subgroups call may make: groups of order <= 200 need at most 8,805
 # ((4, 4, 8)), (32, 64) 27,069; at ~18 us a join on 4096 elements, refusing takes < 1 s.
 MAX_JOINS = 1 << 15
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def closure(generators: Iterable[Element], orders: Sequence[int]) -> ElementSet:
-    """Smallest subgroup of prod Z_orders[i] containing the generators.
+def closure(generators: Iterable[Element], orders: Sequence[int]) -> int:
+    """Smallest subgroup of prod Z_orders[i] containing the generators, as a mask.
 
     Joins the cyclic subgroup of each generator in turn onto the trivial
     subgroup. Generators are reduced modulo the orders first.
@@ -40,11 +39,11 @@ def closure(generators: Iterable[Element], orders: Sequence[int]) -> ElementSet:
     members = 1
     for g in generators:
         members = _join(members, *_multiples([x % o for x, o in zip(g, orders, strict=True)], axes))
-    return _decode(members, list(product(*map(range, orders))))
+    return members
 
 
-def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
-    """Every subgroup of prod Z_orders[i], as canonical element tuples.
+def all_subgroups(orders: Sequence[int]) -> set[int]:
+    """Every subgroup of prod Z_orders[i], as masks of element codes.
 
     A depth-first walk starts at the trivial subgroup and joins each subgroup
     it finds with each cyclic subgroup of prime-power order not inside it.
@@ -59,13 +58,17 @@ def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
     """
     orders = tuple(orders)
     axes = _axes(orders)
-    total = prod(orders)
-    primes = [p for p in range(2, total + 1) if total % p == 0 and all(p % q for q in range(2, isqrt(p) + 1))]
+    primes, rest = [], prod(orders)
+    for p in range(2, isqrt(rest) + 1):
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    primes += [rest] * (rest > 1)
     generators = [
         (1 << codes[0], codes, moves)
         for p in primes
         for codes, moves in _cyclic_generators(axes, [o // gcd(o, p ** o.bit_length()) for o in orders])
-        if len(codes) > 1
     ]
     found = {1}
     stack = [1]
@@ -81,15 +84,19 @@ def all_subgroups(orders: Sequence[int]) -> set[ElementSet]:
                 if grown not in found:
                     found.add(grown)
                     stack.append(grown)
-    elements = list(product(*map(range, orders)))
-    return {_decode(sub, elements) for sub in found}
+    return found
 
 
-def cyclic_subgroups(orders: Sequence[int]) -> set[ElementSet]:
-    """The distinct subgroups generated by single elements."""
+def cyclic_subgroups(orders: Sequence[int]) -> set[int]:
+    """The distinct subgroups generated by single elements, as masks."""
     orders = tuple(orders)
-    elements = list(product(*map(range, orders)))
-    return {_decode(sum(1 << code for code in codes), elements) for codes, _ in _cyclic_generators(_axes(orders), [1] * len(orders))}
+    return {1} | {sum(1 << code for code in codes) for codes, _ in _cyclic_generators(_axes(orders), [1] * len(orders))}
+
+
+def decode(members: int, items: Sequence) -> list:
+    """The items at the codes set in members, in code order; with the group's
+    elements in code order as items, the elements of the subgroup members."""
+    return [items[one.start()] for one in re.finditer("1", bin(members)[:1:-1])]
 
 
 def _check_orders(orders: tuple[int, ...]) -> None:
@@ -125,12 +132,13 @@ def _axes(orders: tuple[int, ...]) -> list[tuple[int, int, list[Shift]]]:
 
 
 def _cyclic_generators(axes: list, steps: Sequence[int]) -> list[tuple[list[int], tuple[Shift, ...]]]:
-    """_multiples of one generator g per cyclic subgroup of the subgroup whose
-    digits are multiples of steps, in code order.
+    """_multiples of one generator g per nontrivial cyclic subgroup of the
+    subgroup whose digits are multiples of steps, in code order.
 
     k*g generates <g> exactly when gcd(k, ord g) = 1; such k*g are not listed.
     """
     covered = bytearray(prod(o for o, _, _ in axes))
+    covered[0] = 1
     generators = []
     digits = [range(0, o, step) for (o, _, _), step in zip(axes, steps)]
     places = [range(0, o * stride, step * stride) for (o, stride, _), step in zip(axes, steps)]
@@ -161,9 +169,3 @@ def _join(sub: int, codes: list[int], moves: tuple[Shift, ...]) -> int:
             t = (t & lo) << up | (t & hi) >> down
         grown |= t
     return grown
-
-
-def _decode(members: int, elements: list[Element]) -> ElementSet:
-    """The elements, listed by code, whose code bits are set in members. Built as a list
-    first: tuple() of an unsized iterator over-allocates, adding 0.5 MB to verify's peak RSS."""
-    return tuple([*compress(elements, bin(members)[:1:-1].encode().translate(_BITS))])

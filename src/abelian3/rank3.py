@@ -184,11 +184,13 @@ def _shift_rule(a: int, b: int, rc: int, dp: DerivedParams) -> Callable[[int, in
     return shifts
 
 
-def subgroup_elements(sub: Subgroup) -> set[tuple[int, int, int]]:
-    """The full element set {i (a,0,0) + j (s,b,0) + k (u,v,c)}.
-
-    Refuses groups larger than the configured element bound; override with
-    the ABELIAN3_ELEMENT_BOUND environment variable when more is needed.
+def subgroup_elements(sub: Subgroup) -> int:
+    """The element set {i (a,0,0) + j (s,b,0) + k (u,v,c)} as a mask with bit
+    x n r + y r + z set for each element (x, y, z): for j < n/b and k < r/c,
+    the line of multiples of (a,0,0) moved to ((j s + k u) mod a, (j b + k v)
+    mod n, k c), which does not wrap as it starts below a. That the set has
+    order elements, all in the group, is asserted. Refuses groups larger than
+    the configured element bound (override: ABELIAN3_ELEMENT_BOUND).
     """
     m, n, r, a, b, c, _, _, _, s, u, v, order = sub
     total = m * n * r
@@ -198,20 +200,17 @@ def subgroup_elements(sub: Subgroup) -> set[tuple[int, int, int]]:
             f"group order {total} exceeds the element bound {bound}; "
             f"raise ABELIAN3_ELEMENT_BOUND to materialize it"
         )
-    elements = set()
+    plane = n * r
+    line = ((1 << total) - 1) // ((1 << a * plane) - 1)  # bit 0 of every block of a n r bits
+    mask = 0
     for k in range(r // c):
-        third = k * c
-        ku, kv = k * u, k * v
         for j in range(n // b):
-            second = (j * b + kv) % n
-            shift = j * s + ku
-            for i in range(m // a):
-                elements.add(((i * a + shift) % m, second, third))
-    assert len(elements) == order
-    return elements
+            mask |= line << ((j * s + k * u) % a * plane + (j * b + k * v) % n * r + k * c)
+    assert mask.bit_count() == order and mask.bit_length() <= total
+    return mask
 
 
-def _prime_exponents(group: Group3) -> dict[int, list[int]]:
+def prime_exponents(group: Group3) -> dict[int, list[int]]:
     """{p: [v_p(m), v_p(n), v_p(r)]} over the primes p of m n r."""
     exponents: dict[int, list[int]] = {}
     for axis, value in enumerate(_validated(group)):
@@ -226,7 +225,7 @@ def count_total(group: Group3) -> int:
     Product over the primes p of m n r of symbolic_count(v_p(m), v_p(n),
     v_p(r)) evaluated at p; count_total_divisor_sum is the paper's route.
     """
-    return math.prod(symbolic_count(*exps)(p) for p, exps in _prime_exponents(group).items())
+    return math.prod(symbolic_count(*exps)(p) for p, exps in prime_exponents(group).items())
 
 
 def count_by_order(group: Group3, delta: int) -> int:
@@ -240,7 +239,7 @@ def count_by_order(group: Group3, delta: int) -> int:
     if delta < 1 or whole % delta:
         raise ValueError(f"order {delta} does not divide {whole}")
     total = 1
-    for p, exps in _prime_exponents(group).items():
+    for p, exps in prime_exponents(group).items():
         k = 0
         while delta % p == 0:
             delta //= p
@@ -259,7 +258,7 @@ def count_cyclic(group: Group3) -> int:
     max(e) terms; count_cyclic_divisor_sum is the paper's route.
     """
     total = 1
-    for p, exps in _prime_exponents(group).items():
+    for p, exps in prime_exponents(group).items():
         dividing = [math.prod(p ** min(k, e) for e in exps) for k in range(max(exps) + 1)]
         total *= 1 + sum((dividing[k] - dividing[k - 1]) // ((p - 1) * p ** (k - 1)) for k in range(1, len(dividing)))
     return total

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
-from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
+from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.typecounts import general_form
@@ -61,6 +61,33 @@ class TestCount:
         assert time.perf_counter() - start < 1.0
         assert result.returncode == 0
         assert result.stdout == b"%d\n" % (1 + 7 * (4**300 - 1) // 3)
+
+    @pytest.mark.parametrize("options", [[], ["--order", "2"]], ids=["total", "by-order"])
+    def test_exponent_triples_at_the_bound(self, options):
+        # (2^e)^3 has (e + 1)^3 exponent triples: e = 78 is the largest accepted
+        assert 79**3 <= MAX_EXPONENT_TRIPLES < 80**3
+        x = str(2**78)
+        result = run_cli(["count", x, x, x, *options])
+        assert result.returncode == 0
+        # the closed form for equal exponents; the order-2 subgroups are the 7 elements of order 2
+        assert result.stdout == (b"7\n" if options else b"%d\n" % general_form(78)(2))
+        x = str(2**79)
+        start = time.perf_counter()
+        result = run_cli(["count", x, x, x, *options])
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 2
+        assert b"give 512000 exponent triples" in result.stderr
+
+    def test_exponent_triples_summed_over_distinct_patterns(self, runner):
+        # 2^70 3^69: 71^3 + 70^3 triples; 6^70: both primes share the exponents (70, 70, 70)
+        x = str(2**70 * 3**69)
+        result = runner.invoke(main, ["count", x, x, x])
+        assert result.exit_code == 2
+        assert f"give {71**3 + 70**3} exponent triples" in result.stderr
+        x = str(6**70)
+        result = runner.invoke(main, ["count", x, x, x, "--order", "6"])
+        assert result.exit_code == 0
+        assert result.stdout == "91\n"  # 7 subgroups of order 2 times (3^3 - 1) / 2 of order 3
 
     def test_json_record(self, runner):
         result = runner.invoke(main, ["--format", "json", "count", "4", "6", "8"])
@@ -239,7 +266,8 @@ def reference_lines(group, fmt, with_elements=False):
     lines = [",".join(columns + ["elements"] * with_elements) + "\r\n"] if fmt == "csv" else []
     for sx in rank3.enumerate_sextuples(group):
         basis = rank3.materialize(sx, group)
-        elements = sorted(rank3.subgroup_elements(basis)) if with_elements else []
+        mask = rank3.subgroup_elements(basis) if with_elements else 0  # a subgroup's mask has bit 0 set
+        elements = [(x, y, z) for x in range(m) for y in range(n) for z in range(r) if mask >> ((x * n + y) * r + z) & 1] if mask else []
         rec = {
             "m": m, "n": n, "r": r, "a": sx.a, "b": sx.b, "c": sx.c, "t": sx.t, "w": sx.w, "z": sx.z,
             "s": basis.s, "u": basis.u, "v": basis.v, "order": basis.order,
@@ -588,6 +616,25 @@ class TestVerify:
         rank2_groups = [(m, n, 1) for m in range(1, 7) for n in range(1, 6 // m + 1)]
         assert [failure.split(":")[0] for failure in report.failures] == [str(group) for group in rank2_groups]
         assert report.rank2_shapes == len(rank2_groups)
+
+    def test_difference_notes_show_element_tuples(self, monkeypatch):
+        # Z_2 x Z_2 has five subgroups; the oracle loses <(1, 1, 0)> (code 3),
+        # then also reports a set that is no subgroup in its place
+        original = oracle.all_subgroups
+        extra = set()
+
+        def corrupted(orders):
+            found = original(orders)
+            return (found - {1 | 1 << 3}) | extra if tuple(orders) == (2, 2, 1) else found
+
+        monkeypatch.setattr(oracle, "all_subgroups", corrupted)
+        report = run_lattice_verification(6)
+        assert report.failures == ["(2, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (1, 1, 0)])"]
+        extra.add(1 | 1 << 1 | 1 << 2)
+        report = run_lattice_verification(6)
+        assert report.failures == [
+            "(2, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (1, 1, 0)]), 1 missing sets (first: [(0, 0, 0), (0, 1, 0), (1, 0, 0)])"
+        ]
 
     def test_a_raising_shape_gives_one_failure(self, monkeypatch):
         original = oracle.all_subgroups

@@ -28,8 +28,10 @@ from abelian3.rank3 import (
 from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
 
 
-def canonical(sub):
-    return tuple(sorted(subgroup_elements(sub)))
+def members(mask, group):
+    """The elements (x, y, z) whose code x n r + y r + z is set in mask, ascending."""
+    m, n, r = group
+    return [(x, y, z) for x in range(m) for y in range(n) for z in range(r) if mask >> ((x * n + y) * r + z) & 1]
 
 
 class TestDerivedParams:
@@ -182,7 +184,7 @@ class TestMaterialize:
     def test_diagonal_subgroup_of_2_2_2(self):
         basis = materialize(Sextuple(a=2, b=2, c=1, t=0, w=1, z=1), (2, 2, 2))
         assert (basis.s, basis.v, basis.u) == (0, 1, 1)
-        assert subgroup_elements(basis) == {(0, 0, 0), (1, 1, 1)}
+        assert members(subgroup_elements(basis), (2, 2, 2)) == [(0, 0, 0), (1, 1, 1)]
 
     def test_full_group(self):
         basis = materialize(Sextuple(1, 1, 1, 0, 0, 0), (3, 4, 5))
@@ -217,7 +219,7 @@ class TestMaterialize:
             m, n, r = sub.group
             assert (m * n * r) % sub.order == 0
             assert sub.order == (m // sub.a) * (n // sub.b) * (r // sub.c)
-            assert len(subgroup_elements(sub)) == sub.order
+            assert subgroup_elements(sub).bit_count() == sub.order
 
 
 class TestElements:
@@ -230,18 +232,29 @@ class TestElements:
     def test_bound_override(self, monkeypatch):
         monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
         sub = materialize(Sextuple(1, 1, 1, 0, 0, 0), (64, 64, 2))
-        assert len(subgroup_elements(sub)) == 8192
+        assert subgroup_elements(sub) == (1 << 8192) - 1
 
     def test_sets_closed_under_addition(self):
         group = (4, 2, 3)
         m, n, r = group
         for sub in subgroup_stream(group):
-            members = subgroup_elements(sub)
-            picks = sorted(members)[:5]
+            points = members(subgroup_elements(sub), group)
+            picks = points[:5]
             for x in picks:
                 for y in picks:
                     s = ((x[0] + y[0]) % m, (x[1] + y[1]) % n, (x[2] + y[2]) % r)
-                    assert s in members
+                    assert s in points
+
+    def test_masks_match_closure_of_generators(self):
+        # the oracle joins the generators' cyclic subgroups by translating masks;
+        # subgroup_elements lays out lines of multiples by modular arithmetic
+        shapes = [(m, n, r) for m in range(1, 49) for n in range(1, 48 // m + 1) for r in range(1, 48 // (m * n) + 1)]
+        assert len(shapes) == 540
+        for group in shapes:
+            for sub in subgroup_stream(group):
+                mask = subgroup_elements(sub)
+                assert mask == oracle.closure(sub.generators, sub.group), sub
+                assert mask.bit_count() == sub.order, sub
 
 
 class TestCountTotal:
@@ -326,7 +339,7 @@ class TestCountByOrder:
         group = (4, 2, 3)
         subs = oracle.all_subgroups(group)
         for d in divisors(24):
-            assert count_by_order(group, d) == sum(1 for s in subs if len(s) == d)
+            assert count_by_order(group, d) == sum(1 for s in subs if s.bit_count() == d)
 
 
 class TestCountCyclic:
@@ -436,14 +449,14 @@ class TestOracleAgreement:
         for m in range(1, 5):
             for n in range(1, 5):
                 for r in range(1, 5):
-                    got = {canonical(sub) for sub in subgroup_stream((m, n, r))}
+                    got = {subgroup_elements(sub) for sub in subgroup_stream((m, n, r))}
                     want = oracle.all_subgroups((m, n, r))
                     assert len(got) == count_total((m, n, r)), (m, n, r)
                     assert got == want, (m, n, r)
 
     @pytest.mark.parametrize("group", [(6, 4, 2), (9, 3, 3), (8, 4, 2), (5, 5, 5)])
     def test_spot_shapes(self, group):
-        got = {canonical(sub) for sub in subgroup_stream(group)}
+        got = {subgroup_elements(sub) for sub in subgroup_stream(group)}
         want = oracle.all_subgroups(group)
         assert len(got) == count_total(group)
         assert got == want
