@@ -8,7 +8,7 @@ multiplicative and small, and the partial sums obey
 
 where H3 = sum_n h(n)/n^3 and H3' is the z-derivative of sum_n h(n)/n^z at
 z = 3. This module computes the pair two independent ways (an accelerated
-Euler product with proved tail bounds, and direct series sums with an
+Euler product with proved bounds, and direct series sums with an
 empirical tail estimate), exposes exact sieves for s and h, and sets the
 main term against exact partial sums that s_partial_sum takes sublinearly.
 """
@@ -124,9 +124,10 @@ class H3Estimate(NamedTuple):
     """The series constants by two routes, each with its own error bar.
 
     h3/h3prime come from the accelerated Euler product; their bounds are
-    proved tail estimates. direct_h3/direct_h3prime come from summing
-    h(n)/n^3 (and the log-weighted variant) to tail_terms; their bounds are
-    empirical, extrapolated from the final doubling of the summation range.
+    proved and cover the series tail and the rounding. direct_h3/direct_h3prime
+    come from summing h(n)/n^3 (and the log-weighted variant) to tail_terms;
+    their bounds are empirical, extrapolated from the final doubling of the
+    summation range.
     """
 
     h3: float
@@ -154,7 +155,9 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     so H3 = zeta(3)^4 zeta(2)^2 prod_p n_p(3) with |n_p(3) - 1| <= 3.2 p^-4
     for p >= 100: truncation at prime_limit Q carries a proved tail bound of
     order Q^-3. H3' comes from the logarithmic derivative of the same
-    factorization. The direct route sums the series itself to tail_terms.
+    factorization. Both bars add a bound on the floating-point rounding to
+    the tail, and step outward by one ulp. The direct route sums the series
+    itself to tail_terms.
     """
     if prime_limit < 100:
         raise ValueError(f"prime_limit must be >= 100, got {prime_limit}")
@@ -172,24 +175,38 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
         t3 = c3 / p**9
         t4 = c4 / p**12
         t6 = p**3 / p**18
-        local = 1.0 - t2 + t3 - t4 + t6
-        logs.append(math.log(local))
+        small = t3 - t2 - t4 + t6  # n_p(3) - 1, kept off the 1 so that it rounds relative to itself
+        logs.append(math.log1p(small))
         # n_p'(3) = log p * (2 c2 p^-6 - 3 c3 p^-9 + 4 c4 p^-12 - 6 p^(3-18))
-        dlogs.append(math.log(p) * (2 * t2 - 3 * t3 + 4 * t4 - 6 * t6) / local)
+        dlogs.append(math.log(p) * (2 * t2 - 3 * t3 + 4 * t4 - 6 * t6) / (1 + small))
 
-    h3 = ZETA3**4 * ZETA2**2 * math.exp(math.fsum(logs))
-    bracket = 4 * DLOG_ZETA3 + 2 * DLOG_ZETA2 + math.fsum(dlogs)
+    log_sum = math.fsum(logs)
+    h3 = ZETA3**4 * ZETA2**2 * math.exp(log_sum)
+    dlog_sum = math.fsum(dlogs)
+    bracket = 4 * DLOG_ZETA3 + 2 * DLOG_ZETA2 + dlog_sum
     h3prime = h3 * bracket
+
+    # Rounding, U = 2^-53: int / int rounds correctly; log, log1p, exp and pow
+    # are within 1 ulp (2 U), fsum within U. For every p, n_p(3) >= 0.767,
+    # t2 + t3 + t4 + t6 <= 1.91 |small| and 2 t2 + 3 t3 + 4 t4 + 6 t6 <= 2.67
+    # (2 t2 - 3 t3 + 4 t4 - 6 t6), all tightest at p = 2. So each log is off by
+    # at most 16 U |log| and each derivative term by 40 U |term|, and neither
+    # sum cancels (logs < 0 < terms). The factors 24 and 48 also cover fsum, the
+    # zeta powers, exp and two products, and the DLOG doubles and two additions.
+    unit = 2.0**-53
+    log_round = 24 * unit * (abs(log_sum) + 1)
+    bracket_round = 48 * unit * (abs(dlog_sum) + abs(DLOG_ZETA3) + abs(DLOG_ZETA2))
 
     # Tail bounds. For p > Q >= 100: |n_p(3) - 1| <= 3.2 p^-4, and
     # |log n_p(3)| <= 1.01 * |n_p(3) - 1|; sum_{n > Q} n^-4 <= 1/(3 Q^3).
     q = prime_limit
     log_tail = 1.01 * 3.2 / (3 * q**3)
-    h3_bound = h3 * math.expm1(log_tail)
+    h3_bound = math.nextafter(h3 * math.expm1(log_tail + log_round), math.inf)
     # |n_p'(3)| <= log p * (6.1 p^-4 + ...) <= 7 log p p^-4 for p >= 100, and
     # sum_{n > Q} log n n^-4 <= (log Q)/(3 Q^3) + 1/(9 Q^3).
-    bracket_tail = 1.01 * 7 * (math.log(q) / (3 * q**3) + 1 / (9 * q**3))
-    h3prime_bound = abs(h3) * bracket_tail + h3_bound * (abs(bracket) + bracket_tail)
+    bracket_err = 1.01 * 7 * (math.log(q) / (3 * q**3) + 1 / (9 * q**3)) + bracket_round
+    h3prime_bound = abs(h3) * bracket_err + h3_bound * (abs(bracket) + bracket_err) + unit * abs(h3prime)
+    h3prime_bound = math.nextafter(h3prime_bound, math.inf)
 
     # Direct route. The series sum_n h(n)/n^3 IS the constant: its local
     # factors are (1 - p^-3)^-2 f_p(3), so the zeta part needs no separate
@@ -249,13 +266,8 @@ class AsymptoticReport(NamedTuple):
     error_exponent_estimate: float  # log |exact - main| / log x
 
 
-def average_order_reports(
-    x_values: Sequence[int],
-    prime_limit: int = 100_000,
-    tail_terms: int = 200_000,
-    estimate: H3Estimate | None = None,
-) -> list[AsymptoticReport]:
-    """Exact partial sums of s against the main term, at each x.
+def average_order_reports(x_values: Sequence[int], estimate: H3Estimate) -> list[AsymptoticReport]:
+    """Exact partial sums of s against the main term from estimate, at each x.
 
     s_partial_sum gives each checkpoint's exact sum without walking s; x values
     are deduplicated and sorted ascending.
@@ -263,11 +275,10 @@ def average_order_reports(
     xs = sorted(set(x_values))
     if not xs or xs[0] < 2:
         raise ValueError(f"need x values >= 2, got {x_values}")
-    est = estimate if estimate is not None else h3_and_h3prime(prime_limit, tail_terms)
     reports = []
     for x in xs:
         exact = s_partial_sum(x)
-        predicted = main_term(x, est.h3, est.h3prime)
+        predicted = main_term(x, estimate.h3, estimate.h3prime)
         delta = abs(exact - predicted)
         relative = delta / predicted
         exponent = math.log(delta) / math.log(x) if delta > 0 else float("-inf")

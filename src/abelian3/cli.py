@@ -40,7 +40,7 @@ _FORMATS = ("text", "json", "csv")
 # takes 3.4-5.0 s and 26 MB, `--tail-terms 2000000` 3 s and 80 MB, `table 1
 # --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
-# `type-count` of 110 ones over 55 ones 1.7 s and `verify --max-order 200`
+# `type-count` of 110 ones over 55 ones 0.3-0.4 s and `verify --max-order 200`
 # about 3.8 s. Timings on such a VM drift by up to a third from run to run.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.

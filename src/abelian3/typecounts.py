@@ -5,7 +5,9 @@ divisor-triple sum to prime powers, where every gcd becomes a min of
 exponents; symbolic_count sums it, and rank3 counts every group through it,
 one prime at a time. general_form is the closed quadratic-coefficient
 expression for the equal-exponent case. type_count counts subgroups of a
-prescribed isomorphism type via conjugate partitions and Gaussian binomials.
+prescribed isomorphism type via conjugate partitions and Gaussian binomials,
+which the q-Pascal rule builds. Every polynomial here comes from additions
+and products of integer coefficient lists; nothing divides polynomials.
 Agreement between the routes is what the test suite leans on.
 """
 
@@ -86,17 +88,12 @@ class IntPolynomial:
             merged[i] += c
         return IntPolynomial(merged)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coefficients])
-
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coefficients])
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, ci in enumerate(self.coefficients):
             if ci:
@@ -105,32 +102,6 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Synthetic division that must leave remainder zero."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return IntPolynomial()
-        rem = list(self.coefficients)
-        dcoeffs = divisor.coefficients
-        lead = dcoeffs[-1]
-        qlen = len(rem) - len(dcoeffs) + 1
-        if qlen < 1:
-            raise ValueError(f"{divisor} does not divide {self}")
-        quot = [0] * qlen
-        for d in range(qlen - 1, -1, -1):
-            top = rem[d + len(dcoeffs) - 1]
-            if top % lead:
-                raise ValueError(f"{divisor} does not divide {self}")
-            q = top // lead
-            quot[d] = q
-            if q:
-                for i, c in enumerate(dcoeffs):
-                    rem[d + i] -= q * c
-        if any(rem):
-            raise ValueError(f"{divisor} does not divide {self}")
-        return IntPolynomial(quot)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -168,12 +139,13 @@ def order_terms(nu1: int, nu2: int, nu3: int) -> tuple[IntPolynomial, ...]:
     divisor-triple sum is specialised to prime powers: every gcd becomes a min
     of exponents, and the shape (p^i, p^j, p^k), of order
     p^(nu1 + nu2 + nu3 - i - j - k), contributes p^(S - 2 eX) P(p^eX), which
-    is (eX + 1) p^(S - eX) - eX p^(S - eX - 1). Memoised on the exponents.
+    is (eX + 1) p^(S - eX) - eX p^(S - eX - 1). Each order adds into one
+    coefficient list of length count_degree + 1. Memoised on the exponents.
     """
     if min(nu1, nu2, nu3) < 0:
         raise ValueError(f"exponents must be >= 0, got {(nu1, nu2, nu3)}")
     top = nu1 + nu2 + nu3
-    rows: list[dict[int, int]] = [{} for _ in range(top + 1)]  # degree -> coefficient
+    rows = [[0] * (count_degree(nu1, nu2, nu3) + 1) for _ in range(top + 1)]
     for i in range(nu1 + 1):
         for j in range(nu2 + 1):
             for k in range(nu3 + 1):
@@ -185,10 +157,9 @@ def order_terms(nu1: int, nu2: int, nu3: int) -> tuple[IntPolynomial, ...]:
                 ex = ssum - min(i + rc, ssum)
                 lead = ssum - ex
                 row = rows[top - i - j - k]
-                row[lead] = row.get(lead, 0) + ex + 1
-                if ex:
-                    row[lead - 1] = row.get(lead - 1, 0) - ex
-    return tuple(IntPolynomial(row.get(d, 0) for d in range(max(row) + 1)) for row in rows)
+                row[lead] += ex + 1
+                row[lead - 1] -= ex  # lead = 0 forces ex = 0, so row[-1] gains nothing
+    return tuple(map(IntPolynomial, rows))
 
 
 @lru_cache(maxsize=None)
@@ -220,26 +191,27 @@ def general_form(nu: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _p_power_minus_one(e: int) -> IntPolynomial:
-    return IntPolynomial([-1] + [0] * (e - 1) + [1])
-
-
 def gaussian_binomial(r: int, k: int) -> IntPolynomial:
     """The Gaussian binomial [r, k]_p; zero polynomial when k > r.
 
-    Product of (p^(r-k+i) - 1) for i = 1..k divided by the product of
-    (p^i - 1); the quotient is exact and the division asserts as much.
+    Built by the q-Pascal rule [n, j] = [n-1, j-1] + p^j [n-1, j] from
+    [n, 0] = 1, on coefficient lists with integer additions only, so every
+    coefficient is an integer by construction. [r, k] = [r, r-k], so only
+    j <= min(k, r-k) is kept, and [n, j] for j < k - (r - n) is never read.
     """
     if r < 0 or k < 0:
         raise ValueError(f"need r, k >= 0, got ({r}, {k})")
     if k > r:
         return ZERO
-    num = ONE
-    den = ONE
-    for i in range(1, k + 1):
-        num = num * _p_power_minus_one(r - k + i)
-        den = den * _p_power_minus_one(i)
-    return num.exact_div(den)
+    k = min(k, r - k)
+    rows = [[1]] + [[] for _ in range(k)]  # rows[j]: coefficients of [n, j]
+    for n in range(1, r + 1):
+        for j in range(min(n, k), max(0, k - r + n - 1), -1):
+            merged = rows[j - 1] + [0] * (j * (n - j) + 1 - len(rows[j - 1]))
+            for d, c in enumerate(rows[j], j):
+                merged[d] += c
+            rows[j] = merged
+    return IntPolynomial(rows[k])
 
 
 class Partition:
@@ -300,21 +272,12 @@ def type_count(lam: Partition, mu: Partition) -> IntPolynomial:
     """
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
-    if not lam.parts:
-        return ONE
-    width = lam.parts[0]
     lam_c = lam.conjugate()
     mu_c = list(mu.conjugate())
-    mu_c += [0] * (width + 1 - len(mu_c))
+    mu_c += [0] * (len(lam_c) + 1 - len(mu_c))
     out = ONE
-    for j in range(1, width + 1):
-        lj = lam_c[j - 1]
-        mj = mu_c[j - 1]
-        mj_next = mu_c[j]
-        out = out * gaussian_binomial(lj - mj_next, mj - mj_next)
-        exp = mj_next * (lj - mj)
-        if exp:
-            out = out * IntPolynomial.monomial(1, exp)
+    for lj, mj, mj_next in zip(lam_c, mu_c, mu_c[1:]):
+        out = IntPolynomial.monomial(1, mj_next * (lj - mj)) * gaussian_binomial(lj - mj_next, mj - mj_next) * out
     return out
 
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -151,6 +152,37 @@ class TestConstants:
         wider = h3_and_h3prime(prime_limit=5000, tail_terms=16)
         assert abs(wider.h3 - quick_estimate.h3) < 1e-8
         assert abs(wider.h3prime - quick_estimate.h3prime) < 1e-7
+
+    def test_rounding_ratios_peak_at_two(self):
+        # the three ratios the rounding bound of h3_and_h3prime rests on; past
+        # the primes walked here each ratio is within 1e-3 of 1
+        for p in primes_up_to(10_000):
+            c2, c3, c4 = 3 * (p * p + p + 1), 2 * (p + 1) ** 3, 3 * (p**3 + p * p + p)
+            t2, t3, t4, t6 = Fraction(c2, p**6), Fraction(c3, p**9), Fraction(c4, p**12), Fraction(1, p**15)
+            small = t3 - t2 - t4 + t6
+            slope = 2 * t2 - 3 * t3 + 4 * t4 - 6 * t6
+            assert 1 + small >= Fraction(767, 1000) and small < 0 < slope, p
+            assert t2 + t3 + t4 + t6 <= Fraction(191, 100) * -small, p
+            assert 2 * t2 + 3 * t3 + 4 * t4 + 6 * t6 <= Fraction(267, 100) * slope, p
+
+    def test_bars_enclose_40_digit_product(self):
+        # the same truncated product at 40 digits differs from the floats by
+        # rounding alone, which the bars must cover on top of the tail
+        mpmath = pytest.importorskip("mpmath")
+        est = h3_and_h3prime(tail_terms=16)
+        with mpmath.workdps(40):
+            log_sum = dlog_sum = mpmath.mpf(0)
+            for p in primes_up_to(est.prime_limit):
+                c2, c3, c4 = 3 * (p * p + p + 1), 2 * (p + 1) ** 3, 3 * (p**3 + p * p + p)
+                local = 1 + mpmath.mpf(-c2 * p**12 + c3 * p**9 - c4 * p**6 + p**3) / p**18
+                slope = mpmath.mpf(2 * c2 * p**12 - 3 * c3 * p**9 + 4 * c4 * p**6 - 6 * p**3) / p**18
+                log_sum += mpmath.log(local)
+                dlog_sum += mpmath.log(p) * slope / local
+            h3 = mpmath.zeta(3) ** 4 * mpmath.zeta(2) ** 2 * mpmath.exp(log_sum)
+            dlog_zeta = [mpmath.zeta(z, derivative=1) / mpmath.zeta(z) for z in (2, 3)]
+            h3prime = h3 * (2 * dlog_zeta[0] + 4 * dlog_zeta[1] + dlog_sum)
+            assert abs(est.h3 - h3) <= est.h3_bound
+            assert abs(est.h3prime - h3prime) <= est.h3prime_bound
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

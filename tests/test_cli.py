@@ -743,6 +743,13 @@ class TestInputBounds:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
 
+    def test_largest_type_count_finishes_fast(self, runner):
+        # all ones over half as many ones is the slowest LAM of its size: [110, 55]_p
+        start = time.perf_counter()
+        result = runner.invoke(main, ["-q", "type-count", ",".join(["1"] * MAX_PARTITION_SIZE), ",".join(["1"] * 55)])
+        assert time.perf_counter() - start < 1.5
+        assert result.exit_code == 0
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -822,7 +829,7 @@ class TestImports:
             ("poly 2", "cli config typecounts", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
             ("type-count 2,1 1", "cli config typecounts", "", "1+p"),
             ("table 2", "cli config typecounts", "", "# nu  s(p^nu x p^nu x p^nu)"),
-            ("-q asymptotic --x-values 100 --prime-limit 1000 --tail-terms 1000", "arith asymptotics cli config typecounts", "", "100\t5847260\t5598747.422792255\t4.438717e-02\t2.6977"),
+            ("-q asymptotic --x-values 100 --prime-limit 1000 --tail-terms 1000", "arith asymptotics cli config typecounts", "", "100\t5847260\t5598747.422792264\t4.438717e-02\t2.6977"),
         ],
         ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "asymptotic"],
     )

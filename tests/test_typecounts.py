@@ -82,21 +82,6 @@ class TestIntPolynomial:
         assert (f - g)(x) == f(x) - g(x)
         assert (3 * f)(x) == 3 * f(x)
 
-    @given(small_polys, small_polys)
-    def test_exact_div_inverts_multiplication(self, f, g):
-        if not g.is_zero:
-            assert (f * g).exact_div(g) == f
-
-    def test_exact_div_rejects_inexact(self):
-        with pytest.raises(ValueError, match="does not divide"):
-            IntPolynomial([1, 1, 1]).exact_div(IntPolynomial([1, 1]))
-        with pytest.raises(ValueError, match="does not divide"):
-            IntPolynomial([1]).exact_div(IntPolynomial([0, 1]))
-
-    def test_exact_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ONE.exact_div(ZERO)
-
     def test_str_rendering(self):
         assert str(IntPolynomial([4, 2, 2])) == "4+2 p+2 p^2"
         assert str(IntPolynomial.monomial(1, 3)) == "p^3"
@@ -188,6 +173,21 @@ class TestGaussianBinomial:
                 rhs = gaussian_binomial(r - 1, k - 1) + IntPolynomial.monomial(
                     1, k
                 ) * gaussian_binomial(r - 1, k)
+                assert lhs == rhs, (r, k)
+
+    def test_product_formula(self):
+        # the textbook quotient, checked by multiplying out: [r, k] prod_{i<=k} (p^i - 1)
+        # equals prod_{i<=k} (p^(r-k+i) - 1), with no polynomial division anywhere
+        def p_power_minus_one(e):
+            return IntPolynomial.monomial(1, e) - ONE
+
+        for r in range(21):
+            for k in range(r + 1):
+                lhs = gaussian_binomial(r, k)
+                rhs = ONE
+                for i in range(1, k + 1):
+                    lhs = lhs * p_power_minus_one(i)
+                    rhs = rhs * p_power_minus_one(r - k + i)
                 assert lhs == rhs, (r, k)
 
     def test_reduces_to_binomial_at_one(self):
