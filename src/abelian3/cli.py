@@ -41,7 +41,7 @@ _FORMATS = ("text", "json", "csv")
 # --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
 # `type-count` of 110 ones over 55 ones 0.3-0.4 s and `verify --max-order 200`
-# about 3.8 s. Timings on such a VM drift by up to a third from run to run.
+# about 2.3 s. Timings on such a VM drift by up to a third from run to run.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
@@ -225,14 +225,15 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
     _render_rows(cfg, [(m, n, r, kind, order_, value)], columns, lambda row: str(row[-1]))
 
 
-def _check_element_bound(order: int, what: str) -> None:
-    """A usage error when ABELIAN3_ELEMENT_BOUND is malformed or order exceeds the bound."""
+def _check_element_bound(order: int, what: str) -> int:
+    """The element bound; a usage error when ABELIAN3_ELEMENT_BOUND is malformed or order exceeds it."""
     try:
         bound = element_bound()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if order > bound:
         raise UsageError(f"{what} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
+    return bound
 
 
 def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool) -> None:
@@ -240,7 +241,7 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
     from . import rank3
     group = (m, n, r)
     if with_elements:
-        _check_element_bound(m * n * r, f"group order {m * n * r}")
+        bound = _check_element_bound(m * n * r, f"group order {m * n * r}")
     try:
         total = rank3.count_total(group)
     except ValueError as exc:  # an entry too hard to factor
@@ -257,7 +258,7 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
         from .oracle import decode
         elements = list(product(range(m), range(n), range(r)))
         cells = [f"{x},{y},{z}" for x, y, z in elements]
-        rows = ((*sub, rank3.subgroup_elements(sub)) for sub in rank3.subgroup_stream(group))
+        rows = ((*sub, rank3.subgroup_elements(sub, bound)) for sub in rank3.subgroup_stream(group))
         columns.append(Column("elements", csv=lambda mask: " ".join(decode(mask, cells)), json=lambda mask: decode(mask, elements)))
         _render_rows(cfg, rows, columns, to_text)
     else:  # the rows of a run differ in z and u only
@@ -412,12 +413,21 @@ def run_lattice_verification(
     and pairwise distinctness. Z_m x Z_n is the shape (m, n, 1), whose stream
     length is also checked against the rank-2 gcd sum count_rank2(m, n);
     rank2_shapes counts these shapes.
+    The oracle walks each distinct lattice once per run, for the ascending
+    orders above 1 of a shape ((1,) for the trivial group), and
+    oracle.relabel carries it to each shape's codes: an order-1 axis has the
+    one digit 0 and changes no stride, so (1, n, r), (n, 1, r) and (n, r, 1)
+    have the lattice of (n, r) code for code, and permuting the factors is an
+    isomorphism that only moves each digit to its new axis's stride. At
+    max_order 60 the 738 shapes share 168 lattices. The rank3 stream, its
+    masks and the counting routes are still computed for every shape.
     Any exception inside one shape is recorded as a failure for that shape
     rather than aborting the campaign.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
     from . import oracle, rank2, rank3
+    lattices: dict[tuple[int, ...], set[int]] = {}
     failures: list[str] = []
     rank3_shapes = 0
     rank2_shapes = 0
@@ -428,8 +438,12 @@ def run_lattice_verification(
                 rank2_shapes += r == 1
                 group = (m, n, r)
                 try:
-                    want = oracle.all_subgroups(group)
-                    masks = [rank3.subgroup_elements(sub) for sub in rank3.subgroup_stream(group)]
+                    bound = element_bound()  # once per shape, not per subgroup
+                    key = tuple(sorted(o for o in group if o > 1)) or (1,)
+                    if key not in lattices:
+                        lattices[key] = oracle.all_subgroups(key)
+                    want = oracle.relabel(lattices[key], key, group)
+                    masks = [rank3.subgroup_elements(sub, bound) for sub in rank3.subgroup_stream(group)]
                     stream, seen = len(masks), set(masks)
                     formulas = {"per prime": rank3.count_total(group), "divisor sum": rank3.count_total_divisor_sum(group)}
                     if r == 1:

@@ -8,6 +8,13 @@ codes are ascending element tuples, and a set of elements is an int with
 one bit per code. Translating a set by an element rotates the digit blocks
 of each axis the element moves along (see _axes). The lattice walk joins
 only cyclic subgroups of prime-power order (see all_subgroups).
+
+Groups with the same orders above 1 have one lattice up to relabelling codes
+(see relabel). An axis of order 1 has the one digit 0 and leaves every other
+axis's stride unchanged, so Z_1 x Z_n x Z_r has, code for code, the lattice
+of Z_n x Z_r. Permuting the factors is an isomorphism that moves each digit
+to the stride of its new axis, so it maps subgroups to subgroups and only
+relabels their codes.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import re
 from itertools import product
 from math import gcd, isqrt, lcm, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import element_bound
@@ -93,6 +101,36 @@ def cyclic_subgroups(orders: Sequence[int]) -> set[int]:
     return {1} | {sum(1 << code for code in codes) for codes, _ in _cyclic_generators(_axes(orders), [1] * len(orders))}
 
 
+def relabel(masks: set[int], source: Sequence[int], target: Sequence[int]) -> set[int]:
+    """Masks over prod Z_source[i] carried to the codes of prod Z_target[i].
+
+    The two groups must have the same orders above 1, in any axis order. Each
+    axis of order above 1 in source goes to an axis of the same order in
+    target, the i-th of that order to the i-th, and its digit moves to that
+    axis's stride; order-1 axes take digit 0 on both sides. This is a group
+    isomorphism, so a whole lattice is carried onto the target's lattice.
+    Returns masks itself when no code moves.
+    """
+    source, target = tuple(source), tuple(target)
+    if sorted(o for o in source if o > 1) != sorted(o for o in target if o > 1):
+        raise ValueError(f"orders {source} and {target} differ above 1")
+    axes = lambda orders: sorted((i for i, o in enumerate(orders) if o > 1), key=orders.__getitem__)
+    places = [0] * len(source)
+    strides = _strides(target)
+    for i, j in zip(axes(source), axes(target)):
+        places[i] = strides[j]
+    image = list(map(sum, product(*([d * s for d in range(o)] for o, s in zip(source, places)))))
+    total = len(image)
+    if image == list(range(total)):
+        return masks
+    # code c is character total - 1 - c of a mask's total-digit binary string
+    origin = [0] * total
+    for code, moved in enumerate(image):
+        origin[total - 1 - moved] = total - 1 - code
+    pick, digits = itemgetter(*origin), f"0{total}b"
+    return {int("".join(pick(format(mask, digits))), 2) for mask in masks}
+
+
 def decode(members: int, items: Sequence) -> list:
     """The items at the codes set in members, in code order; with the group's
     elements in code order as items, the elements of the subgroup members."""
@@ -119,16 +157,18 @@ def _axes(orders: tuple[int, ...]) -> list[tuple[int, int, list[Shift]]]:
     shifts[a] is (lo, a*s, hi, (o - a)*s) with lo and hi masking those digits.
     """
     _check_orders(orders)
-    total = prod(orders)
-    full = (1 << total) - 1
+    full = (1 << prod(orders)) - 1
     axes = []
-    stride = total
-    for o in orders:
-        repeat = full // ((1 << stride) - 1)  # bit 0 of every block
-        stride //= o
+    for o, stride in zip(orders, _strides(orders)):
+        repeat = full // ((1 << o * stride) - 1)  # bit 0 of every block
         lows = [((1 << (o - a) * stride) - 1) * repeat for a in range(o)]
         axes.append((o, stride, [(lo, a * stride, full ^ lo, (o - a) * stride) for a, lo in enumerate(lows)]))
     return axes
+
+
+def _strides(orders: tuple[int, ...]) -> list[int]:
+    """The code step of each axis's digit: the product of the later orders."""
+    return [prod(orders[i + 1:]) for i in range(len(orders))]
 
 
 def _cyclic_generators(axes: list, steps: Sequence[int]) -> list[tuple[list[int], tuple[Shift, ...]]]:

@@ -184,17 +184,20 @@ def _shift_rule(a: int, b: int, rc: int, dp: DerivedParams) -> Callable[[int, in
     return shifts
 
 
-def subgroup_elements(sub: Subgroup) -> int:
+def subgroup_elements(sub: Subgroup, bound: int | None = None) -> int:
     """The element set {i (a,0,0) + j (s,b,0) + k (u,v,c)} as a mask with bit
     x n r + y r + z set for each element (x, y, z): for j < n/b and k < r/c,
     the line of multiples of (a,0,0) moved to ((j s + k u) mod a, (j b + k v)
     mod n, k c), which does not wrap as it starts below a. That the set has
     order elements, all in the group, is asserted. Refuses groups larger than
-    the configured element bound (override: ABELIAN3_ELEMENT_BOUND).
+    bound, by default the configured element bound (override:
+    ABELIAN3_ELEMENT_BOUND); callers that build the masks of one group's
+    whole stream read that once and pass it.
     """
     m, n, r, a, b, c, _, _, _, s, u, v, order = sub
     total = m * n * r
-    bound = element_bound()
+    if bound is None:
+        bound = element_bound()
     if total > bound:
         raise ValueError(
             f"group order {total} exceeds the element bound {bound}; "

@@ -558,13 +558,13 @@ class TestVerify:
 
     def test_progress_follows_the_shapes_it_names(self, monkeypatch):
         checked = []
-        original = oracle.all_subgroups
+        original = rank3.subgroup_stream
 
-        def recording(orders):
-            checked.append(tuple(orders))
-            return original(orders)
+        def recording(group):
+            checked.append(tuple(group))
+            return original(group)
 
-        monkeypatch.setattr(oracle, "all_subgroups", recording)
+        monkeypatch.setattr(rank3, "subgroup_stream", recording)
         checked_at_line = {}
         run_lattice_verification(20, progress=lambda msg: checked_at_line.setdefault(msg, set(checked)))
         assert list(checked_at_line) == ["checked m <= 10", "checked m <= 20"]
@@ -618,35 +618,97 @@ class TestVerify:
         assert report.rank2_shapes == len(rank2_groups)
 
     def test_difference_notes_show_element_tuples(self, monkeypatch):
-        # Z_2 x Z_2 has five subgroups; the oracle loses <(1, 1, 0)> (code 3),
-        # then also reports a set that is no subgroup in its place
+        # Z_2 x Z_2 has five subgroups; the oracle loses <(1, 1)> (code 3),
+        # then also reports a set that is no subgroup in its place. The shapes
+        # (1, 2, 2), (2, 1, 2) and (2, 2, 1) share that lattice, and each
+        # names the sets in its own coordinates
         original = oracle.all_subgroups
         extra = set()
 
         def corrupted(orders):
             found = original(orders)
-            return (found - {1 | 1 << 3}) | extra if tuple(orders) == (2, 2, 1) else found
+            return (found - {1 | 1 << 3}) | extra if tuple(orders) == (2, 2) else found
 
         monkeypatch.setattr(oracle, "all_subgroups", corrupted)
         report = run_lattice_verification(6)
-        assert report.failures == ["(2, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (1, 1, 0)])"]
+        assert report.failures == [
+            "(1, 2, 2): 1 unexpected sets (first: [(0, 0, 0), (0, 1, 1)])",
+            "(2, 1, 2): 1 unexpected sets (first: [(0, 0, 0), (1, 0, 1)])",
+            "(2, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (1, 1, 0)])",
+        ]
         extra.add(1 | 1 << 1 | 1 << 2)
         report = run_lattice_verification(6)
         assert report.failures == [
-            "(2, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (1, 1, 0)]), 1 missing sets (first: [(0, 0, 0), (0, 1, 0), (1, 0, 0)])"
+            "(1, 2, 2): 1 unexpected sets (first: [(0, 0, 0), (0, 1, 1)]), 1 missing sets (first: [(0, 0, 0), (0, 0, 1), (0, 1, 0)])",
+            "(2, 1, 2): 1 unexpected sets (first: [(0, 0, 0), (1, 0, 1)]), 1 missing sets (first: [(0, 0, 0), (0, 0, 1), (1, 0, 0)])",
+            "(2, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (1, 1, 0)]), 1 missing sets (first: [(0, 0, 0), (0, 1, 0), (1, 0, 0)])",
         ]
 
+    def test_one_wrong_mask_fails_only_its_shape(self, monkeypatch):
+        # (4, 2, 1) takes the lattice of (2, 4) relabelled; <(2, 0, 0)> is
+        # replaced by {(0, 0, 0), (3, 0, 0)}, which is no subgroup
+        original = rank3.subgroup_elements
+
+        def corrupted(sub, bound=None):
+            mask = original(sub, bound)
+            return 1 | 1 << 6 if sub.group == (4, 2, 1) and mask == 1 | 1 << 4 else mask
+
+        monkeypatch.setattr(rank3, "subgroup_elements", corrupted)
+        report = run_lattice_verification(8)
+        assert report.failures == ["(4, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (3, 0, 0)]), 1 missing sets (first: [(0, 0, 0), (2, 0, 0)])"]
+
     def test_a_raising_shape_gives_one_failure(self, monkeypatch):
+        original = rank3.subgroup_stream
+
+        def raising(group):
+            if tuple(group) == (2, 3, 1):
+                raise RuntimeError("stream down")
+            return original(group)
+
+        monkeypatch.setattr(rank3, "subgroup_stream", raising)
+        report = run_lattice_verification(6)
+        assert report.failures == ["(2, 3, 1): RuntimeError: stream down"]
+
+    def test_a_raising_lattice_fails_each_shape_that_shares_it(self, monkeypatch):
         original = oracle.all_subgroups
 
         def raising(orders):
-            if tuple(orders) == (2, 3, 1):
+            if tuple(orders) == (2, 3):
                 raise RuntimeError("oracle down")
             return original(orders)
 
         monkeypatch.setattr(oracle, "all_subgroups", raising)
         report = run_lattice_verification(6)
-        assert report.failures == ["(2, 3, 1): RuntimeError: oracle down"]
+        shapes = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+        assert report.failures == [f"{shape}: RuntimeError: oracle down" for shape in shapes]
+
+    def test_shared_lattices_equal_direct_walks(self, monkeypatch):
+        compared = {}
+        original = oracle.relabel
+
+        def recording(masks, source, target):
+            compared[tuple(target)] = lattice = original(masks, source, target)
+            return lattice
+
+        monkeypatch.setattr(oracle, "relabel", recording)
+        report = run_lattice_verification(60)
+        assert report.ok
+        assert len(compared) == report.rank3_shapes == 738
+        for shape, lattice in compared.items():
+            assert lattice == oracle.all_subgroups(shape), shape
+
+    def test_one_oracle_walk_per_distinct_lattice(self, monkeypatch):
+        walked = []
+        original = oracle.all_subgroups
+
+        def recording(orders):
+            walked.append(tuple(orders))
+            return original(orders)
+
+        monkeypatch.setattr(oracle, "all_subgroups", recording)
+        assert run_lattice_verification(60).ok
+        assert len(walked) == len(set(walked)) == 168
+        assert all(list(orders) == sorted(orders) and 1 not in orders for orders in walked if orders != (1,))
 
 
 class TestAsymptotic:

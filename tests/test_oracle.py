@@ -133,6 +133,43 @@ class TestLattice:
                 assert flat == {members(sub, (m, n)) for sub in oracle.all_subgroups((m, n))}
 
 
+class TestRelabel:
+    @staticmethod
+    def layouts(base):
+        """Every axis order of base, and of base with one order-1 axis put anywhere."""
+        shapes = set(itertools.permutations(base))
+        return sorted(shapes | {(*s[:i], 1, *s[i:]) for s in shapes for i in range(len(s) + 1)})
+
+    @pytest.mark.parametrize("base", [(2, 4, 4), (3, 3, 6), (12, 2, 2), (2, 3, 5)])
+    def test_matches_saturation_reference_in_every_layout(self, base):
+        key = tuple(sorted(base))
+        lattice = oracle.all_subgroups(key)
+        for target in self.layouts(base):
+            want = reference_all_subgroups(target)
+            for source in (key, (1, *key), (*key, 1)):
+                got = oracle.relabel(oracle.all_subgroups(source) if 1 in source else lattice, source, target)
+                assert {members(sub, target) for sub in got} == want, (source, target)
+
+    def test_a_layout_that_moves_no_code_returns_the_same_set(self):
+        lattice = oracle.all_subgroups((2, 3))
+        for target in [(2, 3), (1, 2, 3), (2, 1, 3), (2, 3, 1), (1, 2, 1, 3, 1)]:
+            assert oracle.relabel(lattice, (2, 3), target) is lattice
+        assert oracle.relabel(lattice, (2, 3), (3, 2)) != lattice
+        assert oracle.relabel({1}, (1,), (1, 1, 1)) == {1}
+
+    def test_equal_orders_keep_their_order(self):
+        # a subgroup lying on the first axis of order 4 stays on the first one
+        on_first = oracle.closure([(1, 0)], (4, 4))
+        moved = oracle.relabel({on_first}, (4, 4), (1, 4, 1, 4))
+        assert moved == {oracle.closure([(0, 1, 0, 0)], (1, 4, 1, 4))}
+
+    def test_rejects_different_orders(self):
+        with pytest.raises(ValueError, match="differ above 1"):
+            oracle.relabel({1}, (2, 3), (2, 2, 3))
+        with pytest.raises(ValueError, match="differ above 1"):
+            oracle.relabel({1}, (2, 4), (4, 1, 3))
+
+
 class TestCyclic:
     def test_counts(self):
         assert len(oracle.cyclic_subgroups((1, 1, 1))) == 1
