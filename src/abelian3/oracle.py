@@ -109,11 +109,15 @@ def relabel(masks: set[int], source: Sequence[int], target: Sequence[int]) -> se
     target, the i-th of that order to the i-th, and its digit moves to that
     axis's stride; order-1 axes take digit 0 on both sides. This is a group
     isomorphism, so a whole lattice is carried onto the target's lattice.
-    Returns masks itself when no code moves.
+    Returns masks itself when the orders above 1 come in the same order: then
+    each digit keeps its stride and no code moves.
     """
     source, target = tuple(source), tuple(target)
-    if sorted(o for o in source if o > 1) != sorted(o for o in target if o > 1):
+    kept = [o for o in source if o > 1]
+    if sorted(kept) != sorted(o for o in target if o > 1):
         raise ValueError(f"orders {source} and {target} differ above 1")
+    if kept == [o for o in target if o > 1]:
+        return masks
     axes = lambda orders: sorted((i for i, o in enumerate(orders) if o > 1), key=orders.__getitem__)
     places = [0] * len(source)
     strides = _strides(target)
@@ -121,8 +125,6 @@ def relabel(masks: set[int], source: Sequence[int], target: Sequence[int]) -> se
         places[i] = strides[j]
     image = list(map(sum, product(*([d * s for d in range(o)] for o, s in zip(source, places)))))
     total = len(image)
-    if image == list(range(total)):
-        return masks
     # code c is character total - 1 - c of a mask's total-digit binary string
     origin = [0] * total
     for code, moved in enumerate(image):
