@@ -41,7 +41,7 @@ _FORMATS = ("text", "json", "csv")
 # --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
 # `type-count` of 110 ones over 55 ones 0.3-0.4 s and `verify --max-order 200`
-# about 2.3 s. Timings on such a VM drift by up to a third from run to run.
+# 1.5-2.3 s. Timings on such a VM drift by up to a third from run to run.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
@@ -413,14 +413,12 @@ def run_lattice_verification(
     and pairwise distinctness. Z_m x Z_n is the shape (m, n, 1), whose stream
     length is also checked against the rank-2 gcd sum count_rank2(m, n);
     rank2_shapes counts these shapes.
-    The oracle walks each distinct lattice once per run, for the ascending
-    orders above 1 of a shape ((1,) for the trivial group), and
-    oracle.relabel carries it to each shape's codes: an order-1 axis has the
-    one digit 0 and changes no stride, so (1, n, r), (n, 1, r) and (n, r, 1)
-    have the lattice of (n, r) code for code, and permuting the factors is an
-    isomorphism that only moves each digit to its new axis's stride. At
-    max_order 60 the 738 shapes share 168 lattices. The rank3 stream, its
-    masks and the counting routes are still computed for every shape.
+    The oracle walks each distinct lattice once per run, keyed by a shape's
+    ascending orders above 1 ((1,) for the trivial group), and oracle.relabel
+    carries it to the shape's codes: an order-1 axis has the one digit 0 and
+    changes no stride, so (1, n, r), (n, 1, r) and (n, r, 1) have the lattice
+    of (n, r) code for code, and permuting the factors only moves each digit
+    to its new axis's stride. The stream, masks and counts stay per shape.
     Any exception inside one shape is recorded as a failure for that shape
     rather than aborting the campaign.
     """

@@ -102,33 +102,30 @@ def cyclic_subgroups(orders: Sequence[int]) -> set[int]:
 
 
 def relabel(masks: set[int], source: Sequence[int], target: Sequence[int]) -> set[int]:
-    """Masks over prod Z_source[i] carried to the codes of prod Z_target[i].
-
-    The two groups must have the same orders above 1, in any axis order. Each
-    axis of order above 1 in source goes to an axis of the same order in
-    target, the i-th of that order to the i-th, and its digit moves to that
-    axis's stride; order-1 axes take digit 0 on both sides. This is a group
-    isomorphism, so a whole lattice is carried onto the target's lattice.
-    Returns masks itself when the orders above 1 come in the same order: then
-    each digit keeps its stride and no code moves.
+    """Masks over prod Z_source[i] carried to the codes of prod Z_target[i],
+    which has the same orders above 1 in any axis order (an isomorphism; see
+    the module docstring). The i-th source axis of an order above 1 goes to
+    the i-th target axis of that order; order-1 axes take digit 0. Returns
+    masks itself when the orders above 1 come in the same order, as then each
+    digit keeps its stride and no code moves.
     """
     source, target = tuple(source), tuple(target)
-    kept = [o for o in source if o > 1]
-    if sorted(kept) != sorted(o for o in target if o > 1):
+    from_orders, to_orders = [o for o in source if o > 1], [o for o in target if o > 1]
+    if sorted(from_orders) != sorted(to_orders):
         raise ValueError(f"orders {source} and {target} differ above 1")
-    if kept == [o for o in target if o > 1]:
+    if from_orders == to_orders:
         return masks
-    axes = lambda orders: sorted((i for i, o in enumerate(orders) if o > 1), key=orders.__getitem__)
+    by_order = lambda orders: sorted((i for i, o in enumerate(orders) if o > 1), key=orders.__getitem__)
     places = [0] * len(source)
     strides = _strides(target)
-    for i, j in zip(axes(source), axes(target)):
+    for i, j in zip(by_order(source), by_order(target)):
         places[i] = strides[j]
     image = list(map(sum, product(*([d * s for d in range(o)] for o, s in zip(source, places)))))
     total = len(image)
     # code c is character total - 1 - c of a mask's total-digit binary string
     origin = [0] * total
-    for code, moved in enumerate(image):
-        origin[total - 1 - moved] = total - 1 - code
+    for code, image_code in enumerate(image):
+        origin[total - 1 - image_code] = total - 1 - code
     pick, digits = itemgetter(*origin), f"0{total}b"
     return {int("".join(pick(format(mask, digits))), 2) for mask in masks}
 
