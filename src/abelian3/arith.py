@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import compress, repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Factorization",
@@ -206,20 +206,23 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def odd_spf_sieve(limit: int) -> list[int]:
-    """List t with t[k // 2] = least prime factor of k for the odd 3 <= k <= limit.
+def odd_spf_sieve(limit: int) -> Sequence[int]:
+    """array('i') t with t[k // 2] = least prime factor of k for the odd 3 <= k <= limit.
 
     t has (limit + 1) // 2 entries, one per odd k <= limit; t[0] (k = 1) is 0.
     Each odd prime p up to sqrt(limit) writes p over its odd multiples from
     p^2 on, the larger primes first so that the least prime factor is written
-    last, and the entries left are the primes themselves.
+    last, and the entries left are the primes themselves. The 'i' entries take
+    4 bytes each, where a list takes an 8-byte pointer.
     """
+    from array import array  # here, not at the top: every count loads arith, and few need this
+
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     mask = _odd_prime_mask(limit)
-    table = [0] * len(mask)
+    table = array("i", [0]) * len(mask)
     for p in reversed(list(compress(range(1, math.isqrt(limit) + 1, 2), mask))):
-        table[p * p // 2 :: p] = [p] * len(range(p * p // 2, len(table), p))
+        table[p * p // 2 :: p] = array("i", [p]) * len(range(p * p // 2, len(table), p))
     for p in compress(range(1, limit + 1, 2), mask):
         table[p // 2] = p
     return table

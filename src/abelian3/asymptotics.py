@@ -125,9 +125,9 @@ class H3Estimate(NamedTuple):
 
     h3/h3prime come from the accelerated Euler product; their bounds are
     proved and cover the series tail and the rounding. direct_h3/direct_h3prime
-    come from summing h(n)/n^3 (and the log-weighted variant) to tail_terms;
-    their bounds are empirical, extrapolated from the final doubling of the
-    summation range.
+    are the correctly rounded exact sums of the double terms h(n)/n^3 (and the
+    log-weighted variant) to tail_terms; their bounds are empirical,
+    extrapolated from the final doubling of the summation range.
     """
 
     h3: float
@@ -157,15 +157,15 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     order Q^-3. H3' comes from the logarithmic derivative of the same
     factorization. Both bars add a bound on the floating-point rounding to
     the tail, and step outward by one ulp. The direct route sums the series
-    itself to tail_terms.
+    itself to tail_terms, exactly as the terms stream, holding no term list.
     """
     if prime_limit < 100:
         raise ValueError(f"prime_limit must be >= 100, got {prime_limit}")
     if tail_terms < 16:
         raise ValueError(f"tail_terms must be >= 16, got {tail_terms}")
 
-    logs: list[float] = []
-    dlogs: list[float] = []
+    logs = array("d")
+    dlogs = array("d")
     for p in primes_up_to(prime_limit):
         p2 = p * p
         c2 = 3 * (p2 + p + 1)
@@ -210,18 +210,22 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
 
     # Direct route. The series sum_n h(n)/n^3 IS the constant: its local
     # factors are (1 - p^-3)^-2 f_p(3), so the zeta part needs no separate
-    # treatment. The derivative is -sum_n h(n) log(n)/n^3.
-    terms = array("d")
-    log_terms = array("d")
+    # treatment. The derivative is -sum_n h(n) log(n)/n^3. For n <= 2^47 each
+    # term is a double >= 2^-142 (h >= 1, log n >= log 2 for n >= 2, and the
+    # n = 1 log term is 0), so term * 2^200 is an integer: the sums are exact
+    # as they stream, and one int / int division rounds each correctly, as fsum.
+    half = tail_terms // 2
+    total = log_total = 0
     for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):
         cube = n**3
-        terms.append(h / cube)
-        log_terms.append(h * math.log(n) / cube)
-    half = tail_terms // 2
-    direct_h3 = math.fsum(terms)
-    direct_h3_half = math.fsum(terms[:half])
-    direct_h3prime = -math.fsum(log_terms)
-    direct_h3prime_half = -math.fsum(log_terms[:half])
+        total += int(h / cube * 2.0**200)
+        log_total += int(h * math.log(n) / cube * 2.0**200)
+        if n == half:
+            half_total, half_log_total = total, log_total
+    direct_h3 = total / 2**200
+    direct_h3_half = half_total / 2**200
+    direct_h3prime = -(log_total / 2**200)
+    direct_h3prime_half = -(half_log_total / 2**200)
     # Terms are positive, so both sums grow monotonically toward their
     # limits; the remainder past N is comparable to the gain over the last
     # doubling. Factor 4 is empirical headroom, not a theorem.

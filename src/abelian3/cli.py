@@ -37,11 +37,11 @@ from .config import ELEMENT_BOUND_ENV, element_bound
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
 # (Python 3.11), end to end: `asymptotic --x-values 1000000000` (sublinear in x)
-# takes 3.4-5.0 s and 26 MB, `--tail-terms 2000000` 3 s and 80 MB, `table 1
-# --limit 10000000` 16-17 s and 207 MB, `poly 120` 1.8-2.0 s, `poly 1000000
-# --closed-form` 2.1 s, `table 2 --limit 50` and `table 3 --limit 18` 1.9-2.0 s,
-# `type-count` of 110 ones over 55 ones 0.3-0.4 s and `verify --max-order 200`
-# 1.5-2.3 s. Timings on such a VM drift by up to a third from run to run.
+# takes 4.7-5.1 s and 24 MB, `--tail-terms 2000000` 4.3-4.5 s and 39 MB, `table
+# 1 --limit 10000000` 19-20 s and 165 MB, `poly 120` 0.5 s, `poly 1000000
+# --closed-form` 2.1 s, `table 2 --limit 50` 0.5-0.6 s, `table 3 --limit 18`
+# 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s and `verify
+# --max-order 200` 1.5-2.3 s. Timings on such a VM drift by up to a third.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
@@ -49,7 +49,7 @@ MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
 # count and count --order build one term per exponent triple: (nu1+1)(nu2+1)(nu3+1)
 # of them for each distinct (v_p(m), v_p(n), v_p(r)). (2^78, 2^78, 2^78) has
-# 493,039 and takes 0.7-0.9 s end to end by either route on the VM above.
+# 493,039 and takes 0.2-0.3 s end to end by either route on the VM above.
 MAX_EXPONENT_TRIPLES = 500_000
 MAX_CLOSED_FORM_EXPONENT = 10**6
 # type-count's LAM may have parts summing to at most this; all ones over half

@@ -14,6 +14,7 @@ Agreement between the routes is what the test suite leans on.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -148,24 +149,24 @@ def order_terms(nu1: int, nu2: int, nu3: int) -> tuple[IntPolynomial, ...]:
     rows = [[0] * (count_degree(nu1, nu2, nu3) + 1) for _ in range(top + 1)]
     for i in range(nu1 + 1):
         for j in range(nu2 + 1):
-            for k in range(nu3 + 1):
-                rc = nu3 - k
-                ea = min(i, nu2 - j)
-                eb = min(j, rc)
-                ec = min(i, rc)
-                ssum = ea + eb + ec
-                ex = ssum - min(i + rc, ssum)
-                lead = ssum - ex
-                row = rows[top - i - j - k]
-                row[lead] += ex + 1
-                row[lead - 1] -= ex  # lead = 0 forces ex = 0, so row[-1] gains nothing
+            ea = i if i < nu2 - j else nu2 - j
+            base = nu1 + nu2 - i - j  # rows[base + rc] holds order p^(top - i - j - k), rc = nu3 - k
+            for rc, row in enumerate(rows[base : base + nu3 + 1]):
+                # S - i - rc: eX when positive; otherwise eX = 0 and the lead is S = ex + i + rc
+                ex = ea + (j if j < rc else rc) + (i if i < rc else rc) - i - rc
+                if ex > 0:
+                    lead = i + rc
+                    row[lead] += ex + 1
+                    row[lead - 1] -= ex
+                else:
+                    row[ex + i + rc] += 1
     return tuple(map(IntPolynomial, rows))
 
 
 @lru_cache(maxsize=None)
 def symbolic_count(nu1: int, nu2: int, nu3: int) -> IntPolynomial:
     """Subgroup count of Z_p^nu1 x Z_p^nu2 x Z_p^nu3 as a polynomial in p."""
-    return sum(order_terms(nu1, nu2, nu3), ZERO)
+    return IntPolynomial(map(sum, zip_longest(*(t.coefficients for t in order_terms(nu1, nu2, nu3)), fillvalue=0)))
 
 
 def count_degree(nu1: int, nu2: int, nu3: int) -> int:

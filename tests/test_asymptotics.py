@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -183,6 +184,25 @@ class TestConstants:
             h3prime = h3 * (2 * dlog_zeta[0] + 4 * dlog_zeta[1] + dlog_sum)
             assert abs(est.h3 - h3) <= est.h3_bound
             assert abs(est.h3prime - h3prime) <= est.h3prime_bound
+
+    @pytest.mark.parametrize("tail_terms", [16, 17, 4097, 20_001, 200_000, *random.Random(21).sample(range(16, 60_000), 3)])
+    def test_direct_sums_equal_buffered_fsum_bit_for_bit(self, tail_terms):
+        # the reference holds every term and sums them with math.fsum
+        terms, log_terms = [], []
+        for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):
+            terms.append(h / n**3)
+            log_terms.append(h * math.log(n) / n**3)
+        half = tail_terms // 2
+        h3, h3_half = math.fsum(terms), math.fsum(terms[:half])
+        h3prime, h3prime_half = -math.fsum(log_terms), -math.fsum(log_terms[:half])
+        est = h3_and_h3prime(prime_limit=100, tail_terms=tail_terms)
+        assert est.direct_h3.hex() == h3.hex()
+        assert est.direct_h3prime.hex() == h3prime.hex()
+        assert est.direct_h3_bound.hex() == (4 * abs(h3 - h3_half)).hex()
+        assert est.direct_h3prime_bound.hex() == (4 * abs(h3prime - h3prime_half)).hex()
+        if half >= 16:  # the half sums on their own
+            at_half = h3_and_h3prime(prime_limit=100, tail_terms=half)
+            assert (at_half.direct_h3.hex(), at_half.direct_h3prime.hex()) == (h3_half.hex(), h3prime_half.hex())
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import csv
 import math
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from abelian3.typecounts import (
     general_form,
     h_closed_form,
     h_recurrence,
+    order_terms,
     subpartitions,
     symbolic_count,
     type_count,
@@ -121,6 +122,19 @@ class TestSymbolicCount:
         for row in read_rows("table3.csv"):
             nus = int(row["nu1"]), int(row["nu2"]), int(row["nu3"])
             assert str(symbolic_count(*nus)) == row["s_poly"], nus
+
+    def test_order_terms_match_gaussian_route_as_polynomials(self):
+        # the kernel branches on i, j and rc = nu3 - k, so every axis order of
+        # every exponent triple up to 6 is checked, polynomial by polynomial
+        by_type = {}
+        for parts in combinations_with_replacement(range(6, -1, -1), 3):
+            lam = Partition(tuple(part for part in parts if part))
+            sums = [ZERO] * (lam.size + 1)
+            for mu in subpartitions(lam):
+                sums[mu.size] = sums[mu.size] + type_count(lam, mu)
+            by_type[parts] = tuple(sums)
+        for nu in product(range(7), repeat=3):
+            assert order_terms(*nu) == by_type[tuple(sorted(nu, reverse=True))], nu
 
     def test_degree_formula(self):
         for shape in product(range(8), repeat=3):
