@@ -41,7 +41,7 @@ _FORMATS = ("text", "json", "csv")
 # 1 --limit 10000000` 19-20 s and 165 MB, `poly 120` 0.5 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` 0.5-0.6 s, `table 3 --limit 18`
 # 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s and `verify
-# --max-order 200` 1.5-2.3 s. Timings on such a VM drift by up to a third.
+# --max-order 200` 1.2-1.8 s. Timings on such a VM drift by up to a third.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
@@ -389,14 +389,16 @@ class VerificationReport(NamedTuple):
         return not self.failures
 
 
-def _difference_note(got: set[int], want: set[int], group: tuple[int, int, int]) -> str:
-    """The masks in one set only, decoded to element lists, the first three of each side in ascending order."""
+def _difference_note(got: set[int], want: set[int], group: tuple[int, int, int], strides: Sequence[int]) -> str:
+    """The masks in one set only (codes x sx + y sy + z sz for strides (sx, sy,
+    sz)), decoded to sorted element lists, the first three of each side in
+    ascending order."""
     from .oracle import decode
-    elements = list(product(*map(range, group)))
+    elements = sorted(product(*map(range, group)), key=lambda e: sum(x * s for x, s in zip(e, strides)))
     bits = []
     for side, masks in (("unexpected", got - want), ("missing", want - got)):
         if masks:
-            shown = "; ".join(map(str, sorted(decode(mask, elements) for mask in masks)[:3]))
+            shown = "; ".join(map(str, sorted(sorted(decode(mask, elements)) for mask in masks)[:3]))
             bits.append(f"{len(masks)} {side} sets (first: {shown})")
     return ", ".join(bits) if bits else "sets differ"
 
@@ -414,11 +416,12 @@ def run_lattice_verification(
     length is also checked against the rank-2 gcd sum count_rank2(m, n);
     rank2_shapes counts these shapes.
     The oracle walks each distinct lattice once per run, keyed by a shape's
-    ascending orders above 1 ((1,) for the trivial group), and oracle.relabel
-    carries it to the shape's codes: an order-1 axis has the one digit 0 and
-    changes no stride, so (1, n, r), (n, 1, r) and (n, r, 1) have the lattice
-    of (n, r) code for code, and permuting the factors only moves each digit
-    to its new axis's stride. The stream, masks and counts stay per shape.
+    orders above 1 stably sorted ((1,) for the trivial group), and each
+    shape's masks are built in that key's codes: axis i of the shape takes the
+    stride of its key axis, and an order-1 axis, whose digit is 0, stride 1.
+    Permuting the factors is an isomorphism, so the shape's subgroups in those
+    codes are the key's lattice as walked. The stream, masks and counts stay
+    per shape.
     Any exception inside one shape is recorded as a failure for that shape
     rather than aborting the campaign.
     """
@@ -437,11 +440,15 @@ def run_lattice_verification(
                 group = (m, n, r)
                 try:
                     bound = element_bound()  # once per shape, not per subgroup
-                    key = tuple(sorted(o for o in group if o > 1)) or (1,)
+                    axes = sorted((i for i in range(3) if group[i] > 1), key=group.__getitem__) or [0]
+                    key = tuple(group[i] for i in axes)
+                    strides = [1, 1, 1]
+                    for k, i in enumerate(axes):
+                        strides[i] = math.prod(key[k + 1:])
                     if key not in lattices:
                         lattices[key] = oracle.all_subgroups(key)
-                    want = oracle.relabel(lattices[key], key, group)
-                    masks = [rank3.subgroup_elements(sub, bound) for sub in rank3.subgroup_stream(group)]
+                    want = lattices[key]
+                    masks = [rank3.subgroup_elements(sub, bound, strides) for sub in rank3.subgroup_stream(group)]
                     stream, seen = len(masks), set(masks)
                     formulas = {"per prime": rank3.count_total(group), "divisor sum": rank3.count_total_divisor_sum(group)}
                     if r == 1:
@@ -452,7 +459,7 @@ def run_lattice_verification(
                     elif len(seen) != stream:
                         failures.append(f"{group}: {stream - len(seen)} duplicate element sets")
                     elif seen != want:
-                        failures.append(f"{group}: {_difference_note(seen, want, group)}")
+                        failures.append(f"{group}: {_difference_note(seen, want, group, strides)}")
                 except Exception as exc:  # noqa: BLE001 - campaign must report, not die
                     failures.append(f"{group}: {type(exc).__name__}: {exc}")
         if progress is not None and m % 10 == 0:

@@ -9,12 +9,8 @@ one bit per code. Translating a set by an element rotates the digit blocks
 of each axis the element moves along (see _axes). The lattice walk joins
 only cyclic subgroups of prime-power order (see all_subgroups).
 
-Groups with the same orders above 1 have one lattice up to relabelling codes
-(see relabel). An axis of order 1 has the one digit 0 and leaves every other
-axis's stride unchanged, so Z_1 x Z_n x Z_r has, code for code, the lattice
-of Z_n x Z_r. Permuting the factors is an isomorphism that moves each digit
-to the stride of its new axis, so it maps subgroups to subgroups and only
-relabels their codes.
+Groups with the same orders above 1 have one lattice up to an isomorphism
+that moves each digit to a new stride.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from __future__ import annotations
 import re
 from itertools import product
 from math import gcd, isqrt, lcm, prod
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import element_bound
@@ -101,35 +96,6 @@ def cyclic_subgroups(orders: Sequence[int]) -> set[int]:
     return {1} | {sum(1 << code for code in codes) for codes, _ in _cyclic_generators(_axes(orders), [1] * len(orders))}
 
 
-def relabel(masks: set[int], source: Sequence[int], target: Sequence[int]) -> set[int]:
-    """Masks over prod Z_source[i] carried to the codes of prod Z_target[i],
-    which has the same orders above 1 in any axis order (an isomorphism; see
-    the module docstring). The i-th source axis of an order above 1 goes to
-    the i-th target axis of that order; order-1 axes take digit 0. Returns
-    masks itself when the orders above 1 come in the same order, as then each
-    digit keeps its stride and no code moves.
-    """
-    source, target = tuple(source), tuple(target)
-    from_orders, to_orders = [o for o in source if o > 1], [o for o in target if o > 1]
-    if sorted(from_orders) != sorted(to_orders):
-        raise ValueError(f"orders {source} and {target} differ above 1")
-    if from_orders == to_orders:
-        return masks
-    by_order = lambda orders: sorted((i for i, o in enumerate(orders) if o > 1), key=orders.__getitem__)
-    places = [0] * len(source)
-    strides = _strides(target)
-    for i, j in zip(by_order(source), by_order(target)):
-        places[i] = strides[j]
-    image = list(map(sum, product(*([d * s for d in range(o)] for o, s in zip(source, places)))))
-    total = len(image)
-    # code c is character total - 1 - c of a mask's total-digit binary string
-    origin = [0] * total
-    for code, image_code in enumerate(image):
-        origin[total - 1 - image_code] = total - 1 - code
-    pick, digits = itemgetter(*origin), f"0{total}b"
-    return {int("".join(pick(format(mask, digits))), 2) for mask in masks}
-
-
 def decode(members: int, items: Sequence) -> list:
     """The items at the codes set in members, in code order; with the group's
     elements in code order as items, the elements of the subgroup members."""
@@ -158,16 +124,12 @@ def _axes(orders: tuple[int, ...]) -> list[tuple[int, int, list[Shift]]]:
     _check_orders(orders)
     full = (1 << prod(orders)) - 1
     axes = []
-    for o, stride in zip(orders, _strides(orders)):
+    for i, o in enumerate(orders):
+        stride = prod(orders[i + 1:])
         repeat = full // ((1 << o * stride) - 1)  # bit 0 of every block
         lows = [((1 << (o - a) * stride) - 1) * repeat for a in range(o)]
         axes.append((o, stride, [(lo, a * stride, full ^ lo, (o - a) * stride) for a, lo in enumerate(lows)]))
     return axes
-
-
-def _strides(orders: tuple[int, ...]) -> list[int]:
-    """The code step of each axis's digit: the product of the later orders."""
-    return [prod(orders[i + 1:]) for i in range(len(orders))]
 
 
 def _cyclic_generators(axes: list, steps: Sequence[int]) -> list[tuple[list[int], tuple[Shift, ...]]]:

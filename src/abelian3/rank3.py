@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import arith
 from .arith import PHI, divisors, evaluate, gcd_sum
@@ -184,13 +184,15 @@ def _shift_rule(a: int, b: int, rc: int, dp: DerivedParams) -> Callable[[int, in
     return shifts
 
 
-def subgroup_elements(sub: Subgroup, bound: int | None = None) -> int:
+def subgroup_elements(sub: Subgroup, bound: int | None = None, strides: Sequence[int] | None = None) -> int:
     """The element set {i (a,0,0) + j (s,b,0) + k (u,v,c)} as a mask with bit
-    x n r + y r + z set for each element (x, y, z): for j < n/b and k < r/c,
-    the line of multiples of (a,0,0) moved to ((j s + k u) mod a, (j b + k v)
-    mod n, k c), which does not wrap as it starts below a. That the set has
-    order elements, all in the group, is asserted. Refuses groups larger than
-    bound, by default the configured element bound (override:
+    x sx + y sy + z sz set for each element (x, y, z), strides (sx, sy, sz)
+    defaulting to (n r, r, 1): for j < n/b and k < r/c, the line of multiples
+    of (a,0,0) moved to ((j s + k u) mod a, (j b + k v) mod n, k c), which
+    does not wrap as it starts below a. verify passes the codes of its lattice
+    key, the orders above 1 sorted (stride 1 on an order-1 axis). That the set
+    has order elements, all below m n r, is asserted. Refuses groups larger
+    than bound, by default the configured element bound (override:
     ABELIAN3_ELEMENT_BOUND); callers that build the masks of one group's
     whole stream read that once and pass it.
     """
@@ -203,12 +205,12 @@ def subgroup_elements(sub: Subgroup, bound: int | None = None) -> int:
             f"group order {total} exceeds the element bound {bound}; "
             f"raise ABELIAN3_ELEMENT_BOUND to materialize it"
         )
-    plane = n * r
-    line = ((1 << total) - 1) // ((1 << a * plane) - 1)  # bit 0 of every block of a n r bits
+    sx, sy, sz = strides or (n * r, r, 1)
+    line = ((1 << m * sx) - 1) // ((1 << a * sx) - 1)  # bit 0 of every block of a sx bits
     mask = 0
     for k in range(r // c):
         for j in range(n // b):
-            mask |= line << ((j * s + k * u) % a * plane + (j * b + k * v) % n * r + k * c)
+            mask |= line << ((j * s + k * u) % a * sx + (j * b + k * v) % n * sy + k * c * sz)
     assert mask.bit_count() == order and mask.bit_length() <= total
     return mask
 

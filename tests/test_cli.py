@@ -643,15 +643,22 @@ class TestVerify:
             "(2, 1, 2): 1 unexpected sets (first: [(0, 0, 0), (1, 0, 1)]), 1 missing sets (first: [(0, 0, 0), (0, 0, 1), (1, 0, 0)])",
             "(2, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (1, 1, 0)]), 1 missing sets (first: [(0, 0, 0), (0, 1, 0), (1, 0, 0)])",
         ]
+        # without the order-4 subgroups of Z_2 x Z_4: (4, 2, 1) builds its masks
+        # in the codes of (2, 4), which list its elements out of ascending order
+        monkeypatch.setattr(oracle, "all_subgroups", lambda orders: {sub for sub in original(orders) if tuple(orders) != (2, 4) or sub.bit_count() != 4})
+        assert (
+            "(4, 2, 1): 3 unexpected sets (first: [(0, 0, 0), (0, 1, 0), (2, 0, 0), (2, 1, 0)]; "
+            "[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]; [(0, 0, 0), (1, 1, 0), (2, 0, 0), (3, 1, 0)])"
+        ) in run_lattice_verification(8).failures
 
     def test_one_wrong_mask_fails_only_its_shape(self, monkeypatch):
-        # (4, 2, 1) takes the lattice of (2, 4) relabelled; <(2, 0, 0)> is
-        # replaced by {(0, 0, 0), (3, 0, 0)}, which is no subgroup
+        # (4, 2, 1) builds its masks in the codes of (2, 4), where x has stride 1;
+        # <(2, 0, 0)> is replaced by {(0, 0, 0), (3, 0, 0)}, which is no subgroup
         original = rank3.subgroup_elements
 
-        def corrupted(sub, bound=None):
-            mask = original(sub, bound)
-            return 1 | 1 << 6 if sub.group == (4, 2, 1) and mask == 1 | 1 << 4 else mask
+        def corrupted(sub, bound=None, strides=None):
+            mask = original(sub, bound, strides)
+            return 1 | 1 << 3 if sub.group == (4, 2, 1) and mask == 1 | 1 << 2 else mask
 
         monkeypatch.setattr(rank3, "subgroup_elements", corrupted)
         report = run_lattice_verification(8)
@@ -681,21 +688,6 @@ class TestVerify:
         report = run_lattice_verification(6)
         shapes = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
         assert report.failures == [f"{shape}: RuntimeError: oracle down" for shape in shapes]
-
-    def test_shared_lattices_equal_direct_walks(self, monkeypatch):
-        compared = {}
-        original = oracle.relabel
-
-        def recording(masks, source, target):
-            compared[tuple(target)] = lattice = original(masks, source, target)
-            return lattice
-
-        monkeypatch.setattr(oracle, "relabel", recording)
-        report = run_lattice_verification(60)
-        assert report.ok
-        assert len(compared) == report.rank3_shapes == 738
-        for shape, lattice in compared.items():
-            assert lattice == oracle.all_subgroups(shape), shape
 
     def test_one_oracle_walk_per_distinct_lattice(self, monkeypatch):
         walked = []

@@ -247,14 +247,22 @@ class TestElements:
 
     def test_masks_match_closure_of_generators(self):
         # the oracle joins the generators' cyclic subgroups by translating masks;
-        # subgroup_elements lays out lines of multiples by modular arithmetic
+        # subgroup_elements lays out lines of multiples by modular arithmetic,
+        # also in the codes of the orders above 1 stably sorted, as verify does
         shapes = [(m, n, r) for m in range(1, 49) for n in range(1, 48 // m + 1) for r in range(1, 48 // (m * n) + 1)]
         assert len(shapes) == 540
         for group in shapes:
+            axes = sorted((i for i in range(3) if group[i] > 1), key=group.__getitem__) or [0]
+            key = [group[i] for i in axes]
+            strides = [1, 1, 1]
+            for k, i in enumerate(axes):
+                strides[i] = math.prod(key[k + 1:])
             for sub in subgroup_stream(group):
                 mask = subgroup_elements(sub)
                 assert mask == oracle.closure(sub.generators, sub.group), sub
                 assert mask.bit_count() == sub.order, sub
+                permuted = [[g[i] for i in axes] for g in sub.generators]
+                assert subgroup_elements(sub, None, strides) == oracle.closure(permuted, key), sub
 
 
 class TestCountTotal:
