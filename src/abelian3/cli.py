@@ -32,7 +32,7 @@ from itertools import accumulate, chain, islice, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import typecounts
-from .config import ELEMENT_BOUND_ENV, element_bound
+from .config import ELEMENT_BOUND
 
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
@@ -40,8 +40,9 @@ _FORMATS = ("text", "json", "csv")
 # takes 4.7-5.1 s and 24 MB, `--tail-terms 2000000` 4.3-4.5 s and 39 MB, `table
 # 1 --limit 10000000` 19-20 s and 165 MB, `poly 120` 0.5 s, `poly 1000000
 # --closed-form` 2.1 s, `table 2 --limit 50` 0.5-0.6 s, `table 3 --limit 18`
-# 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s and `verify
-# --max-order 200` 1.2-1.8 s. Timings on such a VM drift by up to a third.
+# 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s, `verify
+# --max-order 200` 1.2-1.8 s and `enumerate 16 16 16 --elements` (order
+# config.ELEMENT_BOUND) 0.4-0.5 s. Timings on such a VM drift by up to a third.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
@@ -225,23 +226,12 @@ def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyc
     _render_rows(cfg, [(m, n, r, kind, order_, value)], columns, lambda row: str(row[-1]))
 
 
-def _check_element_bound(order: int, what: str) -> int:
-    """The element bound; a usage error when ABELIAN3_ELEMENT_BOUND is malformed or order exceeds it."""
-    try:
-        bound = element_bound()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if order > bound:
-        raise UsageError(f"{what} exceeds the element bound {bound} (set {ELEMENT_BOUND_ENV} to raise the cap)")
-    return bound
-
-
 def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool) -> None:
     """Stream one line per subgroup, in deterministic (a,b,c,t,w,z) order."""
     from . import rank3
     group = (m, n, r)
-    if with_elements:
-        bound = _check_element_bound(m * n * r, f"group order {m * n * r}")
+    if with_elements and m * n * r > ELEMENT_BOUND:
+        raise UsageError(f"group order {m * n * r} exceeds the element bound {ELEMENT_BOUND}")
     try:
         total = rank3.count_total(group)
     except ValueError as exc:  # an entry too hard to factor
@@ -258,7 +248,7 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
         from .oracle import decode
         elements = list(product(range(m), range(n), range(r)))
         cells = [f"{x},{y},{z}" for x, y, z in elements]
-        rows = ((*sub, rank3.subgroup_elements(sub, bound)) for sub in rank3.subgroup_stream(group))
+        rows = ((*sub, rank3.subgroup_elements(sub)) for sub in rank3.subgroup_stream(group))
         columns.append(Column("elements", csv=lambda mask: " ".join(decode(mask, cells)), json=lambda mask: decode(mask, elements)))
         _render_rows(cfg, rows, columns, to_text)
     else:  # the rows of a run differ in z and u only
@@ -439,7 +429,6 @@ def run_lattice_verification(
                 rank2_shapes += r == 1
                 group = (m, n, r)
                 try:
-                    bound = element_bound()  # once per shape, not per subgroup
                     axes = sorted((i for i in range(3) if group[i] > 1), key=group.__getitem__) or [0]
                     key = tuple(group[i] for i in axes)
                     strides = [1, 1, 1]
@@ -448,7 +437,7 @@ def run_lattice_verification(
                     if key not in lattices:
                         lattices[key] = oracle.all_subgroups(key)
                     want = lattices[key]
-                    masks = [rank3.subgroup_elements(sub, bound, strides) for sub in rank3.subgroup_stream(group)]
+                    masks = [rank3.subgroup_elements(sub, strides) for sub in rank3.subgroup_stream(group)]
                     stream, seen = len(masks), set(masks)
                     formulas = {"per prime": rank3.count_total(group), "divisor sum": rank3.count_total_divisor_sum(group)}
                     if r == 1:
@@ -480,7 +469,6 @@ def _verify_text(row: tuple) -> str:
 
 def cmd_verify(cfg: OutputConfig, max_order: int) -> None:
     """Cross-check enumeration, counting, and the brute-force lattice."""
-    _check_element_bound(max_order, f"--max-order {max_order}")
     progress = None if cfg.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = run_lattice_verification(max_order, progress=progress)
     row = (report.max_order, report.rank3_shapes, report.rank2_shapes, report.ok, report.failures)

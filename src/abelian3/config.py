@@ -1,27 +1,9 @@
 """Runtime limits shared across the package."""
 
-from __future__ import annotations
-
-import os
-
-DEFAULT_ELEMENT_BOUND = 4096
-ELEMENT_BOUND_ENV = "ABELIAN3_ELEMENT_BOUND"
-
-
-def element_bound() -> int:
-    """Largest group order for which element sets may be materialized.
-
-    Defaults to DEFAULT_ELEMENT_BOUND; override with the ABELIAN3_ELEMENT_BOUND
-    environment variable. Read on every call so tests and long-lived processes
-    can adjust it.
-    """
-    raw = os.environ.get(ELEMENT_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ELEMENT_BOUND
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ELEMENT_BOUND_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{ELEMENT_BOUND_ENV} must be positive, got {value}")
-    return value
+# Largest group order whose element sets are built (enumerate --elements,
+# verify and the oracle). A set is one bit per element, and the oracle walks
+# lattices by translating such masks, so cost grows with the order: accepted
+# --elements groups of order 4096 take 0.2-0.5 s end to end (16^3 is the
+# slowest), and verify's --max-order cap of 200 lies far below. A constant,
+# so that no setting can turn a fast refusal into a hang or a MemoryError.
+ELEMENT_BOUND = 4096

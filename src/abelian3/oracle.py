@@ -20,7 +20,7 @@ from itertools import product
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
-from .config import element_bound
+from .config import ELEMENT_BOUND
 
 Element = tuple[int, ...]
 # (lo, up, hi, down): x -> (x & lo) << up | (x & hi) >> down translates x along one axis
@@ -105,13 +105,8 @@ def decode(members: int, items: Sequence) -> list:
 def _check_orders(orders: tuple[int, ...]) -> None:
     if not orders or any(o < 1 for o in orders):
         raise ValueError(f"orders must be positive, got {orders}")
-    total = prod(orders)
-    bound = element_bound()
-    if total > bound:
-        raise ValueError(
-            f"group order {total} exceeds the element bound {bound}; "
-            f"raise ABELIAN3_ELEMENT_BOUND to go further"
-        )
+    if (total := prod(orders)) > ELEMENT_BOUND:
+        raise ValueError(f"group order {total} exceeds the element bound {ELEMENT_BOUND}")
 
 
 def _axes(orders: tuple[int, ...]) -> list[tuple[int, int, list[Shift]]]:

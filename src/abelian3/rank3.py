@@ -34,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import arith
 from .arith import PHI, divisors, evaluate, gcd_sum
-from .config import element_bound
+from .config import ELEMENT_BOUND
 from .typecounts import order_terms, symbolic_count
 
 Group3 = tuple[int, int, int]
@@ -184,34 +184,32 @@ def _shift_rule(a: int, b: int, rc: int, dp: DerivedParams) -> Callable[[int, in
     return shifts
 
 
-def subgroup_elements(sub: Subgroup, bound: int | None = None, strides: Sequence[int] | None = None) -> int:
+def subgroup_elements(sub: Subgroup, strides: Sequence[int] | None = None) -> int:
     """The element set {i (a,0,0) + j (s,b,0) + k (u,v,c)} as a mask with bit
     x sx + y sy + z sz set for each element (x, y, z), strides (sx, sy, sz)
     defaulting to (n r, r, 1): for j < n/b and k < r/c, the line of multiples
     of (a,0,0) moved to ((j s + k u) mod a, (j b + k v) mod n, k c), which
     does not wrap as it starts below a. verify passes the codes of its lattice
-    key, the orders above 1 sorted (stride 1 on an order-1 axis). That the set
-    has order elements, all below m n r, is asserted. Refuses groups larger
-    than bound, by default the configured element bound (override:
-    ABELIAN3_ELEMENT_BOUND); callers that build the masks of one group's
-    whole stream read that once and pass it.
+    key, the orders above 1 sorted (stride 1 on an order-1 axis). Refuses
+    groups of order above config.ELEMENT_BOUND, and raises ValueError unless
+    the set has order elements, all below m n r (strides that do not code
+    the group one to one break this).
     """
     m, n, r, a, b, c, _, _, _, s, u, v, order = sub
     total = m * n * r
-    if bound is None:
-        bound = element_bound()
-    if total > bound:
-        raise ValueError(
-            f"group order {total} exceeds the element bound {bound}; "
-            f"raise ABELIAN3_ELEMENT_BOUND to materialize it"
-        )
+    if total > ELEMENT_BOUND:
+        raise ValueError(f"group order {total} exceeds the element bound {ELEMENT_BOUND}")
     sx, sy, sz = strides or (n * r, r, 1)
     line = ((1 << m * sx) - 1) // ((1 << a * sx) - 1)  # bit 0 of every block of a sx bits
     mask = 0
     for k in range(r // c):
         for j in range(n // b):
             mask |= line << ((j * s + k * u) % a * sx + (j * b + k * v) % n * sy + k * c * sz)
-    assert mask.bit_count() == order and mask.bit_length() <= total
+    if mask.bit_count() != order or mask.bit_length() > total:
+        raise ValueError(
+            f"sextuple {tuple(sub[3:9])} of {sub.group}: mask has {mask.bit_count()} bits and bit length "
+            f"{mask.bit_length()}, want {order} bits below m*n*r = {total}"
+        )
     return mask
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
 from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
-from abelian3.config import ELEMENT_BOUND_ENV
+from abelian3.config import ELEMENT_BOUND
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.typecounts import general_form
 from conftest import CliRunner
@@ -213,21 +213,15 @@ class TestEnumerate:
         assert arith.factorize.cache_info().misses == 2  # n and 1
         assert len(rho_calls) == 1
 
-    def test_element_bound_is_usage_error(self, runner, monkeypatch):
-        monkeypatch.delenv(ELEMENT_BOUND_ENV, raising=False)
+    def test_element_bound_is_usage_error(self, runner):
         result = runner.invoke(main, ["-q", "enumerate", "64", "64", "2", "--elements"])
         assert result.exit_code == 2
-        assert ELEMENT_BOUND_ENV in result.stderr
+        assert "group order 8192 exceeds the element bound 4096" in result.stderr
 
-    @pytest.mark.parametrize(
-        ("bound", "group"),
-        [("x", ("4", "4", "4")), ("0", ("4", "4", "4")), (None, ("64", "64", "2"))],
-        ids=["malformed", "zero", "oversized"],
-    )
-    def test_element_bound_checked_before_any_output(self, bound, group):
-        env = {key: value for key, value in os.environ.items() if key != ELEMENT_BOUND_ENV}
-        if bound is not None:
-            env[ELEMENT_BOUND_ENV] = bound
+    @pytest.mark.parametrize("group", [("64", "64", "2"), ("1000", "1000", "1000")], ids=["oversized", "a-billion"])
+    def test_element_bound_checked_before_any_output(self, group):
+        # the bound is a constant: no environment variable raises it
+        env = dict(os.environ, ABELIAN3_ELEMENT_BOUND="1000000000")
         proc = subprocess.run(
             [sys.executable, "-m", "abelian3.cli", "enumerate", *group, "--elements"],
             capture_output=True,
@@ -237,7 +231,7 @@ class TestEnumerate:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"Traceback" not in proc.stderr
-        assert ELEMENT_BOUND_ENV.encode() in proc.stderr
+        assert b"exceeds the element bound 4096" in proc.stderr
 
     @pytest.mark.parametrize("with_elements", [False, True])
     def test_csv_header_is_the_record_fields(self, runner, with_elements):
@@ -247,13 +241,7 @@ class TestEnumerate:
         header = ",".join(rank3.Subgroup._fields) + ",elements" * with_elements
         assert result.stdout_bytes.split(b"\r\n")[0] == header.encode()
 
-    def test_element_bound_env_override(self, runner, monkeypatch):
-        monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
-        result = runner.invoke(main, ["-q", "enumerate", "64", "64", "2", "--elements"])
-        assert result.exit_code == 0
-
-    def test_without_elements_no_bound(self, runner, monkeypatch):
-        monkeypatch.delenv(ELEMENT_BOUND_ENV, raising=False)
+    def test_without_elements_no_bound(self, runner):
         result = runner.invoke(main, ["-q", "--format", "json", "enumerate", "64", "64", "2"])
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == rank3.count_total((64, 64, 2))
@@ -304,11 +292,10 @@ class TestChunkedOutput:
         assert result.stdout_bytes == want.encode()
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_line_longer_than_a_chunk_is_written_whole(self, runner, monkeypatch, fmt):
-        monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
-        result = runner.invoke(main, ["-q", "--format", fmt, "enumerate", "8192", "1", "1", "--elements"])
+    def test_line_longer_than_a_chunk_is_written_whole(self, runner, fmt):
+        result = runner.invoke(main, ["-q", "--format", fmt, "enumerate", str(ELEMENT_BOUND), "1", "1", "--elements"])
         assert result.exit_code == 0
-        want = reference_lines((8192, 1, 1), fmt, with_elements=True)
+        want = reference_lines((ELEMENT_BOUND, 1, 1), fmt, with_elements=True)
         assert len(want[fmt == "csv"]) > _CHUNK_CHARS
         assert result.stdout_bytes == "".join(want).encode()
 
@@ -587,14 +574,6 @@ class TestVerify:
         assert "result: FAIL" in result.stdout
         assert "(2, 4, 2)" in result.stdout
 
-    def test_order_past_the_element_bound_is_usage_error(self, runner, monkeypatch):
-        monkeypatch.setenv(ELEMENT_BOUND_ENV, "20")
-        result = runner.invoke(main, ["verify", "--max-order", "24"])
-        assert result.exit_code == 2
-        assert ELEMENT_BOUND_ENV in result.stderr
-        assert "FAIL" not in result.stdout
-        assert runner.invoke(main, ["-q", "verify", "--max-order", "20"]).exit_code == 0
-
     def test_corruption_report_names_shapes(self, monkeypatch):
         original = rank3.derived_params
 
@@ -656,8 +635,8 @@ class TestVerify:
         # <(2, 0, 0)> is replaced by {(0, 0, 0), (3, 0, 0)}, which is no subgroup
         original = rank3.subgroup_elements
 
-        def corrupted(sub, bound=None, strides=None):
-            mask = original(sub, bound, strides)
+        def corrupted(sub, strides=None):
+            mask = original(sub, strides)
             return 1 | 1 << 3 if sub.group == (4, 2, 1) and mask == 1 | 1 << 2 else mask
 
         monkeypatch.setattr(rank3, "subgroup_elements", corrupted)
@@ -831,6 +810,11 @@ class TestInputBounds:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "more than 640 digits" in result.stderr
+
+    def test_verify_stays_below_the_element_bound(self):
+        # verify builds the element set of every group it checks and has no
+        # bound check of its own: argparse's --max-order cap keeps it inside
+        assert MAX_VERIFY_ORDER <= ELEMENT_BOUND
 
     def test_verify_order_past_the_bound_fails_fast(self, runner):
         start = time.perf_counter()

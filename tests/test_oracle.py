@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from abelian3 import oracle
-from abelian3.config import ELEMENT_BOUND_ENV
+from abelian3.config import ELEMENT_BOUND
 
 
 # every abelian group of order <= 32 and rank <= 3, once, as Z_d1 x Z_d2 x Z_d3 with d1 | d2 | d3
@@ -195,12 +195,10 @@ class TestBound:
         with pytest.raises(ValueError, match="element bound"):
             oracle.all_subgroups((17, 17, 17))
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ELEMENT_BOUND_ENV, "8")
-        with pytest.raises(ValueError, match="element bound"):
-            oracle.closure([(0, 0)], (3, 3))
-        monkeypatch.setenv(ELEMENT_BOUND_ENV, "9")
-        assert oracle.closure([(1, 0), (0, 1)], (3, 3)).bit_count() == 9
+    def test_closure_at_the_bound(self):
+        with pytest.raises(ValueError, match=f"group order {ELEMENT_BOUND + 1} exceeds the element bound {ELEMENT_BOUND}"):
+            oracle.closure([(0,)], (ELEMENT_BOUND + 1,))
+        assert oracle.closure([(1, 0), (0, 1)], (64, 64)).bit_count() == ELEMENT_BOUND
 
     def test_join_budget(self, monkeypatch):
         start = time.perf_counter()

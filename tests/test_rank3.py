@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,7 +12,6 @@ from hypothesis import strategies as st
 
 from abelian3 import oracle, rank3
 from abelian3.arith import divisors
-from abelian3.config import ELEMENT_BOUND_ENV
 from abelian3.rank2 import count_rank2
 from abelian3.rank3 import (
     Sextuple,
@@ -223,16 +226,28 @@ class TestMaterialize:
 
 
 class TestElements:
-    def test_bound_enforced(self, monkeypatch):
-        monkeypatch.delenv(ELEMENT_BOUND_ENV, raising=False)
+    def test_bound_enforced(self):
         sub = materialize(Sextuple(1, 1, 1, 0, 0, 0), (64, 64, 2))
-        with pytest.raises(ValueError, match="element bound"):
+        with pytest.raises(ValueError, match="group order 8192 exceeds the element bound 4096"):
             subgroup_elements(sub)
 
-    def test_bound_override(self, monkeypatch):
-        monkeypatch.setenv(ELEMENT_BOUND_ENV, "8192")
-        sub = materialize(Sextuple(1, 1, 1, 0, 0, 0), (64, 64, 2))
-        assert subgroup_elements(sub) == (1 << 8192) - 1
+    def test_bad_strides_raise_a_named_error(self):
+        # strides (1, 3, 3) code (4, 1, 3) with overlaps; the whole group's
+        # mask then has 10 bits where it must have 12
+        sub = materialize(Sextuple(1, 1, 1, 0, 0, 0), (4, 1, 3))
+        want = r"sextuple \(1, 1, 1, 0, 0, 0\) of \(4, 1, 3\): mask has 10 bits and bit length 10, want 12 bits below m\*n\*r = 12"
+        with pytest.raises(ValueError, match=want):
+            subgroup_elements(sub, (1, 3, 3))
+        # the check is no assert, so python -O keeps it
+        code = (
+            "from abelian3.rank3 import Sextuple, materialize, subgroup_elements\n"
+            "subgroup_elements(materialize(Sextuple(1, 1, 1, 0, 0, 0), (4, 1, 3)), (1, 3, 3))\n"
+        )
+        src = str(Path(rank3.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 1
+        assert "ValueError: sextuple (1, 1, 1, 0, 0, 0) of (4, 1, 3): mask has 10 bits" in result.stderr
 
     def test_sets_closed_under_addition(self):
         group = (4, 2, 3)
@@ -262,7 +277,7 @@ class TestElements:
                 assert mask == oracle.closure(sub.generators, sub.group), sub
                 assert mask.bit_count() == sub.order, sub
                 permuted = [[g[i] for i in axes] for g in sub.generators]
-                assert subgroup_elements(sub, None, strides) == oracle.closure(permuted, key), sub
+                assert subgroup_elements(sub, strides) == oracle.closure(permuted, key), sub
 
 
 class TestCountTotal:
