@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "gcd_sum",
     "gcd_sum_direct",
     "is_prime",
+    "iter_primes",
     "multiplicative_stream",
     "odd_spf_sieve",
     "primes_up_to",
@@ -104,11 +105,14 @@ def _odd_prime_mask(limit: int) -> bytearray:
     return mask
 
 
+def iter_primes(limit: int) -> Iterator[int]:
+    """Primes <= limit in increasing order, read off one sieve as they are consumed."""
+    return chain((2,), compress(range(1, limit + 1, 2), _odd_prime_mask(limit))) if limit > 1 else iter(())
+
+
 def primes_up_to(limit: int) -> list[int]:
     """Primes <= limit in increasing order."""
-    if limit < 2:
-        return []
-    return [2, *compress(range(1, limit + 1, 2), _odd_prime_mask(limit))]
+    return list(iter_primes(limit))
 
 
 # factorize trial-divides by the primes below _TRIAL_BOUND; a cofactor left with
@@ -207,24 +211,21 @@ def divisors(n: int) -> list[int]:
 
 
 def odd_spf_sieve(limit: int) -> Sequence[int]:
-    """array('i') t with t[k // 2] = least prime factor of k for the odd 3 <= k <= limit.
+    """array('H') t with t[k // 2] = least prime factor of the odd composite k <= limit, 0 at a prime.
 
-    t has (limit + 1) // 2 entries, one per odd k <= limit; t[0] (k = 1) is 0.
-    Each odd prime p up to sqrt(limit) writes p over its odd multiples from
-    p^2 on, the larger primes first so that the least prime factor is written
-    last, and the entries left are the primes themselves. The 'i' entries take
-    4 bytes each, where a list takes an 8-byte pointer.
+    t has (limit + 1) // 2 entries, one per odd k <= limit, so t[k // 2] or k
+    is the least prime factor of each odd k > 1. Each odd prime p up to
+    sqrt(limit) writes p over its odd multiples from p^2 on, the larger primes
+    first so that the least prime factor is written last. The factors are at
+    most sqrt(limit), so 2-byte entries hold them for every limit below 2^32.
     """
     from array import array  # here, not at the top: every count loads arith, and few need this
 
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    mask = _odd_prime_mask(limit)
-    table = array("i", [0]) * len(mask)
-    for p in reversed(list(compress(range(1, math.isqrt(limit) + 1, 2), mask))):
-        table[p * p // 2 :: p] = array("i", [p]) * len(range(p * p // 2, len(table), p))
-    for p in compress(range(1, limit + 1, 2), mask):
-        table[p // 2] = p
+    table = array("H", [0]) * ((limit + 1) // 2)
+    for p in primes_up_to(math.isqrt(limit))[:0:-1]:
+        table[p * p // 2 :: p] = array("H", [p]) * len(range(p * p // 2, len(table), p))
     return table
 
 
@@ -261,30 +262,36 @@ def multiplicative_stream(f: MultiplicativeFunction, limit: int) -> Iterator[int
     """Yield f(1), f(2), ..., f(limit) in order, walking n once.
 
     f is stored only where a later n looks it up: at the odd n <= limit // 2,
-    about limit / 4 values. An odd n with p = spf(n) and p^e exactly dividing
-    n is f(n / p^e) f(p^e), both odd arguments of at most n / 3, or
-    prime_power_rule(p, e) when n = p^e. An even n = 2^e m with m odd is
-    f(2^e) f(m), with m <= limit / 2 and f(2^e) from a table of its own.
+    about limit / 4 values, in an array('q'). An odd n with p = spf(n) and
+    p^e exactly dividing n is f(n / p^e) f(p^e), both odd arguments of at most
+    n / 3, or prime_power_rule(p, e) when n = p^e. An even n = 2^e m with m
+    odd is f(2^e) f(m), with m <= limit / 2 and f(2^e) from a table of its own.
     Every prime power gets one prime_power_rule call.
+
+    A stored value outside [-2^63, 2^63) raises OverflowError. For odd p, S_DIAGONAL
+    and H_COMPLEMENT have f(p^e) <= (3e + 1) p^(2e) (checked for p < 1000, e < 60),
+    so f(n) <= tau(n^3) n^2 <= 16384 (5 10^6)^2 < 2^59 at the odd n <= cli.MAX_SIEVE
+    // 2, which cover cli.MAX_TAIL_TERMS // 2 (tau(n^3) peaks at 3 5 7 11 13 17 19).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     yield 1
     if limit == 1:
         return
+    from array import array  # lazily, as in odd_spf_sieve
     rule = f.prime_power_rule
     half = limit // 2
-    odd = [1] * ((half + 1) // 2)  # odd[n // 2] = f(n) for odd n <= half
+    odd = array("q", [1]) * ((half + 1) // 2)  # odd[n // 2] = f(n) for odd n <= half
     # f(2^e) keyed by 2^(e+1): an even n with lowest set bit 2^e has odd part m,
     # and n // 2^(e+1) is m // 2, the slot of f(m) in odd.
     twos = {2 << e: rule(2, e) for e in range(1, limit.bit_length())}
     spf = odd_spf_sieve(limit)
-    for n in range(2, limit + 1):
-        if not n & 1:
-            d = (n & -n) << 1
-            yield twos[d] * odd[n // d]
-            continue
-        p = pp = spf[n >> 1]
+    for n in range(3, limit + 2, 2):  # the even n - 1, then the odd n
+        d = ((n - 1) & (1 - n)) << 1  # n // d = (n - 1) // d, as d >= 4
+        yield twos[d] * odd[n // d]
+        if n > limit:
+            return
+        p = pp = spf[n >> 1] or n
         m = n // p
         e = 1
         while m % p == 0:

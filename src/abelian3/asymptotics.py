@@ -20,7 +20,7 @@ from array import array
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .arith import MultiplicativeFunction, multiplicative_stream, primes_up_to, sieve_multiplicative
+from .arith import MultiplicativeFunction, iter_primes, multiplicative_stream, primes_up_to, sieve_multiplicative
 from .typecounts import general_form
 
 __all__ = [
@@ -166,7 +166,7 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
 
     logs = array("d")
     dlogs = array("d")
-    for p in primes_up_to(prime_limit):
+    for p in iter_primes(prime_limit):
         p2 = p * p
         c2 = 3 * (p2 + p + 1)
         c3 = 2 * (p + 1) ** 3
@@ -214,10 +214,12 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     # term is a double >= 2^-142 (h >= 1, log n >= log 2 for n >= 2, and the
     # n = 1 log term is 0), so term * 2^200 is an integer: the sums are exact
     # as they stream, and one int / int division rounds each correctly, as fsum.
+    # From n = 208,064 on, n^3 needs more than 53 bits, so the log term may
+    # divide by n^3 rounded to a double: one rounding more than h(n)/n^3 carries.
     half = tail_terms // 2
     total = log_total = 0
     for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):
-        cube = n**3
+        cube = n * n * n
         total += int(h / cube * 2.0**200)
         log_total += int(h * math.log(n) / cube * 2.0**200)
         if n == half:

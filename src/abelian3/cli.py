@@ -37,12 +37,13 @@ from .config import ELEMENT_BOUND
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
 # (Python 3.11), end to end: `asymptotic --x-values 1000000000` (sublinear in x)
-# takes 4.7-5.1 s and 24 MB, `--tail-terms 2000000` 4.3-4.5 s and 39 MB, `table
-# 1 --limit 10000000` 19-20 s and 165 MB, `poly 120` 0.5 s, `poly 1000000
-# --closed-form` 2.1 s, `table 2 --limit 50` 0.5-0.6 s, `table 3 --limit 18`
-# 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s, `verify
-# --max-order 200` 1.2-1.8 s and `enumerate 16 16 16 --elements` (order
-# config.ELEMENT_BOUND) 0.4-0.5 s. Timings on such a VM drift by up to a third.
+# takes 2.5-2.9 s and 24 MB, `--tail-terms 2000000` 2.0-2.8 s and 22 MB,
+# `--prime-limit 10000000` 1.9-2.3 s and 31 MB, `table 1 --limit 10000000` 8.6-11.7
+# s and 48 MB, `poly 120` 0.5 s, `poly 1000000 --closed-form` 2.1 s, `table 2
+# --limit 50` 0.5-0.6 s, `table 3 --limit 18` 0.6-0.7 s, `type-count` of 110 ones
+# over 55 ones 0.3-0.4 s, `verify --max-order 200` 1.2-1.8 s and `enumerate 16 16
+# 16 --elements` (order config.ELEMENT_BOUND) 0.4-0.5 s. The first four were timed
+# in one session; sessions on such a VM differ by up to a factor of two.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9

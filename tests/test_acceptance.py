@@ -204,7 +204,7 @@ def test_08_multiplicativity_suite(criterion):
         spf = odd_spf_sieve(limit)
 
         def canonical_split(n: int) -> tuple[int, int]:
-            p = spf[n // 2] if n % 2 else 2
+            p = (spf[n // 2] or n) if n % 2 else 2
             block = 1
             while n % p == 0:
                 n //= p

@@ -14,6 +14,7 @@ from abelian3.arith import (
     PILLAI,
     TAU,
     Factorization,
+    MultiplicativeFunction,
     divisors,
     evaluate,
     factorize,
@@ -137,7 +138,7 @@ class TestDivisors:
 class TestSieves:
     def test_spf_small(self):
         table = odd_spf_sieve(10)
-        assert list(table) == [0, 3, 5, 7, 3]  # k = 1, 3, 5, 7, 9
+        assert list(table) == [0, 0, 0, 0, 3]  # k = 1, 3, 5, 7, 9; a prime reads 0
 
     def test_spf_rejects_tiny(self):
         with pytest.raises(ValueError):
@@ -146,7 +147,7 @@ class TestSieves:
     def test_spf_spot_large(self):
         table = odd_spf_sieve(10**6)
         assert len(table) == 500_000
-        assert table[999983 // 2] == 999983  # prime
+        assert table[999983 // 2] == 0  # prime
         assert table[999981 // 2] == 3
         assert table[994009 // 2] == 997  # 997^2
 
@@ -159,8 +160,9 @@ class TestSieves:
         top = 2000
         spf = [0, 0] + [next(p for p in range(2, k + 1) if k % p == 0) for k in range(2, top + 1)]
         primes = [k for k in range(2, top + 1) if spf[k] == k]
+        composite_spf = [0 if p == k else p for k, p in enumerate(spf)]
         for limit in range(2, top + 1):
-            assert list(odd_spf_sieve(limit)) == spf[1 : limit + 1 : 2], limit
+            assert list(odd_spf_sieve(limit)) == composite_spf[1 : limit + 1 : 2], limit
             assert primes_up_to(limit) == primes[: bisect.bisect_right(primes, limit)], limit
 
     def test_trial_division_primes_come_from_the_sieve(self):
@@ -227,6 +229,16 @@ class TestMultiplicativeFunctions:
         # stored odd n at limit // 2 for odd and even limits
         for limit in range(1, 65):
             assert sieve_multiplicative(fn, limit) == [0, *(evaluate(fn, n) for n in range(1, limit + 1))], limit
+
+    def test_stored_value_past_64_bits_raises(self):
+        # the odd n <= limit // 2 are stored as signed 64-bit ints: a value there
+        # that does not fit fails loudly, and one past limit // 2 streams exactly
+        big = MultiplicativeFunction(lambda p, e: 2**63 if p == 3 else p**e, "big")
+        assert list(multiplicative_stream(big, 5)) == [1, 2, 2**63, 4, 5]
+        stream = multiplicative_stream(big, 6)
+        assert [next(stream), next(stream)] == [1, 2]
+        with pytest.raises(OverflowError):
+            next(stream)
 
     def test_stream_yields_limit_values_in_order(self):
         stream = multiplicative_stream(PILLAI, 1001)
