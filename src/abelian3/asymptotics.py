@@ -16,7 +16,6 @@ main term against exact partial sums that s_partial_sum takes sublinearly.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -37,6 +36,10 @@ __all__ = [
     "s_partial_sum",
     "sieve_s",
 ]
+
+# Exact streamed sums: for a double x = 0 or |x| >= 2^-148, x * _FIX is an integer, so an
+# int total of int(x * _FIX) is exact, and total / _FIX rounds it once, as math.fsum does.
+_FIX = 2.0**200
 
 EULER_GAMMA = 0.5772156649015329
 # zeta(2), zeta(3) and the logarithmic derivatives zeta'/zeta at 2 and 3, each
@@ -164,8 +167,9 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     if tail_terms < 16:
         raise ValueError(f"tail_terms must be >= 16, got {tail_terms}")
 
-    logs = array("d")
-    dlogs = array("d")
+    # Each Euler term is at least 2.9 p^-4 in magnitude (the derivative term is
+    # larger), above 2^-92 for p <= cli.MAX_SIEVE = 10^7, so each sums exactly by _FIX.
+    log_total = dlog_total = 0
     for p in iter_primes(prime_limit):
         p2 = p * p
         c2 = 3 * (p2 + p + 1)
@@ -176,22 +180,22 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
         t4 = c4 / p**12
         t6 = p**3 / p**18
         small = t3 - t2 - t4 + t6  # n_p(3) - 1, kept off the 1 so that it rounds relative to itself
-        logs.append(math.log1p(small))
+        log_total += int(math.log1p(small) * _FIX)
         # n_p'(3) = log p * (2 c2 p^-6 - 3 c3 p^-9 + 4 c4 p^-12 - 6 p^(3-18))
-        dlogs.append(math.log(p) * (2 * t2 - 3 * t3 + 4 * t4 - 6 * t6) / (1 + small))
+        dlog_total += int(math.log(p) * (2 * t2 - 3 * t3 + 4 * t4 - 6 * t6) / (1 + small) * _FIX)
 
-    log_sum = math.fsum(logs)
+    log_sum = log_total / _FIX
     h3 = ZETA3**4 * ZETA2**2 * math.exp(log_sum)
-    dlog_sum = math.fsum(dlogs)
+    dlog_sum = dlog_total / _FIX
     bracket = 4 * DLOG_ZETA3 + 2 * DLOG_ZETA2 + dlog_sum
     h3prime = h3 * bracket
 
     # Rounding, U = 2^-53: int / int rounds correctly; log, log1p, exp and pow
-    # are within 1 ulp (2 U), fsum within U. For every p, n_p(3) >= 0.767,
+    # are within 1 ulp (2 U), each sum within U. For every p, n_p(3) >= 0.767,
     # t2 + t3 + t4 + t6 <= 1.91 |small| and 2 t2 + 3 t3 + 4 t4 + 6 t6 <= 2.67
     # (2 t2 - 3 t3 + 4 t4 - 6 t6), all tightest at p = 2. So each log is off by
     # at most 16 U |log| and each derivative term by 40 U |term|, and neither
-    # sum cancels (logs < 0 < terms). The factors 24 and 48 also cover fsum, the
+    # sum cancels (logs < 0 < terms). The factors 24 and 48 also cover the sums, the
     # zeta powers, exp and two products, and the DLOG doubles and two additions.
     unit = 2.0**-53
     log_round = 24 * unit * (abs(log_sum) + 1)
@@ -212,22 +216,21 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     # factors are (1 - p^-3)^-2 f_p(3), so the zeta part needs no separate
     # treatment. The derivative is -sum_n h(n) log(n)/n^3. For n <= 2^47 each
     # term is a double >= 2^-142 (h >= 1, log n >= log 2 for n >= 2, and the
-    # n = 1 log term is 0), so term * 2^200 is an integer: the sums are exact
-    # as they stream, and one int / int division rounds each correctly, as fsum.
+    # n = 1 log term is 0), so each sums exactly by _FIX.
     # From n = 208,064 on, n^3 needs more than 53 bits, so the log term may
     # divide by n^3 rounded to a double: one rounding more than h(n)/n^3 carries.
     half = tail_terms // 2
     total = log_total = 0
     for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):
         cube = n * n * n
-        total += int(h / cube * 2.0**200)
-        log_total += int(h * math.log(n) / cube * 2.0**200)
+        total += int(h / cube * _FIX)
+        log_total += int(h * math.log(n) / cube * _FIX)
         if n == half:
             half_total, half_log_total = total, log_total
-    direct_h3 = total / 2**200
-    direct_h3_half = half_total / 2**200
-    direct_h3prime = -(log_total / 2**200)
-    direct_h3prime_half = -(half_log_total / 2**200)
+    direct_h3 = total / _FIX
+    direct_h3_half = half_total / _FIX
+    direct_h3prime = -(log_total / _FIX)
+    direct_h3prime_half = -(half_log_total / _FIX)
     # Terms are positive, so both sums grow monotonically toward their
     # limits; the remainder past N is comparable to the gain over the last
     # doubling. Factor 4 is empirical headroom, not a theorem.

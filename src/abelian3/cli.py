@@ -15,8 +15,8 @@ object per line; CSV follows RFC 4180. Exit codes: 0 success, 1 verification
 failure or stdout closed by its reader, 2 usage error.
 
 Every command hands its results to _render_rows as plain tuples (enumerate as
-runs of rows) plus a column spec; _render_rows and _note are the only code
-that looks at the format.
+runs of rows), a column spec and a text line template or callable; _render_rows
+and _note are the only code that looks at the format.
 Start-up is most of what a command costs, so the library modules and the json
 and csv modules are imported where they are first needed.
 """
@@ -38,12 +38,12 @@ _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
 # (Python 3.11), end to end: `asymptotic --x-values 1000000000` (sublinear in x)
 # takes 2.5-2.9 s and 24 MB, `--tail-terms 2000000` 2.0-2.8 s and 22 MB,
-# `--prime-limit 10000000` 1.9-2.3 s and 31 MB, `table 1 --limit 10000000` 8.6-11.7
-# s and 48 MB, `poly 120` 0.5 s, `poly 1000000 --closed-form` 2.1 s, `table 2
-# --limit 50` 0.5-0.6 s, `table 3 --limit 18` 0.6-0.7 s, `type-count` of 110 ones
-# over 55 ones 0.3-0.4 s, `verify --max-order 200` 1.2-1.8 s and `enumerate 16 16
-# 16 --elements` (order config.ELEMENT_BOUND) 0.4-0.5 s. The first four were timed
-# in one session; sessions on such a VM differ by up to a factor of two.
+# `--prime-limit 10000000` 2.0-2.7 s and 22 MB, `table 1 --limit 10000000` 48 MB and
+# 7.6, 7.6 and 7.4 s as text, CSV and JSON (medians), `poly 120` 0.5 s, `poly
+# 1000000 --closed-form` 2.1 s, `table 2 --limit 50` 0.5-0.6 s, `table 3 --limit 18`
+# 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s, `verify --max-order
+# 200` 1.2-1.8 s and `enumerate 16 16 16 --elements` (order config.ELEMENT_BOUND)
+# 0.4-0.5 s. Sessions on such a VM differ by up to a factor of two.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
@@ -105,23 +105,26 @@ def _render_rows(
     cfg: OutputConfig,
     rows: Iterable[tuple],
     columns: Columns,
-    text: Callable[[tuple], str],
+    text: Callable[[tuple], str] | str,
     header: tuple[Columns, tuple, str] | None = None,
     run: tuple[int, int] | None = None,
 ) -> None:
     """Write each row to stdout in cfg's format, in chunks of about _CHUNK_CHARS.
 
-    A row holds one value per column; text turns it into one or more lines
-    of text output (joined by newlines). header is an optional leading record
-    with columns, row and text of its own: the first JSON line, or else
-    commentary (see _note), as its text or, for CSV, as name=value lines.
-    With run = (i, j), an item of rows is a run (row, length, step) of ints:
-    the rows k < length with row[i] + k and row[j] + step k (step >= 1) in
-    columns i and j. Its other cells are formatted once, into a line with two
-    %d holes filled per row; text must show cells as str does, i and j once
-    each in that order. A write ends with the first line that brings it to
-    _CHUNK_CHARS, so long runs are written in pieces; the lines formatted
-    before rows raises are written too.
+    A row holds one value per column. text turns a row into one or more lines
+    of text output; for rows of ints in plain columns it may instead be a
+    str.format line template with {k} for cell k, showing each cell once, in
+    column order. Such rows share one mechanism: the line of the format (that
+    template, the CSV cells, or the JSON object of the names) becomes a %
+    template with a %d hole per cell, which each row fills. With run = (i, j)
+    and a template, an item of rows is a run (row, length, step): the rows
+    k < length with row[i] + k and row[j] + step k (step >= 1). Its other
+    cells are filled in once, which may repeat them, leaving holes at i and j
+    for each row. header is an optional leading record with columns, row and
+    text of its own: the first JSON line, or else commentary (see _note), as
+    its text or, for CSV, as name=value lines. A write ends with the first
+    line that brings it to _CHUNK_CHARS, so long runs are written in pieces;
+    the lines formatted before rows raises are written too.
     """
     fmt, lead = cfg.fmt, []
 
@@ -133,11 +136,12 @@ def _render_rows(
             return names, _same
         return names, lambda row: [get(row[i]) for i, _, get in picked]
 
+    fields = [f"{{{k}}}" for k in range(len(columns))]  # cell k of a line template
     if fmt == "text":
         if header is not None:
             _note(cfg, header[2])
+        line = f"{text}\n"  # the line template, when text is one
         lines = map("%s\n".__mod__, map(text, rows))
-        marked = lambda marks: text(marks) + "\n"
     elif fmt == "json":
         from json import encoder
         # JSONEncoder.encode builds a new C encoder on every call, which costs
@@ -147,10 +151,8 @@ def _render_rows(
         chunks = encoder.c_make_encoder(None, encoder.JSONEncoder().default, encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
         json_line = lambda value: "".join(chunks(value, 0))
         names, values = shown(columns)
-        # rows of plain ints (type excludes bool) fill one template; others go through the encoder
-        line = "{" + ",".join(json_line(name).replace("%", "%%") + ":%d" for name in names) + "}\n"
-        lines = map(lambda row: line % vals if set(map(type, vals := tuple(values(row)))) == {int} else json_line(dict(zip(names, vals))) + "\n", rows)
-        marked = lambda marks: "{" + ",".join(json_line(name) + ":" + mark for name, mark in zip(names, marks)) + "}\n"
+        line = "{{" + ",".join(json_line(name).replace("{", "{{").replace("}", "}}") + ":" + field for name, field in zip(names, fields)) + "}}\n"
+        lines = map(lambda row: json_line(dict(zip(names, values(row)))) + "\n", rows)
         if header is not None:
             head_names, head_values = shown(header[0])
             lead.append(json_line(dict(zip(head_names, head_values(header[1])))) + "\n")
@@ -163,17 +165,23 @@ def _render_rows(
         # writerow returns what write returns, and str(line) is the line itself
         writer = csv.writer(argparse.Namespace(write=str), lineterminator="\r\n")
         lead.append(writer.writerow(names))
+        line = ",".join(fields) + "\r\n"
         lines = map(writer.writerow, rows if values is _same else map(values, rows))
-        marked = lambda marks: ",".join(marks) + "\r\n"
-    if run is not None:
-        # the run's line as a str.format template: cell k is {k}, cells i and j are %d holes
-        i, j = run
-        marks = [f"\0{k}\0" for k in range(len(columns))]
-        template = marked(marks).replace("%", "%%").replace("{", "{{").replace("}", "}}")
-        assert template.count(marks[i]) == template.count(marks[j]) == 1 and template.index(marks[i]) < template.index(marks[j])
-        for k, mark in enumerate(marks):
-            template = template.replace(mark, "%d" if k in run else f"{{{k}}}")
-        lines = chain.from_iterable(map(template.format(*row).__mod__, zip(range(row[i], row[i] + length), range(row[j], row[j] + step * length, step))) for row, length, step in rows)
+    if isinstance(text, str):
+        line = line.replace("%", "%%")
+
+        def holes(row: Sequence, at: Iterable[int]) -> str:
+            """line as a % template: row's cells filled in, a %d hole at each index in at."""
+            row = list(row)
+            for k in at:
+                row[k] = "%d"
+            return line.format(*row)
+
+        if run is None:
+            lines = map(holes(fields, range(len(fields))).__mod__, rows)
+        else:
+            i, j = run
+            lines = chain.from_iterable(map(holes(row, run).__mod__, zip(range(row[i], row[i] + length), range(row[j], row[j] + step * length, step))) for row, length, step in rows)
     lines, pending, start = chain(lead, lines), [], 0
     try:
         while True:
@@ -239,21 +247,19 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
         raise UsageError(str(exc)) from exc
     _note(cfg, f"# {total} subgroups of Z_{m} x Z_{n} x Z_{r}")
 
-    def to_text(row: tuple) -> str:
-        a, b, c, t, w, z, s, u, v, order = row[3:13]
-        line = f"a={a} b={b} c={c} t={t} w={w} z={z} | basis ({a},0,0) ({s},{b},0) ({u},{v},{c}) | order {order}"
-        return f"{line} | elements ({') ('.join(decode(row[13], cells))})" if with_elements else line
-
-    columns = [*map(Column, rank3.Subgroup._fields)]
+    fields = rank3.Subgroup._fields
+    line = "a={a} b={b} c={c} t={t} w={w} z={z} | basis ({a},0,0) ({s},{b},0) ({u},{v},{c}) | order {order}"
+    line = line.format(**{name: f"{{{k}}}" for k, name in enumerate(fields)})  # cell k as {k}
+    columns = [*map(Column, fields)]
     if with_elements:  # a row's last cell is its element mask, which picks from the group's elements in code order
         from .oracle import decode
         elements = list(product(range(m), range(n), range(r)))
         cells = [f"{x},{y},{z}" for x, y, z in elements]
         rows = ((*sub, rank3.subgroup_elements(sub)) for sub in rank3.subgroup_stream(group))
         columns.append(Column("elements", csv=lambda mask: " ".join(decode(mask, cells)), json=lambda mask: decode(mask, elements)))
-        _render_rows(cfg, rows, columns, to_text)
+        _render_rows(cfg, rows, columns, lambda row: f"{line.format(*row)} | elements ({') ('.join(decode(row[-1], cells))})")
     else:  # the rows of a run differ in z and u only
-        _render_rows(cfg, rank3.subgroup_runs(group), columns, to_text, run=tuple(map(rank3.Subgroup._fields.index, "zu")))
+        _render_rows(cfg, rank3.subgroup_runs(group), columns, line, run=(fields.index("z"), fields.index("u")))
 
 
 # A polynomial is shown as text in CSV and as its coefficient list in JSON.
@@ -272,8 +278,7 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
     if which == "1":
         from . import arith, asymptotics
         _note(cfg, "# n  s(n)")
-        rows = enumerate(arith.multiplicative_stream(asymptotics.S_DIAGONAL, top), 1)
-        _render_rows(cfg, rows, [Column("n"), Column("s")], lambda row: f"{row[0]}\t{row[1]}")
+        _render_rows(cfg, enumerate(arith.multiplicative_stream(asymptotics.S_DIAGONAL, top), 1), [Column("n"), Column("s")], "{0}\t{1}")
         return
     if which == "2":
         shapes = [(nu, nu, nu) for nu in range(1, top + 1)]
@@ -421,8 +426,7 @@ def run_lattice_verification(
     from . import oracle, rank2, rank3
     lattices: dict[tuple[int, ...], set[int]] = {}
     failures: list[str] = []
-    rank3_shapes = 0
-    rank2_shapes = 0
+    rank3_shapes = rank2_shapes = 0
     for m in range(1, max_order + 1):
         for n in range(1, max_order // m + 1):
             for r in range(1, max_order // (m * n) + 1):
@@ -454,12 +458,7 @@ def run_lattice_verification(
                     failures.append(f"{group}: {type(exc).__name__}: {exc}")
         if progress is not None and m % 10 == 0:
             progress(f"checked m <= {m}")
-    return VerificationReport(
-        max_order=max_order,
-        rank3_shapes=rank3_shapes,
-        rank2_shapes=rank2_shapes,
-        failures=failures,
-    )
+    return VerificationReport(max_order, rank3_shapes, rank2_shapes, failures)
 
 
 def _verify_text(row: tuple) -> str:
@@ -507,13 +506,9 @@ def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_term
         "# x  exact_sum  main_term  relative_error  error_exponent"
     )
     rows = [("report", *rep) for rep in asymptotics.average_order_reports(xs, estimate=est)]
-    _render_rows(
-        cfg,
-        rows,
-        [Column("kind", csv=None), *map(Column, asymptotics.AsymptoticReport._fields)],
-        lambda row: f"{row[1]}\t{row[2]}\t{row[3]!r}\t{row[4]:.6e}\t{row[5]:.4f}",
-        header=(head_columns, head_row, head_text),
-    )
+    columns = [Column("kind", csv=None), *map(Column, asymptotics.AsymptoticReport._fields)]
+    text = lambda row: f"{row[1]}\t{row[2]}\t{row[3]!r}\t{row[4]:.6e}\t{row[5]:.4f}"
+    _render_rows(cfg, rows, columns, text, header=(head_columns, head_row, head_text))
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -1,6 +1,8 @@
 import csv
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +19,7 @@ from abelian3.asymptotics import (
     S_DIAGONAL,
     ZETA2,
     ZETA3,
+    _FIX,
     average_order_reports,
     divisor_sum_check,
     h3_and_h3prime,
@@ -42,6 +45,11 @@ def quick_estimate():
     return h3_and_h3prime(prime_limit=1000, tail_terms=20000)
 
 
+@pytest.fixture(scope="module")
+def euler_reference():
+    return h3_and_h3prime(prime_limit=10**6, tail_terms=16)
+
+
 class TestSieveS:
     def test_matches_reference_table(self):
         values = sieve_s(50)
@@ -58,16 +66,20 @@ class TestSieveS:
         assert sieve_s(3) == [0, 1, 16, 28]
 
     def test_stream_in_bounded_memory(self):
-        # the stored odd values and the sieve are typed arrays, a 3.2 MB peak at
-        # 10^6; with the odd values in a list of ints the peak is about 12 MB
-        tracemalloc.start()
-        try:
-            total = sum(multiplicative_stream(S_DIAGONAL, 10**6))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # the stored odd values and the sieve are typed arrays: streaming s to
+        # 10^6 raises a fresh interpreter's peak RSS by about 3.1 MB, and by about
+        # 12.7 MB with the odd values in a list of ints. (Under tracemalloc, which
+        # traces every int the stream boxes, the stream runs 30 times slower.)
+        # The peak is Linux's VmHWM, which exec resets; ru_maxrss would keep this
+        # process's peak at the fork.
+        code = (
+            "from abelian3.arith import multiplicative_stream; from abelian3.asymptotics import S_DIAGONAL\n"
+            "peak = lambda: int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+            "before = peak(); total = sum(multiplicative_stream(S_DIAGONAL, 10**6)); print(peak() - before, total)"
+        )
+        grown, total = map(int, subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=60).stdout.split())
         assert total == s_partial_sum(10**6)
-        assert peak < 5 * 2**20, peak
+        assert grown < 5 * 1024, grown  # in KiB
 
 
 class TestHValues:
@@ -215,6 +227,23 @@ class TestConstants:
         if half >= 16:  # the half sums on their own
             at_half = h3_and_h3prime(prime_limit=100, tail_terms=half)
             assert (at_half.direct_h3.hex(), at_half.direct_h3prime.hex()) == (h3_half.hex(), h3prime_half.hex())
+
+    @pytest.mark.parametrize("prime_limit", [100, 1000, 10_000])
+    def test_bars_enclose_the_constants(self, prime_limit, euler_reference):
+        # the reference's bar is far below these, so a bar that misses the
+        # constant itself, tail and all, fails here
+        est, ref = h3_and_h3prime(prime_limit=prime_limit, tail_terms=16), euler_reference
+        assert abs(est.h3 - ref.h3) <= est.h3_bound + ref.h3_bound
+        assert abs(est.h3prime - ref.h3prime) <= est.h3prime_bound + ref.h3prime_bound
+
+    def test_exact_streamed_sum_equals_fsum_bit_for_bit(self):
+        # both routes add int(x * _FIX) per term and divide once; for doubles of
+        # 0 or at least 2^-148 in magnitude, signs mixed, that is math.fsum
+        rng = random.Random(26)
+        for _ in range(2000):
+            terms = [rng.choice((-1, 1)) * rng.uniform(1, 2) * 2.0 ** rng.randint(-148, 8) for _ in range(rng.randint(1, 40))]
+            terms += [2.0**-148, 0.0, -terms[0]]
+            assert (sum(int(x * _FIX) for x in terms) / _FIX).hex() == math.fsum(terms).hex(), terms
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

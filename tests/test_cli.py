@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -355,13 +356,16 @@ class TestJsonRows:
             max_size=8,
         ),
     )
-    @example(names=["%", "a%d"], rows=[[1, 2, 3, 4]])
+    @example(names=["%", "a%d", "{0}"], rows=[[1, 2, 3, 4]])
     def test_lines_equal_json_dumps(self, names, rows):
-        # rows of plain ints take a %d template, the rest the encoder; both must match json.dumps
-        rows = [row[: len(names)] for row in rows]
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            _render_rows(OutputConfig(fmt="json", quiet=True), rows, [Column(name) for name in names], str)
-        assert out.getvalue() == "".join(json.dumps(dict(zip(names, row)), separators=(",", ":")) + "\n" for row in rows)
+        # rows given with a text callable take the encoder, rows of ints given with a
+        # line template take a %d template; both must match json.dumps
+        rows = [tuple(row[: len(names)]) for row in rows]
+        columns = [Column(name) for name in names]
+        want = "".join(json.dumps(dict(zip(names, row)), separators=(",", ":")) + "\n" for row in rows)
+        assert rendered("json", rows, columns, str) == want
+        if all(type(cell) is int for row in rows for cell in row):
+            assert rendered("json", rows, columns, " ".join(f"{{{k}}}" for k in range(len(names)))) == want
 
 
 def rendered(fmt, rows, columns, text, run=None):
@@ -392,11 +396,15 @@ class TestRuns:
     @given(fmt=st.sampled_from(["text", "json", "csv"]), case=named_runs())
     @example(fmt="json", case=(["%", "a%d", "{0}"], (0, 2), [((0, 5, 7), 3, 2), ((1, 0, 9), 1, 1)]))
     def test_a_run_renders_as_its_rows(self, fmt, case):
+        # runs, and their rows one by one, through the line template match the
+        # rows through a text callable, csv.writer and the JSON encoder
         names, run, runs = case
         columns = [Column(name) for name in names]
         # the text lines hold the names and more %, braces and quotes around every cell
-        text = lambda row: "|".join(f"{name}{{%d}}{cell}" for name, cell in zip(names, row))
-        assert rendered(fmt, runs, columns, text, run=run) == rendered(fmt, expand(runs, *run), columns, text)
+        line = "|".join(name.replace("{", "{{").replace("}", "}}") + f"{{{{%d}}}}{{{k}}}" for k, name in enumerate(names))
+        want = rendered(fmt, expand(runs, *run), columns, lambda row: line.format(*row))
+        assert rendered(fmt, runs, columns, line, run=run) == want
+        assert rendered(fmt, expand(runs, *run), columns, line) == want
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_a_run_longer_than_a_chunk_is_written_in_pieces(self, monkeypatch, fmt):
@@ -413,10 +421,10 @@ class TestRuns:
         columns = [Column(name) for name in rank3.Subgroup._fields]
         run = (rank3.Subgroup._fields.index("z"), rank3.Subgroup._fields.index("u"))
         runs = [(rank3.Subgroup(1024, 1, 1024, 1024, 1, 1, 0, 0, 0, 0, 0, 0, 1024), 20_000, 1)]
-        text = lambda row: " ".join(map(str, row))
-        want = rendered(fmt, expand(runs, *run), columns, text)
+        line = " ".join(f"{{{k}}}" for k in range(len(columns)))
+        want = rendered(fmt, expand(runs, *run), columns, lambda row: line.format(*row))
         monkeypatch.setattr(sys, "stdout", Recorder())
-        _render_rows(OutputConfig(fmt=fmt, quiet=True), runs, columns, text, run=run)
+        _render_rows(OutputConfig(fmt=fmt, quiet=True), runs, columns, line, run=run)
         assert written.getvalue() == want
         assert len(want) > 10 * _CHUNK_CHARS
         assert max(sizes) <= 32 * 1024
@@ -595,6 +603,21 @@ class TestVerify:
         rank2_groups = [(m, n, 1) for m in range(1, 7) for n in range(1, 6 // m + 1)]
         assert [failure.split(":")[0] for failure in report.failures] == [str(group) for group in rank2_groups]
         assert report.rank2_shapes == len(rank2_groups)
+
+    @pytest.mark.parametrize(("route", "name"), [("count_total_divisor_sum", "divisor sum"), ("count_total", "per prime")])
+    def test_each_count_route_is_checked_on_every_shape(self, monkeypatch, route, name):
+        # one route off by one: every shape fails, with that route's formula one
+        # above the stream and every other route equal to it
+        original = getattr(rank3, route)
+        monkeypatch.setattr(rank3, route, lambda group: original(group) + 1)
+        report = run_lattice_verification(6)
+        groups = [(m, n, r) for m in range(1, 7) for n in range(1, 6 // m + 1) for r in range(1, 6 // (m * n) + 1)]
+        assert [failure.split(":")[0] for failure in report.failures] == [str(group) for group in groups]
+        for failure in report.failures:
+            stream, values, names = re.fullmatch(r".*: stream (\d+) != formulas \(([\d, ]+?),?\) \((.*)\)", failure).groups()
+            formulas = dict(zip(names.split(", "), map(int, values.split(", "))))
+            assert formulas.pop(name) == int(stream) + 1, failure
+            assert set(formulas.values()) == {int(stream)}, failure
 
     def test_difference_notes_show_element_tuples(self, monkeypatch):
         # Z_2 x Z_2 has five subgroups; the oracle loses <(1, 1)> (code 3),
