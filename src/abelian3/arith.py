@@ -10,21 +10,16 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import chain, compress
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
-    "Factorization",
-    "MultiplicativeFunction",
-    "MOBIUS",
     "PHI",
     "PILLAI",
-    "TAU",
     "divisors",
     "evaluate",
     "factorize",
     "gcd_sum",
-    "gcd_sum_direct",
     "is_prime",
     "iter_primes",
     "multiplicative_stream",
@@ -66,34 +61,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Factorization:
-    """Prime-power decomposition as ((p1, e1), ...) with p1 < p2 < ...
-
-    The empty tuple encodes n = 1. Primality and ordering are validated on
-    construction.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        previous = 1
-        for p, e in pairs:
-            if p <= previous or e < 1 or not is_prime(p):
-                raise ValueError(f"invalid factorization pair ({p}, {e})")
-            previous = p
-        self.pairs = pairs
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
 def _odd_prime_mask(limit: int) -> bytearray:
     """Sieve of Eratosthenes over the odd numbers: mask[i] is 1 exactly when 2i + 1 <= limit is prime."""
     mask = bytearray([1]) * ((limit + 1) // 2)
@@ -127,8 +94,11 @@ _RHO_BATCH = 128  # differences multiplied together per gcd
 
 
 @lru_cache(maxsize=32)  # enumerate's header count and its walk's divisor lists factor the same entries
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1: trial division by the primes below 1000, then Pollard-Brent rho.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime-power pairs ((p1, e1), ...) of n >= 1, with p1 < p2 < ... and
+    each e >= 1; () for n = 1.
+
+    Trial division by the primes below 1000 comes first, then Pollard-Brent rho.
 
     A cofactor below 1000**2 with no smaller prime factor is prime; a larger
     one is tested with is_prime and, when composite, split by rho (Brent 1980)
@@ -157,7 +127,7 @@ def factorize(n: int) -> Factorization:
         if not d:
             raise ValueError(f"cannot factor {n}: Pollard-Brent rho gave up after {_RHO_BUDGET} steps")
         pending += (d, q // d)
-    return Factorization(tuple(sorted(exponents.items())))
+    return tuple(sorted(exponents.items()))
 
 
 def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
@@ -229,44 +199,27 @@ def odd_spf_sieve(limit: int) -> Sequence[int]:
     return table
 
 
-def gcd_sum_direct(n: int) -> int:
-    """Reference evaluation of P(n) = sum_{k=1..n} gcd(k, n); O(n) time."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return sum(map(math.gcd, range(1, n + 1), repeat(n)))
+# A multiplicative function is passed as its prime-power rule f(p, e) = f(p^e);
+# f(1) = 1, and f(n) is the product of f(p, e) over the factorization of n.
 
 
-class MultiplicativeFunction(NamedTuple):
-    """A multiplicative function defined by its values on prime powers.
-
-    f(1) = 1 always; composite arguments are products of prime_power_rule
-    values over the factorization.
-    """
-
-    prime_power_rule: Callable[[int, int], int]
-    name: str
-
-    def __call__(self, n: int) -> int:
-        return evaluate(self, n)
-
-
-def evaluate(f: MultiplicativeFunction, n: int) -> int:
+def evaluate(f: Callable[[int, int], int], n: int) -> int:
     """f(n) computed by factoring n and multiplying prime-power values."""
     out = 1
     for p, e in factorize(n):
-        out *= f.prime_power_rule(p, e)
+        out *= f(p, e)
     return out
 
 
-def multiplicative_stream(f: MultiplicativeFunction, limit: int) -> Iterator[int]:
+def multiplicative_stream(f: Callable[[int, int], int], limit: int) -> Iterator[int]:
     """Yield f(1), f(2), ..., f(limit) in order, walking n once.
 
     f is stored only where a later n looks it up: at the odd n <= limit // 2,
     about limit / 4 values, in an array('q'). An odd n with p = spf(n) and
     p^e exactly dividing n is f(n / p^e) f(p^e), both odd arguments of at most
-    n / 3, or prime_power_rule(p, e) when n = p^e. An even n = 2^e m with m
-    odd is f(2^e) f(m), with m <= limit / 2 and f(2^e) from a table of its own.
-    Every prime power gets one prime_power_rule call.
+    n / 3, or f(p, e) when n = p^e. An even n = 2^e m with m odd is
+    f(2^e) f(m), with m <= limit / 2 and f(2^e) from a table of its own.
+    Every prime power gets one call of f.
 
     A stored value outside [-2^63, 2^63) raises OverflowError. For odd p, S_DIAGONAL
     and H_COMPLEMENT have f(p^e) <= (3e + 1) p^(2e) (checked for p < 1000, e < 60),
@@ -279,12 +232,11 @@ def multiplicative_stream(f: MultiplicativeFunction, limit: int) -> Iterator[int
     if limit == 1:
         return
     from array import array  # lazily, as in odd_spf_sieve
-    rule = f.prime_power_rule
     half = limit // 2
     odd = array("q", [1]) * ((half + 1) // 2)  # odd[n // 2] = f(n) for odd n <= half
     # f(2^e) keyed by 2^(e+1): an even n with lowest set bit 2^e has odd part m,
     # and n // 2^(e+1) is m // 2, the slot of f(m) in odd.
-    twos = {2 << e: rule(2, e) for e in range(1, limit.bit_length())}
+    twos = {2 << e: f(2, e) for e in range(1, limit.bit_length())}
     spf = odd_spf_sieve(limit)
     for n in range(3, limit + 2, 2):  # the even n - 1, then the odd n
         d = ((n - 1) & (1 - n)) << 1  # n // d = (n - 1) // d, as d >= 4
@@ -298,25 +250,22 @@ def multiplicative_stream(f: MultiplicativeFunction, limit: int) -> Iterator[int
             m //= p
             pp *= p
             e += 1
-        value = odd[m >> 1] * odd[pp >> 1] if m > 1 else rule(p, e)
+        value = odd[m >> 1] * odd[pp >> 1] if m > 1 else f(p, e)
         if n <= half:
             odd[n >> 1] = value
         yield value
 
 
-def sieve_multiplicative(f: MultiplicativeFunction, limit: int) -> list[int]:
+def sieve_multiplicative(f: Callable[[int, int], int], limit: int) -> list[int]:
     """[f(0..limit)] with slot 0 set to 0: the list view of multiplicative_stream."""
     return [0, *multiplicative_stream(f, limit)]
 
 
-TAU = MultiplicativeFunction(lambda p, e: e + 1, "tau")
-PHI = MultiplicativeFunction(lambda p, e: (p - 1) * p ** (e - 1), "phi")
-MOBIUS = MultiplicativeFunction(lambda p, e: -1 if e == 1 else 0, "mu")
-
-# Pillai's function P(p^e) = (e+1) p^e - e p^(e-1).
-PILLAI = MultiplicativeFunction(lambda p, e: (e + 1) * p**e - e * p ** (e - 1), "P")
+# Euler's phi, and Pillai's function P(p^e) = (e+1) p^e - e p^(e-1).
+PHI = lambda p, e: (p - 1) * p ** (e - 1)
+PILLAI = lambda p, e: (e + 1) * p**e - e * p ** (e - 1)
 
 
 def gcd_sum(n: int) -> int:
-    """P(n) via multiplicativity; agrees with gcd_sum_direct everywhere."""
+    """P(n) = sum_{k=1..n} gcd(k, n), via multiplicativity."""
     return evaluate(PILLAI, n)

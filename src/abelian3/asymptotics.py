@@ -19,17 +19,15 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .arith import MultiplicativeFunction, iter_primes, multiplicative_stream, primes_up_to, sieve_multiplicative
+from .arith import iter_primes, multiplicative_stream, primes_up_to, sieve_multiplicative
 from .typecounts import general_form
 
 __all__ = [
     "AsymptoticReport",
-    "DivisorSumCheck",
     "H3Estimate",
     "H_COMPLEMENT",
     "S_DIAGONAL",
     "average_order_reports",
-    "divisor_sum_check",
     "h3_and_h3prime",
     "h_values",
     "main_term",
@@ -56,10 +54,10 @@ THETA_REFERENCE = "131/416"
 
 
 # s(p^e) by the paper's closed form; typecounts.symbolic_count is the reference route.
-S_DIAGONAL = MultiplicativeFunction(lambda p, e: general_form(e)(p), "s")
+S_DIAGONAL = lambda p, e: general_form(e)(p)
 # Convolution complement of n^2 tau(n) inside s: h(p^e) = (3e - 1) p + (3e + 1),
 # proved in typecounts.h_closed_form; typecounts.h_recurrence is the defining route.
-H_COMPLEMENT = MultiplicativeFunction(lambda p, e: (3 * e - 1) * p + 3 * e + 1, "h")
+H_COMPLEMENT = lambda p, e: (3 * e - 1) * p + 3 * e + 1
 
 
 def sieve_s(limit: int) -> list[int]:
@@ -106,7 +104,7 @@ def s_partial_sum(x: int) -> int:
         small = [a + c * b for a, b in zip(small, lo)]
         large = [a + c * b for a, b in zip(large, hi)]
     below = [small[p - 1] for p in primes] + [small[r]]  # P(primes[j] - 1)
-    rule = lru_cache(maxsize=None)(S_DIAGONAL.prime_power_rule)
+    rule = lru_cache(maxsize=None)(S_DIAGONAL)
 
     def rest(v: int, j: int) -> int:
         total = (small[v] if v <= r else large[x // v]) - below[j]
@@ -301,45 +299,3 @@ def average_order_reports(x_values: Sequence[int], estimate: H3Estimate) -> list
             )
         )
     return reports
-
-
-class DivisorSumCheck(NamedTuple):
-    """Classical divisor-sum partial sums against their main terms."""
-
-    x: int
-    tau_exact: int
-    tau_main: float
-    tau_relative_error: float
-    weighted_exact: int
-    weighted_main: float
-    weighted_relative_error: float
-
-
-def divisor_sum_check(x: int) -> DivisorSumCheck:
-    """Exact sum tau(n) and sum n^2 tau(n) for n <= x, with main terms.
-
-    Exact values come from hyperbola identities: sum tau(n) = sum floor(x/d)
-    and sum n^2 tau(n) = sum d^2 S2(floor(x/d)) with S2 the square-pyramidal
-    sum. Main terms: x log x + (2 gamma - 1) x and
-    (x^3/3) log x + (x^3/3)(2 gamma - 1/3).
-    """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    tau_exact = 0
-    weighted_exact = 0
-    for d in range(1, x + 1):
-        q = x // d
-        tau_exact += q
-        weighted_exact += d * d * (q * (q + 1) * (2 * q + 1) // 6)
-    lx = math.log(x)
-    tau_main = x * lx + (2 * EULER_GAMMA - 1) * x
-    weighted_main = x**3 / 3 * lx + x**3 / 3 * (2 * EULER_GAMMA - 1 / 3)
-    return DivisorSumCheck(
-        x=x,
-        tau_exact=tau_exact,
-        tau_main=tau_main,
-        tau_relative_error=abs(tau_exact - tau_main) / tau_main,
-        weighted_exact=weighted_exact,
-        weighted_main=weighted_main,
-        weighted_relative_error=abs(weighted_exact - weighted_main) / weighted_main,
-    )

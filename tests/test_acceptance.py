@@ -18,8 +18,6 @@ import pytest
 
 from abelian3.arith import (
     PILLAI,
-    TAU,
-    gcd_sum_direct,
     odd_spf_sieve,
     sieve_multiplicative,
 )
@@ -47,6 +45,7 @@ from abelian3.typecounts import (
     symbolic_count,
     type_count,
 )
+from reference import TAU, gcd_sum_direct
 
 DATA = Path(__file__).parent / "data"
 
