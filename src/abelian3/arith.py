@@ -13,21 +13,6 @@ from functools import lru_cache
 from itertools import chain, compress
 from typing import Callable, Iterator, Sequence
 
-__all__ = [
-    "PHI",
-    "PILLAI",
-    "divisors",
-    "evaluate",
-    "factorize",
-    "gcd_sum",
-    "is_prime",
-    "iter_primes",
-    "multiplicative_stream",
-    "odd_spf_sieve",
-    "primes_up_to",
-    "sieve_multiplicative",
-]
-
 # The first 14 primes. The first 13 make Miller-Rabin exact below
 # psi_13 = 3317044064679887385961981 (Sorenson and Webster 2017), and 43 also
 # rejects psi_13 itself, which passes every base up to 41.
@@ -261,8 +246,7 @@ def sieve_multiplicative(f: Callable[[int, int], int], limit: int) -> list[int]:
     return [0, *multiplicative_stream(f, limit)]
 
 
-# Euler's phi, and Pillai's function P(p^e) = (e+1) p^e - e p^(e-1).
-PHI = lambda p, e: (p - 1) * p ** (e - 1)
+# Pillai's function P(p^e) = (e+1) p^e - e p^(e-1).
 PILLAI = lambda p, e: (e + 1) * p**e - e * p ** (e - 1)
 
 

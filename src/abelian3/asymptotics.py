@@ -22,19 +22,6 @@ from typing import NamedTuple, Sequence
 from .arith import iter_primes, multiplicative_stream, primes_up_to, sieve_multiplicative
 from .typecounts import general_form
 
-__all__ = [
-    "AsymptoticReport",
-    "H3Estimate",
-    "H_COMPLEMENT",
-    "S_DIAGONAL",
-    "average_order_reports",
-    "h3_and_h3prime",
-    "h_values",
-    "main_term",
-    "s_partial_sum",
-    "sieve_s",
-]
-
 # Exact streamed sums: for a double x = 0 or |x| >= 2^-148, x * _FIX is an integer, so an
 # int total of int(x * _FIX) is exact, and total / _FIX rounds it once, as math.fsum does.
 _FIX = 2.0**200

@@ -131,10 +131,7 @@ def _render_rows(
     def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:
         """Names of the columns fmt shows, and row -> their values in fmt."""
         picked = [(i, col.name, getattr(col, fmt)) for i, col in enumerate(cols) if getattr(col, fmt) is not None]
-        names = [name for _, name, _ in picked]
-        if len(picked) == len(cols) and all(get is _same for _, _, get in picked):
-            return names, _same
-        return names, lambda row: [get(row[i]) for i, _, get in picked]
+        return [name for _, name, _ in picked], lambda row: [get(row[i]) for i, _, get in picked]
 
     fields = [f"{{{k}}}" for k in range(len(columns))]  # cell k of a line template
     if fmt == "text":
@@ -166,7 +163,7 @@ def _render_rows(
         writer = csv.writer(argparse.Namespace(write=str), lineterminator="\r\n")
         lead.append(writer.writerow(names))
         line = ",".join(fields) + "\r\n"
-        lines = map(writer.writerow, rows if values is _same else map(values, rows))
+        lines = map(writer.writerow, map(values, rows))
     if isinstance(text, str):
         line = line.replace("%", "%%")
 
@@ -378,11 +375,8 @@ class VerificationReport(NamedTuple):
     max_order: int
     rank3_shapes: int
     rank2_shapes: int
+    ok: bool
     failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _difference_note(got: set[int], want: set[int], group: tuple[int, int, int], strides: Sequence[int]) -> str:
@@ -458,7 +452,7 @@ def run_lattice_verification(
                     failures.append(f"{group}: {type(exc).__name__}: {exc}")
         if progress is not None and m % 10 == 0:
             progress(f"checked m <= {m}")
-    return VerificationReport(max_order, rank3_shapes, rank2_shapes, failures)
+    return VerificationReport(max_order, rank3_shapes, rank2_shapes, not failures, failures)
 
 
 def _verify_text(row: tuple) -> str:
@@ -471,9 +465,8 @@ def cmd_verify(cfg: OutputConfig, max_order: int) -> None:
     """Cross-check enumeration, counting, and the brute-force lattice."""
     progress = None if cfg.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = run_lattice_verification(max_order, progress=progress)
-    row = (report.max_order, report.rank3_shapes, report.rank2_shapes, report.ok, report.failures)
     columns = [*map(Column, ("max_order", "rank3_shapes", "rank2_shapes")), Column("ok", csv=int), Column("failures", csv="; ".join)]
-    _render_rows(cfg, [row], columns, _verify_text)
+    _render_rows(cfg, [report], columns, _verify_text)
     if not report.ok:
         sys.exit(1)
 
@@ -524,7 +517,7 @@ def _parser() -> argparse.ArgumentParser:
         for dim in dims:
             sub.add_argument(dim, type=_int_range(1), metavar=dim.upper())
         if eval_p:
-            sub.add_argument("--eval", dest="eval_p", type=_int_range(2), metavar="P", help="Also evaluate at this prime p.")
+            sub.add_argument("--eval", dest="eval_p", type=_int_range(2), metavar="P", help="Also evaluate at P >= 2; the value is a subgroup count when P is prime.")
         return sub
 
     sub = command("count", cmd_count, "m", "n", "r")

@@ -18,31 +18,16 @@ from __future__ import annotations
 import re
 from itertools import product
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import ELEMENT_BOUND
 
-Element = tuple[int, ...]
 # (lo, up, hi, down): x -> (x & lo) << up | (x & hi) >> down translates x along one axis
 Shift = tuple[int, int, int, int]
 
 # Joins one all_subgroups call may make: groups of order <= 200 need at most 8,805
 # ((4, 4, 8)), (32, 64) 27,069; at ~18 us a join on 4096 elements, refusing takes < 1 s.
 MAX_JOINS = 1 << 15
-
-
-def closure(generators: Iterable[Element], orders: Sequence[int]) -> int:
-    """Smallest subgroup of prod Z_orders[i] containing the generators, as a mask.
-
-    Joins the cyclic subgroup of each generator in turn onto the trivial
-    subgroup. Generators are reduced modulo the orders first.
-    """
-    orders = tuple(orders)
-    axes = _axes(orders)
-    members = 1
-    for g in generators:
-        members = _join(members, *_multiples([x % o for x, o in zip(g, orders, strict=True)], axes))
-    return members
 
 
 def all_subgroups(orders: Sequence[int]) -> set[int]:
@@ -88,12 +73,6 @@ def all_subgroups(orders: Sequence[int]) -> set[int]:
                     found.add(grown)
                     stack.append(grown)
     return found
-
-
-def cyclic_subgroups(orders: Sequence[int]) -> set[int]:
-    """The distinct subgroups generated by single elements, as masks."""
-    orders = tuple(orders)
-    return {1} | {sum(1 << code for code in codes) for codes, _ in _cyclic_generators(_axes(orders), [1] * len(orders))}
 
 
 def decode(members: int, items: Sequence) -> list:

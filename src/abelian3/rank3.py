@@ -33,7 +33,7 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import arith
-from .arith import PHI, divisors, evaluate, gcd_sum
+from .arith import divisors, gcd_sum
 from .config import ELEMENT_BOUND
 from .typecounts import order_terms, symbolic_count
 
@@ -79,10 +79,6 @@ class Subgroup(NamedTuple):
     @property
     def group(self) -> Group3:
         return self.m, self.n, self.r
-
-    @property
-    def generators(self) -> tuple[tuple[int, int, int], ...]:
-        return ((self.a, 0, 0), (self.s, self.b, 0), (self.u, self.v, self.c))
 
 
 def derived_params(a: int, b: int, c: int, group: Group3) -> DerivedParams:
@@ -258,7 +254,7 @@ def count_cyclic(group: Group3) -> int:
     number of elements of order p^k over phi(p^k), the number of generators
     of each cyclic subgroup of that order. The elements of order dividing
     p^k number the product over the axes of p^min(k, e), so the sum has
-    max(e) terms; count_cyclic_divisor_sum is the paper's route.
+    max(e) terms; the paper's divisor-triple route is a test reference.
     """
     total = 1
     for p, exps in prime_exponents(group).items():
@@ -278,24 +274,6 @@ def count_total_divisor_sum(group: Group3) -> int:
     for a, b, c in product(divisors(m), divisors(n), divisors(r)):
         dp = derived_params(a, b, c, group)
         total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * pillai(dp.X)
-    return total
-
-
-def count_cyclic_divisor_sum(group: Group3) -> int:
-    """Reference route for count_cyclic: the whole-group divisor-triple sum.
-
-    Sum of phi(a) phi(b) phi(c) / phi(lcm(a, b, c)); every summand is an
-    integer (the number of cyclic subgroups whose projections have orders
-    a, b, c), which is asserted.
-    """
-    m, n, r = _validated(group)
-    phi = lru_cache(maxsize=None)(lambda k: evaluate(PHI, k))
-    total = 0
-    for a, b, c in product(divisors(m), divisors(n), divisors(r)):
-        num = phi(a) * phi(b) * phi(c)
-        den = phi(math.lcm(a, b, c))
-        assert num % den == 0
-        total += num // den
     return total
 
 

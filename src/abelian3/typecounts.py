@@ -17,21 +17,6 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Iterator
 
-__all__ = [
-    "IntPolynomial",
-    "Partition",
-    "count_degree",
-    "gaussian_binomial",
-    "general_form",
-    "h_closed_form",
-    "h_recurrence",
-    "order_terms",
-    "subpartitions",
-    "symbolic_count",
-    "type_count",
-    "type_count_degree",
-]
-
 
 class IntPolynomial:
     """Dense integer polynomial; coefficients[k] multiplies p^k.

@@ -1,15 +1,34 @@
 """Reference routes that only the tests use, each written once.
 
 Each is a slow or classical evaluation that a library value is checked
-against: the gcd sum by its definition, tau and mu as prime-power rules, and
-the divisor-sum partial sums by hyperbola identities.
+against: subgroups by saturating element tuples, the gcd sum by its
+definition, tau, phi and mu as prime-power rules, the paper's divisor-triple
+count of cyclic subgroups, and the divisor-sum partial sums by hyperbola
+identities.
 """
 
 import math
-from itertools import repeat
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import product, repeat
+from typing import NamedTuple, Sequence
 
+from abelian3.arith import divisors, evaluate
 from abelian3.asymptotics import EULER_GAMMA
+
+
+def saturate(gens: Sequence[Sequence[int]], orders: Sequence[int]) -> frozenset[tuple[int, ...]]:
+    """The subgroup of prod Z_orders[i] generated by the tuples gens, as a
+    frozenset of tuples: every sum of gens, by search from zero."""
+    zero = (0,) * len(orders)
+    members, work = {zero}, [zero]
+    while work:
+        x = work.pop()
+        for g in gens:
+            y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
+            if y not in members:
+                members.add(y)
+                work.append(y)
+    return frozenset(members)
 
 
 def gcd_sum_direct(n: int) -> int:
@@ -19,9 +38,28 @@ def gcd_sum_direct(n: int) -> int:
     return sum(map(math.gcd, range(1, n + 1), repeat(n)))
 
 
-# The divisor count and the Moebius function, as prime-power rules.
+# The divisor count, Euler's phi and the Moebius function, as prime-power rules.
 TAU = lambda p, e: e + 1
+PHI = lambda p, e: (p - 1) * p ** (e - 1)
 MOBIUS = lambda p, e: -1 if e == 1 else 0
+
+
+def count_cyclic_divisor_sum(group: tuple[int, int, int]) -> int:
+    """The paper's route for rank3.count_cyclic: the whole-group divisor-triple sum.
+
+    Sum of phi(a) phi(b) phi(c) / phi(lcm(a, b, c)); every summand is an
+    integer (the number of cyclic subgroups whose projections have orders
+    a, b, c), which is checked.
+    """
+    phi = lru_cache(maxsize=None)(lambda k: evaluate(PHI, k))
+    total = 0
+    for a, b, c in product(*map(divisors, group)):
+        num = phi(a) * phi(b) * phi(c)
+        den = phi(math.lcm(a, b, c))
+        if num % den:
+            raise ArithmeticError(f"phi({a}) phi({b}) phi({c}) / phi(lcm) is not an integer")
+        total += num // den
+    return total
 
 
 class DivisorSumCheck(NamedTuple):

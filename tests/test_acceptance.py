@@ -30,7 +30,6 @@ from abelian3.asymptotics import (
 from abelian3.cli import run_lattice_verification
 from abelian3.rank3 import (
     count_by_order,
-    count_cyclic_divisor_sum,
     count_total,
     count_total_divisor_sum,
     subgroup_stream,
@@ -45,7 +44,7 @@ from abelian3.typecounts import (
     symbolic_count,
     type_count,
 )
-from reference import TAU, gcd_sum_direct
+from reference import TAU, count_cyclic_divisor_sum, gcd_sum_direct
 
 DATA = Path(__file__).parent / "data"
 

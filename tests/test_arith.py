@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from abelian3 import arith
 from abelian3.arith import (
-    PHI,
     PILLAI,
     divisors,
     evaluate,
@@ -21,7 +20,7 @@ from abelian3.arith import (
     primes_up_to,
     sieve_multiplicative,
 )
-from reference import MOBIUS, TAU, gcd_sum_direct
+from reference import MOBIUS, PHI, TAU, gcd_sum_direct
 
 
 @pytest.fixture(scope="module")

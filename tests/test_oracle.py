@@ -10,6 +10,7 @@ import pytest
 
 from abelian3 import oracle
 from abelian3.config import ELEMENT_BOUND
+from reference import saturate
 
 
 # every abelian group of order <= 32 and rank <= 3, once, as Z_d1 x Z_d2 x Z_d3 with d1 | d2 | d3
@@ -32,53 +33,18 @@ def members(mask, orders):
 
 def reference_all_subgroups(orders):
     """The saturate-every-element search: extend each subgroup found by every element outside it."""
-    zero = (0,) * len(orders)
-
-    def saturate(gens):
-        members, work = {zero}, [zero]
-        while work:
-            x = work.pop()
-            for g in gens:
-                y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
-                if y not in members:
-                    members.add(y)
-                    work.append(y)
-        return frozenset(members)
-
-    found = {saturate(()): ()}
+    found = {saturate((), orders): ()}
     stack = list(found)
     while stack:
         sub = stack.pop()
         for g in elements(orders):
             if g not in sub:
                 gens = found[sub] + (g,)
-                grown = saturate(gens)
+                grown = saturate(gens, orders)
                 if grown not in found:
                     found[grown] = gens
                     stack.append(grown)
     return {tuple(sorted(sub)) for sub in found}
-
-
-class TestClosure:
-    def test_trivial(self):
-        assert oracle.closure([], (2, 2, 2)) == 1
-        assert members(1, (2, 2, 2)) == ((0, 0, 0),)
-
-    def test_single_generator(self):
-        got = oracle.closure([(1, 1, 0)], (2, 2, 2))
-        assert members(got, (2, 2, 2)) == ((0, 0, 0), (1, 1, 0))
-
-    def test_generators_reduced_mod_orders(self):
-        assert members(oracle.closure([(3, 2, 2)], (2, 2, 2)), (2, 2, 2)) == ((0, 0, 0), (1, 0, 0))
-
-    def test_full_group(self):
-        got = oracle.closure([(1, 0), (0, 1)], (2, 3))
-        assert got == (1 << 6) - 1
-
-    def test_idempotent(self):
-        first = oracle.closure([(2, 1, 0)], (4, 4, 2))
-        again = oracle.closure(members(first, (4, 4, 2)), (4, 4, 2))
-        assert first == again
 
 
 class TestLattice:
@@ -133,27 +99,6 @@ class TestLattice:
                 assert flat == {members(sub, (m, n)) for sub in oracle.all_subgroups((m, n))}
 
 
-class TestCyclic:
-    def test_counts(self):
-        assert len(oracle.cyclic_subgroups((1, 1, 1))) == 1
-        assert len(oracle.cyclic_subgroups((2, 2, 2))) == 8
-        assert len(oracle.cyclic_subgroups((3, 3, 1))) == 5
-
-    def test_subset_of_all(self):
-        group = (4, 2, 2)
-        assert oracle.cyclic_subgroups(group) <= oracle.all_subgroups(group)
-
-    def test_matches_closure_of_each_element(self):
-        for group in SMALL_GROUPS:
-            want = {oracle.closure([g], group) for g in elements(group)}
-            assert oracle.cyclic_subgroups(group) == want, group
-
-    def test_each_generated_by_one_element(self):
-        group = (6, 2)
-        for sub in oracle.cyclic_subgroups(group):
-            assert any(oracle.closure([g], group) == sub for g in members(sub, group))
-
-
 class TestAdditionTable:
     """Addition as the oracle does it: translating bitmasks of element codes."""
 
@@ -195,10 +140,11 @@ class TestBound:
         with pytest.raises(ValueError, match="element bound"):
             oracle.all_subgroups((17, 17, 17))
 
-    def test_closure_at_the_bound(self):
+    def test_lattice_at_the_bound(self):
+        # Z_4096 = Z_2^12 has one subgroup per divisor
+        assert len(oracle.all_subgroups((ELEMENT_BOUND,))) == 13
         with pytest.raises(ValueError, match=f"group order {ELEMENT_BOUND + 1} exceeds the element bound {ELEMENT_BOUND}"):
-            oracle.closure([(0,)], (ELEMENT_BOUND + 1,))
-        assert oracle.closure([(1, 0), (0, 1)], (64, 64)).bit_count() == ELEMENT_BOUND
+            oracle.all_subgroups((ELEMENT_BOUND + 1,))
 
     def test_join_budget(self, monkeypatch):
         start = time.perf_counter()

@@ -18,7 +18,6 @@ from abelian3.rank3 import (
     Subgroup,
     count_by_order,
     count_cyclic,
-    count_cyclic_divisor_sum,
     count_total,
     count_total_divisor_sum,
     derived_params,
@@ -29,6 +28,12 @@ from abelian3.rank3 import (
     subgroup_stream,
 )
 from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
+from reference import count_cyclic_divisor_sum, saturate
+
+
+def triangular_basis(sub):
+    """The triangular basis (a,0,0), (s,b,0), (u,v,c) of a Subgroup record."""
+    return (sub.a, 0, 0), (sub.s, sub.b, 0), (sub.u, sub.v, sub.c)
 
 
 def members(mask, group):
@@ -190,19 +195,19 @@ class TestMaterialize:
         assert members(subgroup_elements(basis), (2, 2, 2)) == [(0, 0, 0), (1, 1, 1)]
 
     def test_full_group(self):
-        basis = materialize(Sextuple(1, 1, 1, 0, 0, 0), (3, 4, 5))
-        assert basis.order == 60
-        assert basis.generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        sub = materialize(Sextuple(1, 1, 1, 0, 0, 0), (3, 4, 5))
+        assert sub.order == 60
+        assert triangular_basis(sub) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_record_group_and_generators(self):
         # the values the (Sextuple, basis) pair gave before the single record
         sub = materialize(Sextuple(a=2, b=2, c=1, t=0, w=1, z=1), (2, 2, 2))
         assert sub == (2, 2, 2, 2, 2, 1, 0, 1, 1, 0, 1, 1, 2)
         assert sub.group == (2, 2, 2)
-        assert sub.generators == ((2, 0, 0), (0, 2, 0), (1, 1, 1))
+        assert triangular_basis(sub) == ((2, 0, 0), (0, 2, 0), (1, 1, 1))
         sub = materialize(Sextuple(2, 3, 1, 1, 0, 0), (4, 6, 8))
         assert sub.group == (4, 6, 8)
-        assert sub.generators == ((2, 0, 0), (1, 3, 0), (0, 0, 1))
+        assert triangular_basis(sub) == ((2, 0, 0), (1, 3, 0), (0, 0, 1))
         assert sub.order == 2 * 2 * 8
 
     def test_shift_ranges_enforced(self):
@@ -261,23 +266,25 @@ class TestElements:
                     assert s in points
 
     def test_masks_match_closure_of_generators(self):
-        # the oracle joins the generators' cyclic subgroups by translating masks;
+        # saturating the basis adds element tuples until no sum is new;
         # subgroup_elements lays out lines of multiples by modular arithmetic,
         # also in the codes of the orders above 1 stably sorted, as verify does
         shapes = [(m, n, r) for m in range(1, 49) for n in range(1, 48 // m + 1) for r in range(1, 48 // (m * n) + 1)]
         assert len(shapes) == 540
         for group in shapes:
+            m, n, r = group
             axes = sorted((i for i in range(3) if group[i] > 1), key=group.__getitem__) or [0]
             key = [group[i] for i in axes]
             strides = [1, 1, 1]
             for k, i in enumerate(axes):
                 strides[i] = math.prod(key[k + 1:])
+            sx, sy, sz = strides
             for sub in subgroup_stream(group):
+                closure = saturate(triangular_basis(sub), group)
                 mask = subgroup_elements(sub)
-                assert mask == oracle.closure(sub.generators, sub.group), sub
+                assert mask == sum(1 << (x * n + y) * r + z for x, y, z in closure), sub
                 assert mask.bit_count() == sub.order, sub
-                permuted = [[g[i] for i in axes] for g in sub.generators]
-                assert subgroup_elements(sub, strides) == oracle.closure(permuted, key), sub
+                assert subgroup_elements(sub, strides) == sum(1 << x * sx + y * sy + z * sz for x, y, z in closure), sub
 
 
 class TestCountTotal:
@@ -376,12 +383,12 @@ class TestCountCyclic:
             assert count_cyclic((n, 1, 1)) == len(divisors(n))
 
     def test_matches_oracle(self):
-        for m in range(1, 5):
-            for n in range(1, 5):
-                for r in range(1, 5):
-                    got = count_cyclic((m, n, r))
-                    want = len(oracle.cyclic_subgroups((m, n, r)))
-                    assert got == want, (m, n, r)
+        # the distinct subgroups that saturating one element gives
+        shapes = [(m, n, r) for m in range(1, 33) for n in range(1, 32 // m + 1) for r in range(1, 32 // (m * n) + 1)]
+        assert len(shapes) == 300
+        for group in shapes:
+            want = len({saturate([g], group) for g in product(*map(range, group))})
+            assert count_cyclic(group) == want, group
 
     def test_never_exceeds_total(self):
         for group in [(2, 2, 2), (4, 6, 8), (9, 9, 3)]:

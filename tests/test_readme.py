@@ -48,7 +48,7 @@ def test_examples_found():
 
 @pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=lambda source: source.splitlines()[0])
 def test_python_block_runs(source):
-    exec(compile(source, str(README), "exec"), {})
+    exec(compile(source, str(README), "exec", optimize=0), {})  # asserts run under python -O too
 
 
 @pytest.mark.parametrize(("command", "shown", "complete"), CLI_EXAMPLES, ids=[cmd for cmd, _, _ in CLI_EXAMPLES])
