@@ -112,21 +112,25 @@ def _render_rows(
     """Write each row to stdout in cfg's format, in chunks of about _CHUNK_CHARS.
 
     A row holds one value per column. text turns a row into one or more lines
-    of text output; for rows of ints in plain columns it may instead be a
-    str.format line template with {k} for cell k, showing each cell once, in
-    column order. Such rows share one mechanism: the line of the format (that
-    template, the CSV cells, or the JSON object of the names) becomes a %
-    template with a %d hole per cell, which each row fills. With run = (i, j)
-    and a template, an item of rows is a run (row, length, step): the rows
-    k < length with row[i] + k and row[j] + step k (step >= 1). Its other
-    cells are filled in once, which may repeat them, leaving holes at i and j
-    for each row. header is an optional leading record with columns, row and
-    text of its own: the first JSON line, or else commentary (see _note), as
-    its text or, for CSV, as name=value lines. A write ends with the first
-    line that brings it to _CHUNK_CHARS, so long runs are written in pieces;
-    the lines formatted before rows raises are written too.
+    of text output, or, for rows of ints in plain columns, is a str.format
+    line template showing {0}, {1}, ... once each, in order. The line of the
+    format (that template, the CSV cells, or the JSON object of the names)
+    then becomes a % template with a %d hole per cell, which each row fills.
+    With run = (i, j), an item of rows is a run (row, length, step): the rows
+    k < length with row[i] + k and row[j] + step k (step >= 1); the template
+    shows {i}, then {j}, once each, and its other cells, filled once per run,
+    as often as it likes. A template that breaks its rule raises ValueError
+    before any output. header is an optional leading record with columns, row
+    and text: the first JSON line, or else commentary (see _note), as its text
+    or, for CSV, as name=value lines. A write ends with the first line that
+    brings it to _CHUNK_CHARS; the lines formatted before rows raises go too.
     """
     fmt, lead = cfg.fmt, []
+    if isinstance(text, str):
+        from string import Formatter
+        want = [str(k) for k in run or range(len(columns))]
+        if [name for _, name, _, _ in Formatter().parse(text) if name in want or run is None and name is not None] != want:
+            raise ValueError(f"line template {text!r} must show each of the cells {', '.join(want)} once, in that order")
 
     def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:
         """Names of the columns fmt shows, and row -> their values in fmt."""
@@ -140,13 +144,9 @@ def _render_rows(
         line = f"{text}\n"  # the line template, when text is one
         lines = map("%s\n".__mod__, map(text, rows))
     elif fmt == "json":
-        from json import encoder
-        # JSONEncoder.encode builds a new C encoder on every call, which costs
-        # about a third of encoding a 13-key row. This one is built once with the
-        # settings of JSONEncoder(separators=(",", ":")); markers=None skips the
-        # cycle check, as rows are built fresh from numbers, strings and lists.
-        chunks = encoder.c_make_encoder(None, encoder.JSONEncoder().default, encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
-        json_line = lambda value: "".join(chunks(value, 0))
+        from json import JSONEncoder
+        # rows are built fresh from numbers, strings and lists, so no cycle check
+        json_line = JSONEncoder(separators=(",", ":"), check_circular=False).encode
         names, values = shown(columns)
         line = "{{" + ",".join(json_line(name).replace("{", "{{").replace("}", "}}") + ":" + field for name, field in zip(names, fields)) + "}}\n"
         lines = map(lambda row: json_line(dict(zip(names, values(row)))) + "\n", rows)

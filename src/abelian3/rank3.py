@@ -18,11 +18,13 @@ products over the primes of m n r of terms that depend only on exponents.
 
 subgroup_runs walks the family once: divisor lists per group; (A, B, C, X),
 the order and the inverse of (r/c)/C modulo a/C per divisor triple;
-gcd(t, X) per t; and s, v and the least solution u0 of the u-congruence
-(r/c) u = (r/c) v s / b (mod a) per (t, w). That solve fixes a run of C
-subgroups, u = u0 + (a/C) z for 0 <= z < C, which the walk yields as one
-item. subgroup_stream expands the runs into one Subgroup record per
-subgroup, whose fields are the CLI's columns.
+s = a t / A and gcd(t, X) per t; and v = b X w / (B gcd(t, X)) and the least
+solution u0 of the u-congruence (r/c) u = (r/c) v s / b (mod a) per (t, w).
+That solve fixes a run of C subgroups, u = u0 + (a/C) z for 0 <= z < C,
+which the walk yields as one item. subgroup_stream expands the runs into one
+Subgroup record per subgroup, whose fields are the CLI's columns. materialize
+solves one sextuple on its own and finds u0 by search, not by the inverse,
+so the tests can check the walk against it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import arith
 from .arith import divisors, gcd_sum
@@ -106,20 +108,29 @@ def subgroup_runs(group: Group3) -> Iterator[tuple[Subgroup, int, int]]:
 
     A run is the C subgroups first with z = k and u = first.u + (a/C) k for
     0 <= k < C, so the run lengths sum to count_total(group). The module
-    docstring lists what is computed at which loop level.
+    docstring lists what is computed at which loop level; the asserts check
+    that each division is exact and that C = gcd(r/c, a).
     """
     m, n, r = _validated(group)
     for a, b, c in product(divisors(m), divisors(n), divisors(r)):
-        dp = derived_params(a, b, c, group)
-        rc, step = r // c, a // dp.C
+        big_a, big_b, big_c, x = derived_params(a, b, c, group)
+        rc = r // c
+        assert math.gcd(rc, a) == big_c
+        step = a // big_c
+        inverse = pow(rc // big_c, -1, step)
         order = (m // a) * (n // b) * rc
-        shifts = _shift_rule(a, b, rc, dp)
-        for t in range(dp.A):
-            g = math.gcd(t, dp.X)  # gcd(0, X) = X
-            for w in range(dp.B * g // dp.X):
-                s, v, u0 = shifts(t, g, w)
+        for t in range(big_a):
+            assert (a * t) % big_a == 0
+            s = a * t // big_a
+            den = big_b * math.gcd(t, x)  # gcd(0, X) = X
+            for w in range(den // x):
+                assert (b * x * w) % den == 0
+                v = b * x * w // den
+                assert (rc * v) % b == 0
+                rhs = (rc * v // b) * s
+                assert rhs % big_c == 0
                 # positional arguments: keywords make the walk about a fifth slower
-                yield Subgroup(m, n, r, a, b, c, t, w, 0, s, u0, v, order), dp.C, step
+                yield Subgroup(m, n, r, a, b, c, t, w, 0, s, rhs // big_c * inverse % step, v, order), big_c, step
 
 
 def subgroup_stream(group: Group3) -> Iterator[Subgroup]:
@@ -139,45 +150,19 @@ def enumerate_sextuples(group: Group3) -> Iterator[Sextuple]:
 def materialize(sx: Sextuple, group: Group3) -> Subgroup:
     """Solve one sextuple on its own (the tests' reference for subgroup_stream).
 
-    Checks the ranges with derived_params and gcd(t, X), takes (s, v, u0)
-    from the triple's _shift_rule as the walk does, and sets u = u0 + (a/C) z.
+    Checks the ranges with derived_params and gcd(t, X), takes s = a t / A
+    and v = b X w / (B gcd(t, X)), finds u0 by search as the least u in
+    [0, a/C) with (r/c) u = (r/c) v s / b (mod a), and sets u = u0 + (a/C) z.
     """
     m, n, r = _validated(group)
     a, b, c, t, w, z = sx
-    dp = derived_params(a, b, c, group)
-    g = math.gcd(t, dp.X)
-    if not (0 <= t < dp.A and 0 <= w < dp.B * g // dp.X and 0 <= z < dp.C):
+    big_a, big_b, big_c, x = derived_params(a, b, c, group)
+    g = math.gcd(t, x)
+    if not (0 <= t < big_a and 0 <= w < big_b * g // x and 0 <= z < big_c):
         raise ValueError(f"{sx} outside the admissible ranges for {group}")
-    s, v, u0 = _shift_rule(a, b, r // c, dp)(t, g, w)
-    return Subgroup(m, n, r, a, b, c, t, w, z, s, u0 + (a // dp.C) * z, v, (m // a) * (n // b) * (r // c))
-
-
-def _shift_rule(a: int, b: int, rc: int, dp: DerivedParams) -> Callable[[int, int, int], tuple[int, int, int]]:
-    """The shift algebra of one divisor triple, given rc = r/c: a function
-    (t, g, w) -> (s, v, u0) for g = gcd(t, X).
-
-    s = a t / A and v = b X w / (B g) are exact divisions; u0 is the least of
-    the C solutions, a/C apart, of (r/c) u = (r/c) v s / b (mod a). C =
-    gcd(r/c, a) and the inverse of (r/c)/C modulo a/C depend only on the
-    triple, so they are computed here, once.
-    """
-    big_a, big_b, big_c, x = dp
-    assert math.gcd(rc, a) == big_c
-    period = a // big_c
-    inverse = pow(rc // big_c, -1, period)
-
-    def shifts(t: int, g: int, w: int) -> tuple[int, int, int]:
-        assert (a * t) % big_a == 0
-        s = a * t // big_a
-        den = big_b * g
-        assert (b * x * w) % den == 0
-        v = b * x * w // den
-        assert (rc * v) % b == 0
-        rhs = (rc * v // b) * s
-        assert rhs % big_c == 0
-        return s, v, rhs // big_c * inverse % period
-
-    return shifts
+    rc, s, v = r // c, a * t // big_a, b * x * w // (big_b * g)
+    u0 = next(u for u in range(a // big_c) if (rc * u - rc * v * s // b) % a == 0)
+    return Subgroup(m, n, r, a, b, c, t, w, z, s, u0 + (a // big_c) * z, v, (m // a) * (n // b) * rc)
 
 
 def subgroup_elements(sub: Subgroup, strides: Sequence[int] | None = None) -> int:

@@ -367,6 +367,31 @@ class TestJsonRows:
         if all(type(cell) is int for row in rows for cell in row):
             assert rendered("json", rows, columns, " ".join(f"{{{k}}}" for k in range(len(names)))) == want
 
+    @pytest.mark.parametrize("args", [["count", "4", "6", "8"], ["verify", "--max-order", "6"], ["type-count", "2,1", "1", "--eval", "3"]])
+    def test_lines_without_the_c_encoder(self, runner, monkeypatch, args):
+        # json.encoder.c_make_encoder is None on an interpreter without the _json accelerator
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        result = runner.invoke(main, ["-q", "--format", "json", *args])
+        assert result.exit_code == 0, result.exception
+        lines = result.stdout.splitlines()
+        assert lines and lines == [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
+
+
+class TestLineTemplates:
+    # a template names each cell once in column order; with run = (i, j) it names
+    # cells i and j once each, i first, and the other cells as often as it likes
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize(
+        "template, run",
+        [("{1} is s, {0} is n", None), ("{0} {0} {1}", None), ("{0}", None), ("{0} {1} {2}", None), ("{0}{{1}}", None), ("{1} {0}", (0, 1)), ("{0} {1} {1}", (0, 1)), ("{0} {0} {1}", (0, 1)), ("{1}", (0, 1))],
+    )
+    def test_a_broken_template_raises_before_any_output(self, fmt, template, run):
+        rows = [((1, 2), 3, 1)] if run else [(1, 2)]
+        header = ([Column("head")], (0,), "# head")
+        with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(ValueError, match=re.escape(repr(template))):
+            _render_rows(OutputConfig(fmt=fmt, quiet=False), rows, [Column("n"), Column("s")], template, header=header, run=run)
+        assert out.getvalue() == ""
+
 
 def rendered(fmt, rows, columns, text, run=None):
     with contextlib.redirect_stdout(io.StringIO()) as out:
