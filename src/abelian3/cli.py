@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from bisect import bisect_left
 from itertools import accumulate, chain, islice, product
@@ -90,6 +91,9 @@ Columns = Sequence[Column]
 # A quarter of Linux's default 64-KiB pipe capacity: a chunk written to a pipe
 # whose reader keeps up never waits for the reader, while a chunk at least as
 # large as the pipe makes every write wait until the reader has drained it.
+# Under python -u (or PYTHONUNBUFFERED=1) every write is a system call: line by
+# line, `-q table 1 --limit 1000000` took 1.97 s against 1.18 s chunked (README,
+# Command line). Measure any change here under -u.
 _CHUNK_CHARS = 16 * 1024
 _BATCH_LINES = 256  # lines formatted before they are cut into chunks
 
@@ -127,9 +131,10 @@ def _render_rows(
     """
     fmt, lead = cfg.fmt, []
     if isinstance(text, str):
-        from string import Formatter
         want = [str(k) for k in run or range(len(columns))]
-        if [name for _, name, _, _ in Formatter().parse(text) if name in want or run is None and name is not None] != want:
+        # the field names of text as str.format reads them: {{ and }} are no field, a stray brace reads as None
+        names = [field[1] for field in re.finditer(r"\{\{|\}\}|\{([^{}!:]*)(?:![^{}])?(?::(?:[^{}]|\{[^{}]*\})*)?\}|[{}]", text) if field[0] not in ("{{", "}}")]
+        if [name for name in names if name in want or run is None or name is None] != want:
             raise ValueError(f"line template {text!r} must show each of the cells {', '.join(want)} once, in that order")
 
     def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:
@@ -259,12 +264,33 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
         _render_rows(cfg, rank3.subgroup_runs(group), columns, line, run=(fields.index("z"), fields.index("u")))
 
 
-# A polynomial is shown as text in CSV and as its coefficient list in JSON.
-_POLY_COLUMNS = (Column("s_poly", json=None), Column("coefficients", csv=None))
-
-
-def _poly_cells(poly: typecounts.IntPolynomial) -> tuple[str, tuple[int, ...]]:
-    return str(poly), poly.coefficients
+def _render_polys(cfg: OutputConfig, key_columns: Columns, name: str, keys: Iterable[tuple], build: Callable[..., typecounts.IntPolynomial], degree: int | None = None, p: int | None = None) -> None:
+    """Write a row per tuple of cells in keys: the cells, then the polynomial
+    build(*cells), as text under name in CSV and as its coefficients in JSON;
+    text shows the cells joined by commas, a tab and the polynomial.
+    With degree (one tuple, from a command that takes --eval), the row goes on
+    with p and the value there (empty CSV cells and no JSON keys without p),
+    text is the polynomial, then `at p=P: VALUE`, and a value of more than
+    MAX_EVAL_DIGITS digits (or the interpreter's lower int-to-string limit) is
+    a usage error. Counting polynomials have nonnegative coefficients, so
+    p^degree bounds the value from below and refuses most before build runs.
+    """
+    columns = [*key_columns, Column(name, json=None), Column("coefficients", csv=None)]
+    if degree is None:
+        rows = ((*cells, str(poly), poly.coefficients) for cells in keys for poly in [build(*cells)])
+        _render_rows(cfg, rows, columns, lambda row: ",".join(map(str, row[:-2])) + "\t" + row[-2])
+        return
+    digits = min(MAX_EVAL_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_EVAL_DIGITS)  # 0: no limit
+    too_long = UsageError(f"--eval {p}: the value would have more than {digits} digits")
+    if p is not None and degree * math.log10(p) >= digits:
+        raise too_long
+    (cells,) = keys
+    poly = build(*cells)
+    value = None if p is None else poly(p)
+    if value is not None and value >= 10**digits:
+        raise too_long
+    columns += [Column(key, json=None if p is None else _same) for key in ("p", "value")]
+    _render_rows(cfg, [(*cells, str(poly), poly.coefficients, p, value)], columns, lambda row: row[-4] if p is None else f"{row[-4]}\nat p={p}: {value}")
 
 
 def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
@@ -278,46 +304,13 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
         _render_rows(cfg, enumerate(arith.multiplicative_stream(asymptotics.S_DIAGONAL, top), 1), [Column("n"), Column("s")], "{0}\t{1}")
         return
     if which == "2":
-        shapes = [(nu, nu, nu) for nu in range(1, top + 1)]
-        keys = ["nu"]
+        keys, cells, build = ["nu"], [(nu,) for nu in range(1, top + 1)], lambda nu: typecounts.symbolic_count(nu, nu, nu)
         _note(cfg, "# nu  s(p^nu x p^nu x p^nu)")
     else:
-        shapes = [(nu1, nu2, nu3) for nu3 in range(1, top + 1) for nu2 in range(1, nu3 + 1) for nu1 in range(1, nu2 + 1)]
-        keys = ["nu1", "nu2", "nu3"]
+        keys, build = ["nu1", "nu2", "nu3"], typecounts.symbolic_count
+        cells = [(nu1, nu2, nu3) for nu3 in range(1, top + 1) for nu2 in range(1, nu3 + 1) for nu1 in range(1, nu2 + 1)]
         _note(cfg, "# nu1 nu2 nu3  s(p^nu1 x p^nu2 x p^nu3)")
-    rows = ((*shape[-len(keys):], *_poly_cells(typecounts.symbolic_count(*shape))) for shape in shapes)
-    columns = [*map(Column, keys), *_POLY_COLUMNS]
-    _render_rows(cfg, rows, columns, lambda row: ",".join(map(str, row[:-2])) + "\t" + row[-2])
-
-
-def _eval_columns(eval_p: int | None) -> list[Column]:
-    """p and the value there: empty CSV cells and no JSON keys without --eval."""
-    json_value = None if eval_p is None else _same
-    return [Column("p", json=json_value), Column("value", json=json_value)]
-
-
-def _with_value(build: Callable[[], typecounts.IntPolynomial], degree: int, p: int | None) -> tuple:
-    """(build(), its value at p or None without --eval); a usage error for a
-    value of more than MAX_EVAL_DIGITS digits, or of more than the
-    interpreter's int-to-string limit when that is lower. Counting polynomials
-    have nonnegative coefficients, so p^degree bounds the value from below,
-    which refuses most such values before build runs."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    digits = min(MAX_EVAL_DIGITS, limit) if limit else MAX_EVAL_DIGITS
-    too_long = UsageError(f"--eval {p}: the value would have more than {digits} digits")
-    if p is not None and degree * math.log10(p) >= digits:
-        raise too_long
-    poly = build()
-    value = None if p is None else poly(p)
-    if value is not None and value >= 10**digits:
-        raise too_long
-    return poly, value
-
-
-def _poly_text(row: tuple) -> str:
-    """The polynomial, then its value at p when there is one."""
-    poly, _, p, value = row[-4:]
-    return poly if p is None else f"{poly}\nat p={p}: {value}"
+    _render_polys(cfg, [*map(Column, keys)], "s_poly", cells, build)
 
 
 def cmd_poly(cfg: OutputConfig, exponents: list[int], eval_p: int | None, closed_form: bool) -> None:
@@ -336,11 +329,8 @@ def cmd_poly(cfg: OutputConfig, exponents: list[int], eval_p: int | None, closed
     bound = MAX_CLOSED_FORM_EXPONENT if closed_form else MAX_EXPONENT
     if max(exponents) > bound:
         raise UsageError(f"exponents must be <= {bound}{' with --closed-form' * closed_form}, got {max(exponents)}")
-    build = (lambda: typecounts.general_form(nu1)) if closed_form else (lambda: typecounts.symbolic_count(nu1, nu2, nu3))
-    poly, value = _with_value(build, typecounts.count_degree(nu1, nu2, nu3), eval_p)
-    row = (nu1, nu2, nu3, *_poly_cells(poly), eval_p, value)
-    columns = [Column("nu1"), Column("nu2"), Column("nu3"), *_POLY_COLUMNS, *_eval_columns(eval_p)]
-    _render_rows(cfg, [row], columns, _poly_text)
+    build = (lambda nu, *_: typecounts.general_form(nu)) if closed_form else typecounts.symbolic_count
+    _render_polys(cfg, [*map(Column, ("nu1", "nu2", "nu3"))], "s_poly", [(nu1, nu2, nu3)], build, typecounts.count_degree(nu1, nu2, nu3), eval_p)
 
 
 def _parse_partition(text: str) -> typecounts.Partition:
@@ -364,11 +354,8 @@ def cmd_type_count(cfg: OutputConfig, lam: str, mu: str, eval_p: int | None) -> 
         degree = typecounts.type_count_degree(lam_part, mu_part)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    poly, value = _with_value(lambda: typecounts.type_count(lam_part, mu_part), degree, eval_p)
-    row = (lam_part.parts, mu_part.parts, *_poly_cells(poly), eval_p, value)
-    joined = lambda parts: ",".join(map(str, parts))
-    columns = [Column("lam", csv=joined), Column("mu", csv=joined), Column("poly", json=None), Column("coefficients", csv=None), *_eval_columns(eval_p)]
-    _render_rows(cfg, [row], columns, _poly_text)
+    columns = [Column(key, csv=lambda part: ",".join(map(str, part.parts)), json=lambda part: part.parts) for key in ("lam", "mu")]
+    _render_polys(cfg, columns, "poly", [(lam_part, mu_part)], typecounts.type_count, degree, eval_p)
 
 
 class VerificationReport(NamedTuple):

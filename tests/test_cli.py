@@ -691,6 +691,26 @@ class TestVerify:
         report = run_lattice_verification(8)
         assert report.failures == ["(4, 2, 1): 1 unexpected sets (first: [(0, 0, 0), (3, 0, 0)]), 1 missing sets (first: [(0, 0, 0), (2, 0, 0)])"]
 
+    def test_a_repeated_subgroup_is_a_duplicate_set(self, runner, monkeypatch):
+        # (2, 2, 1)'s stream yields its first subgroup again in place of its
+        # second: the length still matches every count route, the sets do not
+        original = rank3.subgroup_stream
+
+        def repeating(group):
+            subs = list(original(group))
+            if tuple(group) == (2, 2, 1):
+                subs[1] = subs[0]
+            return iter(subs)
+
+        monkeypatch.setattr(rank3, "subgroup_stream", repeating)
+        result = runner.invoke(main, ["-q", "verify", "--max-order", "4"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines()[-2:] == ["FAIL (2, 2, 1): 1 duplicate element sets", "result: FAIL"]
+
+    def test_max_order_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_order must be positive, got 0"):
+            run_lattice_verification(0)
+
     def test_a_raising_shape_gives_one_failure(self, monkeypatch):
         original = rank3.subgroup_stream
 
@@ -915,9 +935,11 @@ class TestImports:
             ("poly 2", "cli config typecounts", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
             ("type-count 2,1 1", "cli config typecounts", "", "1+p"),
             ("table 2", "cli config typecounts", "", "# nu  s(p^nu x p^nu x p^nu)"),
+            ("enumerate 2 2 2", "arith cli config rank3 typecounts", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
+            ("table 1 --limit 5", "arith asymptotics cli config typecounts", "", "# n  s(n)"),
             ("-q asymptotic --x-values 100 --prime-limit 1000 --tail-terms 1000", "arith asymptotics cli config typecounts", "", "100\t5847260\t5598747.422792264\t4.438717e-02\t2.6977"),
         ],
-        ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "asymptotic"],
+        ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "enumerate", "table-1", "asymptotic"],
     )
     def test_count_loads_only_its_modules(self, args, modules, formats, first_line):
         # formats: the output-format modules this command needs
@@ -936,7 +958,7 @@ class TestImports:
         loaded = set(result.stderr.splitlines()[-1].split())
         assert sorted(name for name in loaded if name.startswith("abelian3.")) == [f"abelian3.{name}" for name in modules.split()]
         assert sorted(loaded & {"json", "csv"}) == formats.split()
-        heavy = loaded & {"click", "dataclasses", "inspect", "fractions", "decimal", "numpy", "mpmath"}
+        heavy = loaded & {"click", "dataclasses", "inspect", "fractions", "decimal", "numpy", "mpmath", "string"}
         assert not heavy, heavy
 
     def test_no_module_imports_numpy_or_mpmath(self):
