@@ -13,17 +13,20 @@ from functools import lru_cache
 from itertools import chain, compress
 from typing import Callable, Iterator, Sequence
 
-# The first 14 primes. The first 13 make Miller-Rabin exact below
-# psi_13 = 3317044064679887385961981 (Sorenson and Webster 2017), and 43 also
-# rejects psi_13 itself, which passes every base up to 41.
+# The first 14 primes. The first 13 make Miller-Rabin exact below _PSI_13
+# (Sorenson and Webster 2017), and 43 also rejects psi_13 itself, which passes
+# every base up to 41.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test with the bases _MR_BASES.
+    """Miller-Rabin to the bases _MR_BASES, then, from psi_13 on, a strong Lucas test.
 
-    Exact for n <= psi_13 = 3317044064679887385961981. Above that, True means
-    n is a strong probable prime to every base, not a proof of primality.
+    A proof below psi_13. Above it, Miller-Rabin to base 2 and the Lucas test make
+    the Baillie-PSW test (Baillie and Wagstaff 1980), and True assumes that no
+    composite passes it, as none known does; fixed bases alone can be fooled by a
+    composite built for them (Arnault 1995).
     """
     if n < 2:
         return False
@@ -43,7 +46,46 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n % 8 in (3, 5):
+            sign = -sign
+        if a % 4 == n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 2 with Selfridge's parameters: P = 1 and
+    Q = (1 - D) / 4 for the first D of 5, -7, 9, -11, ... with (D / n) = -1. With
+    n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^k) = 0 mod n for some k < s."""
+    if math.isqrt(n) ** 2 == n:  # no D has (D / n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False
+        D = 2 - D if D < 0 else -D - 2
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k and Q^k for k = 1, then for the leading bits of d
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return U == 0
 
 
 def _odd_prime_mask(limit: int) -> bytearray:
@@ -71,9 +113,12 @@ def primes_up_to(limit: int) -> list[int]:
 # no prime factor below the bound is prime when it is below _TRIAL_BOUND**2.
 _TRIAL_BOUND = 1000
 _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND - 1))
-# Pollard-Brent rho steps one factorize call may spend: about 1.3 s of pure
-# Python on a 2-core VM (Python 3.11), enough for most smaller factors of up to
-# 12 digits. Rounds double, so only powers of two change where rho gives up.
+# Pollard-Brent rho steps one factorize call may spend, enough for most smaller
+# factors of up to 12 digits. The budget counts steps, not work: a step is a
+# product mod the cofactor, so it costs more as the cofactor grows. Spent on a
+# semiprime of two equal-sized primes, end to end on a 2-core VM (Python 3.11),
+# it took about 1.3 s at 30 digits, 4.5 s at 80, 24.4 s at 300 and 208 s at
+# 1,001. Rounds double, so only powers of two change where rho gives up.
 _RHO_BUDGET = 1 << 22
 _RHO_BATCH = 128  # differences multiplied together per gcd
 

@@ -15,8 +15,11 @@ object per line; CSV follows RFC 4180. Exit codes: 0 success, 1 verification
 failure or stdout closed by its reader, 2 usage error.
 
 Every command hands its results to _render_rows as plain tuples (enumerate as
-runs of rows), a column spec and a text line template or callable; _render_rows
-and _note are the only code that looks at the format.
+runs of rows), a column spec and a text line template or callable; render.py,
+where _render_rows and _note live, is the only module that reads the format.
+verify.py holds the verification campaign. Both are imported here by name, and
+the commands call them through this module's globals, so that a tracer that
+wraps cli._render_rows or cli.run_lattice_verification sees every call.
 Start-up is most of what a command costs, so the library modules and the json
 and csv modules are imported where they are first needed.
 """
@@ -26,14 +29,14 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
-from bisect import bisect_left
-from itertools import accumulate, chain, islice, product
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import product
+from typing import Callable, Iterable
 
 from . import typecounts
 from .config import ELEMENT_BOUND
+from .render import Column, Columns, OutputConfig, _note, _render_rows, _same
+from .verify import run_lattice_verification
 
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
@@ -66,138 +69,6 @@ MAX_EVAL_DIGITS = 4300
 MAX_VERIFY_ORDER = 200
 _TABLE_LIMITS = {"1": MAX_SIEVE, "2": 50, "3": 18}
 _TABLE_DEFAULTS = {"1": 50, "2": 10, "3": 4}
-
-
-class OutputConfig(NamedTuple):
-    fmt: str
-    quiet: bool
-
-
-def _same(value):
-    return value
-
-
-class Column(NamedTuple):
-    """One output column: its name, and how a row's value for it becomes a CSV
-    cell and a JSON value. None leaves the column out of that format."""
-
-    name: str
-    csv: Callable | None = _same
-    json: Callable | None = _same
-
-
-Columns = Sequence[Column]
-
-# A quarter of Linux's default 64-KiB pipe capacity: a chunk written to a pipe
-# whose reader keeps up never waits for the reader, while a chunk at least as
-# large as the pipe makes every write wait until the reader has drained it.
-# Under python -u (or PYTHONUNBUFFERED=1) every write is a system call: line by
-# line, `-q table 1 --limit 1000000` took 1.97 s against 1.18 s chunked (README,
-# Command line). Measure any change here under -u.
-_CHUNK_CHARS = 16 * 1024
-_BATCH_LINES = 256  # lines formatted before they are cut into chunks
-
-
-def _note(cfg: OutputConfig, message: str) -> None:
-    """Commentary channel: text-mode header lines, stderr otherwise."""
-    if cfg.quiet:
-        return
-    print(message, file=sys.stdout if cfg.fmt == "text" else sys.stderr)
-
-
-def _render_rows(
-    cfg: OutputConfig,
-    rows: Iterable[tuple],
-    columns: Columns,
-    text: Callable[[tuple], str] | str,
-    header: tuple[Columns, tuple, str] | None = None,
-    run: tuple[int, int] | None = None,
-) -> None:
-    """Write each row to stdout in cfg's format, in chunks of about _CHUNK_CHARS.
-
-    A row holds one value per column. text turns a row into one or more lines
-    of text output, or, for rows of ints in plain columns, is a str.format
-    line template showing {0}, {1}, ... once each, in order. The line of the
-    format (that template, the CSV cells, or the JSON object of the names)
-    then becomes a % template with a %d hole per cell, which each row fills.
-    With run = (i, j), an item of rows is a run (row, length, step): the rows
-    k < length with row[i] + k and row[j] + step k (step >= 1); the template
-    shows {i}, then {j}, once each, and its other cells, filled once per run,
-    as often as it likes. A template that breaks its rule raises ValueError
-    before any output. header is an optional leading record with columns, row
-    and text: the first JSON line, or else commentary (see _note), as its text
-    or, for CSV, as name=value lines. A write ends with the first line that
-    brings it to _CHUNK_CHARS; the lines formatted before rows raises go too.
-    """
-    fmt, lead = cfg.fmt, []
-    if isinstance(text, str):
-        want = [str(k) for k in run or range(len(columns))]
-        # the field names of text as str.format reads them: {{ and }} are no field, a stray brace reads as None
-        names = [field[1] for field in re.finditer(r"\{\{|\}\}|\{([^{}!:]*)(?:![^{}])?(?::(?:[^{}]|\{[^{}]*\})*)?\}|[{}]", text) if field[0] not in ("{{", "}}")]
-        if [name for name in names if name in want or run is None or name is None] != want:
-            raise ValueError(f"line template {text!r} must show each of the cells {', '.join(want)} once, in that order")
-
-    def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:
-        """Names of the columns fmt shows, and row -> their values in fmt."""
-        picked = [(i, col.name, getattr(col, fmt)) for i, col in enumerate(cols) if getattr(col, fmt) is not None]
-        return [name for _, name, _ in picked], lambda row: [get(row[i]) for i, _, get in picked]
-
-    fields = [f"{{{k}}}" for k in range(len(columns))]  # cell k of a line template
-    if fmt == "text":
-        if header is not None:
-            _note(cfg, header[2])
-        line = f"{text}\n"  # the line template, when text is one
-        lines = map("%s\n".__mod__, map(text, rows))
-    elif fmt == "json":
-        from json import JSONEncoder
-        # rows are built fresh from numbers, strings and lists, so no cycle check
-        json_line = JSONEncoder(separators=(",", ":"), check_circular=False).encode
-        names, values = shown(columns)
-        line = "{{" + ",".join(json_line(name).replace("{", "{{").replace("}", "}}") + ":" + field for name, field in zip(names, fields)) + "}}\n"
-        lines = map(lambda row: json_line(dict(zip(names, values(row)))) + "\n", rows)
-        if header is not None:
-            head_names, head_values = shown(header[0])
-            lead.append(json_line(dict(zip(head_names, head_values(header[1])))) + "\n")
-    else:
-        if header is not None:
-            head_names, head_values = shown(header[0])
-            _note(cfg, "\n".join(f"{name}={value}" for name, value in zip(head_names, head_values(header[1]))))
-        import csv
-        names, values = shown(columns)
-        # writerow returns what write returns, and str(line) is the line itself
-        writer = csv.writer(argparse.Namespace(write=str), lineterminator="\r\n")
-        lead.append(writer.writerow(names))
-        line = ",".join(fields) + "\r\n"
-        lines = map(writer.writerow, map(values, rows))
-    if isinstance(text, str):
-        line = line.replace("%", "%%")
-
-        def holes(row: Sequence, at: Iterable[int]) -> str:
-            """line as a % template: row's cells filled in, a %d hole at each index in at."""
-            row = list(row)
-            for k in at:
-                row[k] = "%d"
-            return line.format(*row)
-
-        if run is None:
-            lines = map(holes(fields, range(len(fields))).__mod__, rows)
-        else:
-            i, j = run
-            lines = chain.from_iterable(map(holes(row, run).__mod__, zip(range(row[i], row[i] + length), range(row[j], row[j] + step * length, step))) for row, length, step in rows)
-    lines, pending, start = chain(lead, lines), [], 0
-    try:
-        while True:
-            pending, start = ["".join(pending[start:])], 0  # what is not written yet, as one string
-            pending.extend(islice(lines, _BATCH_LINES))
-            if len(pending) == 1:
-                break
-            ends = list(accumulate(map(len, pending)))
-            while (end := bisect_left(ends, (start and ends[start - 1]) + _CHUNK_CHARS, start)) < len(ends):
-                sys.stdout.write("".join(pending[start : end + 1]))
-                start = end + 1
-    finally:
-        sys.stdout.write("".join(pending[start:]))
-        sys.stdout.flush()
 
 
 class UsageError(Exception):
@@ -356,90 +227,6 @@ def cmd_type_count(cfg: OutputConfig, lam: str, mu: str, eval_p: int | None) -> 
         raise UsageError(str(exc)) from exc
     columns = [Column(key, csv=lambda part: ",".join(map(str, part.parts)), json=lambda part: part.parts) for key in ("lam", "mu")]
     _render_polys(cfg, columns, "poly", [(lam_part, mu_part)], typecounts.type_count, degree, eval_p)
-
-
-class VerificationReport(NamedTuple):
-    max_order: int
-    rank3_shapes: int
-    rank2_shapes: int
-    ok: bool
-    failures: list[str]
-
-
-def _difference_note(got: set[int], want: set[int], group: tuple[int, int, int], strides: Sequence[int]) -> str:
-    """The masks in one set only (codes x sx + y sy + z sz for strides (sx, sy,
-    sz)), decoded to sorted element lists, the first three of each side in
-    ascending order."""
-    from .oracle import decode
-    elements = sorted(product(*map(range, group)), key=lambda e: sum(x * s for x, s in zip(e, strides)))
-    bits = []
-    for side, masks in (("unexpected", got - want), ("missing", want - got)):
-        if masks:
-            shown = "; ".join(map(str, sorted(sorted(decode(mask, elements)) for mask in masks)[:3]))
-            bits.append(f"{len(masks)} {side} sets (first: {shown})")
-    return ", ".join(bits) if bits else "sets differ"
-
-
-def run_lattice_verification(
-    max_order: int = 120,
-    progress: Callable[[str], None] | None = None,
-) -> VerificationReport:
-    """Compare structured enumeration against the brute-force oracle.
-
-    Covers every group Z_m x Z_n x Z_r with m n r <= max_order: equality of
-    the element masks with the oracle lattice, stream length against every
-    counting route (the per-prime count_total and the paper's divisor sum),
-    and pairwise distinctness. Z_m x Z_n is the shape (m, n, 1), whose stream
-    length is also checked against the rank-2 gcd sum count_rank2(m, n);
-    rank2_shapes counts these shapes.
-    The oracle walks each distinct lattice once per run, keyed by a shape's
-    orders above 1 stably sorted ((1,) for the trivial group), and each
-    shape's masks are built in that key's codes: axis i of the shape takes the
-    stride of its key axis, and an order-1 axis, whose digit is 0, stride 1.
-    Permuting the factors is an isomorphism, so the shape's subgroups in those
-    codes are the key's lattice as walked. The stream, masks and counts stay
-    per shape.
-    Any exception inside one shape is recorded as a failure for that shape
-    rather than aborting the campaign.
-    """
-    if max_order < 1:
-        raise ValueError(f"max_order must be positive, got {max_order}")
-    from . import oracle, rank2, rank3
-    lattices: dict[tuple[int, ...], set[int]] = {}
-    failures: list[str] = []
-    rank3_shapes = rank2_shapes = 0
-    for m in range(1, max_order + 1):
-        for n in range(1, max_order // m + 1):
-            for r in range(1, max_order // (m * n) + 1):
-                rank3_shapes += 1
-                rank2_shapes += r == 1
-                group = (m, n, r)
-                try:
-                    axes = sorted((i for i in range(3) if group[i] > 1), key=group.__getitem__) or [0]
-                    key = tuple(group[i] for i in axes)
-                    strides = [1, 1, 1]
-                    for k, i in enumerate(axes):
-                        strides[i] = math.prod(key[k + 1:])
-                    if key not in lattices:
-                        lattices[key] = oracle.all_subgroups(key)
-                    want = lattices[key]
-                    masks = [rank3.subgroup_elements(sub, strides) for sub in rank3.subgroup_stream(group)]
-                    stream, seen = len(masks), set(masks)
-                    formulas = {"per prime": rank3.count_total(group), "divisor sum": rank3.count_total_divisor_sum(group)}
-                    if r == 1:
-                        formulas["rank-2 gcd sum"] = rank2.count_rank2(m, n)
-                    if any(stream != formula for formula in formulas.values()):
-                        note = f"formulas {tuple(formulas.values())} ({', '.join(formulas)})"
-                        failures.append(f"{group}: stream {stream} != {note}")
-                    elif len(seen) != stream:
-                        failures.append(f"{group}: {stream - len(seen)} duplicate element sets")
-                    elif seen != want:
-                        failures.append(f"{group}: {_difference_note(seen, want, group, strides)}")
-                except Exception as exc:  # noqa: BLE001 - campaign must report, not die
-                    failures.append(f"{group}: {type(exc).__name__}: {exc}")
-        if progress is not None and m % 10 == 0:
-            progress(f"checked m <= {m}")
-    return VerificationReport(max_order, rank3_shapes, rank2_shapes, not failures, failures)
 
 
 def _verify_text(row: tuple) -> str:

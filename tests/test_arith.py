@@ -42,6 +42,32 @@ class TestIsPrime:
         assert is_prime(p) and is_prime(q)
         assert factorize(p * q) == ((p, 1), (q, 1))
 
+    # Arnault's construction: three primes below psi_13 whose product passes
+    # Miller-Rabin to every base of _MR_BASES
+    P1 = 50132292363566260677523
+    ARNAULT = P1 * (53 * (P1 - 1) + 1) * (61 * (P1 - 1) + 1)
+
+    def test_miller_rabin_pseudoprime_is_composite(self, monkeypatch):
+        assert all(is_prime(p) for p in (self.P1, 53 * (self.P1 - 1) + 1, 61 * (self.P1 - 1) + 1))
+        assert not is_prime(self.ARNAULT)
+        monkeypatch.setattr(arith, "_strong_lucas_prp", lambda n: True)
+        assert is_prime(self.ARNAULT)  # Miller-Rabin alone is fooled
+
+    def test_strong_lucas_matches_sympy(self, sympy):
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        rng = random.Random(13)
+        odd = [rng.randrange(3, 1 << bits) | 1 for bits in (6, 16, 40, 90, 250) for _ in range(400)]
+        # the least strong Lucas pseudoprimes, psi_12, psi_13 and Arnault's n
+        odd += [5459, 5777, 10877, 16109, 18971, 318665857834031151167461, 3317044064679887385961981, self.ARNAULT]
+        assert [arith._strong_lucas_prp(n) for n in odd] == [is_strong_lucas_prp(n) for n in odd]
+        assert arith._strong_lucas_prp(5459) and not arith._strong_lucas_prp(self.ARNAULT)
+
+    def test_primes_above_psi13_match_sympy(self, sympy):
+        rng = random.Random(17)
+        for n in [rng.randrange(arith._PSI_13, 10**60) | 1 for _ in range(300)] + [2**89 - 1, 2**127 - 1]:
+            assert is_prime(n) == sympy.isprime(n), n
+
 
 class TestFactorize:
     def test_one_is_empty(self):

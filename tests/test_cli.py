@@ -15,9 +15,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
-from abelian3.cli import _CHUNK_CHARS, MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
+from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND
 from abelian3.rank3 import DerivedParams, count_by_order
+from abelian3.render import _CHUNK_CHARS
 from abelian3.typecounts import general_form
 from conftest import CliRunner
 
@@ -132,6 +133,18 @@ class TestCount:
         result = runner.invoke(main, ["count", n, "1", "1"])
         assert result.exit_code == 0
         assert result.stdout == "4\n"
+
+    @pytest.mark.parametrize("entries", ["n 1 1", "n n 1"])
+    def test_lucas_pseudoprime_entry_is_refused(self, runner, monkeypatch, entries):
+        # n = p1 p2 p3 passes Miller-Rabin to all 14 bases (Arnault's construction);
+        # the strong Lucas step rejects it, so rho is asked to split it and gives up
+        p1 = 50132292363566260677523
+        n = str(p1 * (53 * (p1 - 1) + 1) * (61 * (p1 - 1) + 1))
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+        result = runner.invoke(main, ["count", *entries.replace("n", n).split()])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"cannot factor {n}" in result.stderr
 
     @pytest.mark.parametrize(
         "command, options", [("count", ["--cyclic"]), ("count", ["--order", "1"]), ("enumerate", [])]
@@ -913,33 +926,35 @@ class TestInputBounds:
 
 class TestFormatKnowledge:
     def test_only_the_renderer_reads_the_format(self):
-        # The output format is known in _render_rows and _note only; every
-        # command hands them rows and a column spec.
-        tree = ast.parse(Path(cli_module.__file__).read_text())
+        # The output format is known in render's _render_rows and _note only;
+        # every command hands them rows and a column spec.
         readers = {
-            getattr(node, "name", type(node).__name__)
-            for node in tree.body
+            (path.name, getattr(node, "name", type(node).__name__))
+            for path in sorted(Path(cli_module.__file__).parent.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
             for inner in ast.walk(node)
             if isinstance(inner, ast.Attribute) and inner.attr == "fmt"
         }
-        assert readers == {"_render_rows", "_note"}
+        assert readers == {("render.py", "_render_rows"), ("render.py", "_note")}
 
 
 class TestImports:
     @pytest.mark.parametrize(
         ("args", "modules", "formats", "first_line"),
         [
-            ("count 1 1 1", "arith cli config rank3 typecounts", "", "1"),
-            ("--format json count 1 1 1", "arith cli config rank3 typecounts", "json", '{"m":1,"n":1,"r":1,"kind":"total","order":null,"count":1}'),
-            ("--format csv count 1 1 1", "arith cli config rank3 typecounts", "csv", "m,n,r,kind,order,count"),
-            ("poly 2", "cli config typecounts", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
-            ("type-count 2,1 1", "cli config typecounts", "", "1+p"),
-            ("table 2", "cli config typecounts", "", "# nu  s(p^nu x p^nu x p^nu)"),
-            ("enumerate 2 2 2", "arith cli config rank3 typecounts", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
-            ("table 1 --limit 5", "arith asymptotics cli config typecounts", "", "# n  s(n)"),
-            ("-q asymptotic --x-values 100 --prime-limit 1000 --tail-terms 1000", "arith asymptotics cli config typecounts", "", "100\t5847260\t5598747.422792264\t4.438717e-02\t2.6977"),
+            ("count 1 1 1", "arith cli config rank3 render typecounts verify", "", "1"),
+            ("--format json count 1 1 1", "arith cli config rank3 render typecounts verify", "json", '{"m":1,"n":1,"r":1,"kind":"total","order":null,"count":1}'),
+            ("--format csv count 1 1 1", "arith cli config rank3 render typecounts verify", "csv", "m,n,r,kind,order,count"),
+            ("poly 2", "cli config render typecounts verify", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
+            ("type-count 2,1 1", "cli config render typecounts verify", "", "1+p"),
+            ("table 2", "cli config render typecounts verify", "", "# nu  s(p^nu x p^nu x p^nu)"),
+            ("enumerate 2 2 2", "arith cli config rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
+            ("enumerate 2 2 2 --elements", "arith cli config oracle rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
+            ("table 1 --limit 5", "arith asymptotics cli config render typecounts verify", "", "# n  s(n)"),
+            ("-q asymptotic --x-values 100 --prime-limit 1000 --tail-terms 1000", "arith asymptotics cli config render typecounts verify", "", "100\t5847260\t5598747.422792264\t4.438717e-02\t2.6977"),
+            ("-q verify --max-order 6", "arith cli config oracle rank2 rank3 render typecounts verify", "", "rank-3 groups checked: 25"),
         ],
-        ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "enumerate", "table-1", "asymptotic"],
+        ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "enumerate", "enumerate-elements", "table-1", "asymptotic", "verify"],
     )
     def test_count_loads_only_its_modules(self, args, modules, formats, first_line):
         # formats: the output-format modules this command needs
