@@ -114,11 +114,11 @@ def primes_up_to(limit: int) -> list[int]:
 _TRIAL_BOUND = 1000
 _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND - 1))
 # Pollard-Brent rho steps one factorize call may spend, enough for most smaller
-# factors of up to 12 digits. The budget counts steps, not work: a step is a
-# product mod the cofactor, so it costs more as the cofactor grows. Spent on a
-# semiprime of two equal-sized primes, end to end on a 2-core VM (Python 3.11),
-# it took about 1.3 s at 30 digits, 4.5 s at 80, 24.4 s at 300 and 208 s at
-# 1,001. Rounds double, so only powers of two change where rho gives up.
+# factors of up to 12 digits. A step is a product mod the cofactor, whose cost
+# grows with its size, so _rho_divisor charges a step the square of the
+# cofactor's length in 128-bit words (1 below 2**128): a 1,000-digit semiprime
+# is refused in about 0.4 s end to end (README). Rounds double, so only powers
+# of two change where rho gives up.
 _RHO_BUDGET = 1 << 22
 _RHO_BATCH = 128  # differences multiplied together per gcd
 
@@ -133,8 +133,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     A cofactor below 1000**2 with no smaller prime factor is prime; a larger
     one is tested with is_prime and, when composite, split by rho (Brent 1980)
     until every piece is prime. All rho calls for one n share _RHO_BUDGET
-    steps; past it factorize raises ValueError naming n. In practice this
-    means a second-largest prime factor of up to about 12 digits.
+    steps, each weighted by its cofactor's size; past it factorize raises
+    ValueError naming n. In practice this means a second-largest prime
+    factor of up to about 12 digits (11 for a cofactor above 2**128).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -155,7 +156,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             continue
         d, budget = _rho_divisor(q, budget)
         if not d:
-            raise ValueError(f"cannot factor {n}: Pollard-Brent rho gave up after {_RHO_BUDGET} steps")
+            raise ValueError(f"cannot factor {n}: Pollard-Brent rho gave up within its budget of {_RHO_BUDGET} size-weighted steps")
         pending += (d, q // d)
     return tuple(sorted(exponents.items()))
 
@@ -165,16 +166,17 @@ def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
 
     Brent's cycle search on y -> y^2 + c mod n, with the differences to the
     saved point multiplied _RHO_BATCH at a time before each gcd; c = 1, 2, ...
-    until the gcd is a proper divisor. d = 0 when budget runs out first.
+    until the gcd is a proper divisor. d = 0 when budget runs out first; a step
+    costs weight, the square of n's length in 128-bit words.
     """
-    c = 0
+    c, weight = 0, (1 + (n.bit_length() - 1) // 128) ** 2
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if 2 * r > budget:
+            if 2 * r * weight > budget:
                 return 0, budget
-            budget -= 2 * r
+            budget -= 2 * r * weight
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -30,7 +30,6 @@ so the tests can check the walk against it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -40,7 +39,6 @@ from .config import ELEMENT_BOUND
 from .typecounts import order_terms, symbolic_count
 
 Group3 = tuple[int, int, int]
-_new_tuple = tuple.__new__  # Subgroup(...) without the Python frame of NamedTuple.__new__
 
 
 class Sextuple(NamedTuple):
@@ -139,7 +137,7 @@ def subgroup_stream(group: Group3) -> Iterator[Subgroup]:
         yield first
         m, n, r, a, b, c, t, w, _, s, u0, v, order = first
         for z in range(1, length):
-            yield _new_tuple(Subgroup, (m, n, r, a, b, c, t, w, z, s, u0 + step * z, v, order))
+            yield Subgroup(m, n, r, a, b, c, t, w, z, s, u0 + step * z, v, order)
 
 
 def enumerate_sextuples(group: Group3) -> Iterator[Sextuple]:
@@ -254,11 +252,10 @@ def count_total_divisor_sum(group: Group3) -> int:
     Sum over divisor triples of (ABC / X^2) P(X), P = Pillai's gcd-sum.
     """
     m, n, r = _validated(group)
-    pillai = lru_cache(maxsize=None)(gcd_sum)
     total = 0
     for a, b, c in product(divisors(m), divisors(n), divisors(r)):
         dp = derived_params(a, b, c, group)
-        total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * pillai(dp.X)
+        total += (dp.A * dp.B * dp.C) // (dp.X * dp.X) * gcd_sum(dp.X)
     return total
 
 

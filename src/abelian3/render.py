@@ -7,8 +7,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from bisect import bisect_left
-from itertools import accumulate, chain, islice
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 
@@ -39,7 +38,6 @@ Columns = Sequence[Column]
 # line, `-q table 1 --limit 1000000` took 1.97 s against 1.18 s chunked (README,
 # Command line). Measure any change here under -u.
 _CHUNK_CHARS = 16 * 1024
-_BATCH_LINES = 256  # lines formatted before they are cut into chunks
 
 
 def _note(cfg: OutputConfig, message: str) -> None:
@@ -128,17 +126,14 @@ def _render_rows(
         else:
             i, j = run
             lines = chain.from_iterable(map(holes(row, run).__mod__, zip(range(row[i], row[i] + length), range(row[j], row[j] + step * length, step))) for row, length, step in rows)
-    lines, pending, start = chain(lead, lines), [], 0
+    pending, size = [], 0  # the lines not written yet, and their length
     try:
-        while True:
-            pending, start = ["".join(pending[start:])], 0  # what is not written yet, as one string
-            pending.extend(islice(lines, _BATCH_LINES))
-            if len(pending) == 1:
-                break
-            ends = list(accumulate(map(len, pending)))
-            while (end := bisect_left(ends, (start and ends[start - 1]) + _CHUNK_CHARS, start)) < len(ends):
-                sys.stdout.write("".join(pending[start : end + 1]))
-                start = end + 1
+        for item in chain(lead, lines):
+            pending.append(item)
+            size += len(item)
+            if size >= _CHUNK_CHARS:
+                sys.stdout.write("".join(pending))
+                pending, size = [], 0
     finally:
-        sys.stdout.write("".join(pending[start:]))
+        sys.stdout.write("".join(pending))
         sys.stdout.flush()

@@ -9,6 +9,7 @@ import sys
 import time
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -30,13 +31,19 @@ def runner():
     return CliRunner()
 
 
-def run_cli(args):
+def run_cli(args, timeout=120):
     """The CLI in a real subprocess, for byte-exact stdout checks."""
     return subprocess.run(
         [sys.executable, "-m", "abelian3.cli", *args],
         capture_output=True,
-        timeout=120,
+        timeout=timeout,
     )
+
+
+@pytest.fixture(scope="module")
+def thousand_digit_semiprime():
+    sympy = pytest.importorskip("sympy")
+    return str(sympy.nextprime(3 * 10**499) * sympy.nextprime(7 * 10**499))
 
 
 class TestCount:
@@ -126,6 +133,17 @@ class TestCount:
         assert time.perf_counter() - start < 5.0
         assert result.returncode == 2
         assert n in result.stderr.decode()
+
+    @pytest.mark.parametrize("entries", ["N 1 1", "N N 1"])
+    def test_thousand_digit_semiprime_is_refused_fast(self, thousand_digit_semiprime, entries):
+        # rho charges each step by the cofactor's size, so a long entry spends its budget in few steps
+        n = thousand_digit_semiprime
+        start = time.perf_counter()
+        result = run_cli(["count", *entries.replace("N", n).split()], timeout=30)
+        assert time.perf_counter() - start < 5.0
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert f"cannot factor {n}" in result.stderr.decode()
 
     @pytest.mark.parametrize("n", ["318665857834031151167461", "3317044064679887385961981"], ids=["psi12", "psi13"])
     def test_strong_pseudoprime_entry_is_factored(self, runner, n):
@@ -294,6 +312,16 @@ def reference_lines(group, fmt, with_elements=False):
     return lines
 
 
+def assert_write_policy(writes):
+    """Each write but the last ends with the line that brings it to _CHUNK_CHARS; the last is shorter."""
+    *full, last = writes
+    for chunk in full:
+        assert chunk.endswith("\n")
+        assert len(chunk) >= _CHUNK_CHARS
+        assert chunk.rfind("\n", 0, -1) + 1 < _CHUNK_CHARS  # the chunk without its last line
+    assert len(last) < _CHUNK_CHARS
+
+
 class TestChunkedOutput:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_several_chunks_match_line_by_line_rendering(self, runner, fmt):
@@ -312,6 +340,23 @@ class TestChunkedOutput:
         want = reference_lines((ELEMENT_BOUND, 1, 1), fmt, with_elements=True)
         assert len(want[fmt == "csv"]) > _CHUNK_CHARS
         assert result.stdout_bytes == "".join(want).encode()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_a_write_ends_with_the_line_that_fills_a_chunk(self, monkeypatch, fmt):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+        monkeypatch.setattr(sys, "argv", ["abelian3", "-q", "--format", fmt, "enumerate", "12", "12", "12"])
+        main()
+        assert "".join(writes) == "".join(reference_lines((12, 12, 12), fmt))
+        assert len(writes) > 2
+        assert_write_policy(writes)
+
+    def test_a_line_that_reaches_the_chunk_size_exactly_ends_the_write(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+        _render_rows(OutputConfig(fmt="text", quiet=True), ((i,) for i in range(5000)), [Column("row")], lambda row: f"{row[0]:07d}")
+        assert _CHUNK_CHARS % 8 == 0
+        assert list(map(len, writes)) == [_CHUNK_CHARS, _CHUNK_CHARS, 5000 * 8 - 2 * _CHUNK_CHARS]
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_chunks_fit_half_a_pipe(self, monkeypatch, fmt):
@@ -446,26 +491,18 @@ class TestRuns:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_a_run_longer_than_a_chunk_is_written_in_pieces(self, monkeypatch, fmt):
-        sizes, written = [], io.StringIO()
-
-        class Recorder:
-            def write(self, data):
-                sizes.append(len(data))
-                written.write(data)
-
-            def flush(self):
-                pass
-
+        writes = []
         columns = [Column(name) for name in rank3.Subgroup._fields]
         run = (rank3.Subgroup._fields.index("z"), rank3.Subgroup._fields.index("u"))
         runs = [(rank3.Subgroup(1024, 1, 1024, 1024, 1, 1, 0, 0, 0, 0, 0, 0, 1024), 20_000, 1)]
         line = " ".join(f"{{{k}}}" for k in range(len(columns)))
         want = rendered(fmt, expand(runs, *run), columns, lambda row: line.format(*row))
-        monkeypatch.setattr(sys, "stdout", Recorder())
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
         _render_rows(OutputConfig(fmt=fmt, quiet=True), runs, columns, line, run=run)
-        assert written.getvalue() == want
+        assert "".join(writes) == want
         assert len(want) > 10 * _CHUNK_CHARS
-        assert max(sizes) <= 32 * 1024
+        assert max(map(len, writes)) <= 32 * 1024
+        assert_write_policy(writes)
 
 
 class TestTable:
