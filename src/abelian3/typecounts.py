@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class IntPolynomial:
@@ -23,33 +23,16 @@ class IntPolynomial:
 
     Immutable by convention: coefficients is a tuple with no trailing zeros,
     so equal polynomials compare and hash equal. The zero polynomial has an
-    empty tuple and degree -1.
+    empty tuple.
     """
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[int] = ()):
         coeffs = list(coefficients)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be ints, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients: tuple[int, ...] = tuple(coeffs)
-
-    @classmethod
-    def monomial(cls, coefficient: int, degree: int) -> "IntPolynomial":
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        return cls([0] * degree + [coefficient])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
     def __call__(self, p: int) -> int:
         out = 0
@@ -65,32 +48,8 @@ class IntPolynomial:
     def __hash__(self) -> int:
         return hash(self.coefficients)
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return IntPolynomial(merged)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + other * -1
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coefficients])
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, ci in enumerate(self.coefficients):
-            if ci:
-                for j, cj in enumerate(other.coefficients):
-                    out[i + j] += ci * cj
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.coefficients:
             return "0"
         parts: list[str] = []
         for k, c in enumerate(self.coefficients):
@@ -111,10 +70,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coefficients)!r})"
-
-
-ZERO = IntPolynomial()
-ONE = IntPolynomial([1])
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +143,7 @@ def gaussian_binomial(r: int, k: int) -> IntPolynomial:
     if r < 0 or k < 0:
         raise ValueError(f"need r, k >= 0, got ({r}, {k})")
     if k > r:
-        return ZERO
+        return IntPolynomial()
     k = min(k, r - k)
     rows = [[1]] + [[] for _ in range(k)]  # rows[j]: coefficients of [n, j]
     for n in range(1, r + 1):
@@ -261,9 +216,18 @@ def type_count(lam: Partition, mu: Partition) -> IntPolynomial:
     lam_c = lam.conjugate()
     mu_c = list(mu.conjugate())
     mu_c += [0] * (len(lam_c) + 1 - len(mu_c))
-    out = ONE
+    out = [1]
     for lj, mj, mj_next in zip(lam_c, mu_c, mu_c[1:]):
-        out = IntPolynomial.monomial(1, mj_next * (lj - mj)) * gaussian_binomial(lj - mj_next, mj - mj_next) * out
+        out = _times(gaussian_binomial(lj - mj_next, mj - mj_next).coefficients, out, mj_next * (lj - mj))
+    return IntPolynomial(out)
+
+
+def _times(f: Sequence[int], g: Sequence[int], shift: int) -> list[int]:
+    """The coefficients of p^shift f g, for coefficient lists f and g."""
+    out = [0] * (shift + len(f) + len(g) - 1)
+    for i, fi in enumerate(f, shift):
+        for j, gj in enumerate(g, i):
+            out[j] += fi * gj
     return out
 
 
@@ -307,7 +271,6 @@ def h_closed_form(nu: int) -> IntPolynomial:
     return IntPolynomial([3 * nu + 1, 3 * nu - 1])
 
 
-@lru_cache(maxsize=None)
 def h_recurrence(nu: int) -> IntPolynomial:
     """h at p^nu from the convolution s = (n^2 tau) * h, solved for h.
 
@@ -318,11 +281,9 @@ def h_recurrence(nu: int) -> IntPolynomial:
     if nu < 1:
         raise ValueError(f"exponent must be >= 1, got {nu}")
 
-    def s_poly(k: int) -> IntPolynomial:
-        return ONE if k == 0 else symbolic_count(k, k, k)
-
-    p2 = IntPolynomial.monomial(2, 2)
-    out = s_poly(nu) - p2 * s_poly(nu - 1)
-    if nu >= 2:
-        out = out + IntPolynomial.monomial(1, 4) * s_poly(nu - 2)
-    return out
+    out = [0] * (2 * nu + 1)
+    for shift, scale, k in ((0, 1, nu), (2, -2, nu - 1), (4, 1, nu - 2)):
+        if k >= 0:
+            for d, c in enumerate(symbolic_count(k, k, k).coefficients, shift):
+                out[d] += scale * c
+    return IntPolynomial(out)

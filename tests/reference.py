@@ -3,17 +3,19 @@
 Each is a slow or classical evaluation that a library value is checked
 against: subgroups by saturating element tuples, the gcd sum by its
 definition, tau, phi and mu as prime-power rules, the paper's divisor-triple
-count of cyclic subgroups, and the divisor-sum partial sums by hyperbola
-identities.
+count of cyclic subgroups, the divisor-sum partial sums by hyperbola
+identities, and a Hermite-normal-form certificate for the subgroup stream.
 """
 
 import math
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import groupby, product, repeat
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from abelian3.arith import divisors, evaluate
 from abelian3.asymptotics import EULER_GAMMA
+from abelian3.rank3 import subgroup_stream
 
 
 def saturate(gens: Sequence[Sequence[int]], orders: Sequence[int]) -> frozenset[tuple[int, ...]]:
@@ -102,3 +104,71 @@ def divisor_sum_check(x: int) -> DivisorSumCheck:
         weighted_main=weighted_main,
         weighted_relative_error=abs(weighted_exact - weighted_main) / weighted_main,
     )
+
+
+def certify_stream(group: tuple[int, int, int]) -> int:
+    """Prove that rank3.subgroup_stream(group) lists every subgroup exactly once;
+    return the number of subgroups.
+
+    A subgroup of Z_m x Z_n x Z_r is a lattice L with mZ x nZ x rZ inside L
+    inside Z^3, and each such L has exactly one basis (a,0,0), (s,b,0), (u,v,c)
+    with a, b, c > 0, 0 <= s < a, 0 <= u < a and 0 <= v < b: its Hermite normal
+    form (H. Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    2.4.2). So three checks, none of which uses the walk's gcd layer, prove the
+    stream exact:
+    - sound: per record, a | m, b | n, c | r, the ranges above, (0,n,0) in L
+      (a | (n/b) s), (0,0,r) in L (b | (r/c) v and a | (r/c) u - ((r/c) v/b) s),
+      and order = (m/a)(n/b)(r/c);
+    - distinct: no (a, b, c, s, u, v) repeats;
+    - complete: per divisor triple, the records number the admissible (s, v, u),
+      counted directly: gcd(r/c, a) values of u per s and v whose
+      ((r/c) v/b) s it divides.
+    Records come in blocks of one (a, b, c), each divisor triple once and in
+    ascending order, so the distinct check holds one block at a time. Each record's t, w and z must
+    also give its s, v and u by the paper's rules: s = a t/A,
+    v = b X w/(B gcd(t, X)) and u = u0 + (a/C) z with 0 <= u0 < a/C.
+    Raises AssertionError naming the first record or triple that fails.
+    """
+    m, n, r = group
+    triples = iter([(a, b, c) for a in _divisors(m) for b in _divisors(n) for c in _divisors(r)])
+    total = 0
+    for (a, b, c), records in groupby(subgroup_stream(group), itemgetter(3, 4, 5)):
+        if (a, b, c) != (want := next(triples, None)):
+            raise AssertionError(f"{group}: triple {(a, b, c)} where the divisor triples in ascending order have {want}")
+        nb, rc = n // b, r // c
+        big_a, big_b, big_c = math.gcd(a, nb), math.gcd(b, rc), math.gcd(a, rc)
+        x = big_a * big_b * big_c // math.gcd(a * rc, big_a * big_b * big_c)
+        step, want_order = a // big_c, (m // a) * nb * rc
+        count, seen = 0, set()
+        for sub in records:
+            mm, nn, rr, _, _, _, t, w, z, s, u, v, order = sub
+            if not (
+                (mm, nn, rr) == group
+                and 0 <= s < a
+                and 0 <= u < a
+                and 0 <= v < b
+                and nb * s % a == 0
+                and rc * v % b == 0
+                and (rc * u - rc * v // b * s) % a == 0
+                and order == want_order
+            ):
+                raise AssertionError(f"{sub}: not a subgroup's Hermite normal form")
+            if not (s * big_a == a * t and v * big_b * math.gcd(t, x) == b * x * w and 0 <= u - step * z < step):
+                raise AssertionError(f"{sub}: t, w, z do not give s, v, u")
+            seen.add((s, u, v))
+            count += 1
+            if len(seen) != count:
+                raise AssertionError(f"{sub}: repeated")
+        # gcd(r/c, a) values of u solve (r/c) u = ((r/c) v/b) s (mod a) when it divides the right side
+        vs = [v for v in range(b) if rc * v % b == 0]
+        admissible = sum(big_c for s in range(a) if nb * s % a == 0 for v in vs if rc * v // b * s % big_c == 0)
+        if count != admissible:
+            raise AssertionError(f"triple {(a, b, c)} of {group}: {count} records, {admissible} subgroups")
+        total += count
+    if (want := next(triples, None)) is not None:
+        raise AssertionError(f"{group}: the stream ends before triple {want}")
+    return total
+
+
+def _divisors(k: int) -> list[int]:
+    return [d for d in range(1, k + 1) if k % d == 0]

@@ -7,7 +7,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from abelian3 import oracle, rank3
@@ -28,7 +28,8 @@ from abelian3.rank3 import (
     subgroup_stream,
 )
 from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
-from reference import count_cyclic_divisor_sum, saturate
+import reference
+from reference import certify_stream, count_cyclic_divisor_sum, saturate
 
 
 def triangular_basis(sub):
@@ -487,3 +488,35 @@ class TestOracleAgreement:
         want = oracle.all_subgroups(group)
         assert len(got) == count_total(group)
         assert got == want
+
+
+def planted(fault, stream):
+    """stream with one fault of certify_stream's kinds: a wrong u where t = 1,
+    a wrong v where w = 1, a dropped record or a repeated record."""
+    for k, sub in enumerate(stream):
+        if fault == "u" and sub.t == 1:
+            sub = sub._replace(u=(sub.u + 1) % sub.a)
+        elif fault == "v" and sub.w == 1:
+            sub = sub._replace(v=(sub.v + 1) % sub.b)
+        elif fault == "dropped" and k == 7:
+            continue
+        elif fault == "repeated" and k == 7:
+            yield sub
+        yield sub
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("group", [(30, 60, 90), (64, 64, 64), (36, 72, 144), (100, 100, 100)])
+    def test_stream_is_proved_exact(self, group):
+        assert certify_stream(group) == count_total(group)
+
+    @given(st.integers(1, 100), st.integers(1, 100), st.integers(1, 100))
+    def test_stream_is_proved_exact_on_random_shapes(self, m, n, r):
+        assume(count_total((m, n, r)) <= 10**4)
+        assert certify_stream((m, n, r)) == count_total((m, n, r))
+
+    @pytest.mark.parametrize("fault", ["u", "v", "dropped", "repeated"])
+    def test_each_planted_fault_is_caught(self, monkeypatch, fault):
+        monkeypatch.setattr(reference, "subgroup_stream", lambda group: planted(fault, subgroup_stream(group)))
+        with pytest.raises(AssertionError):
+            certify_stream((12, 24, 36))

@@ -1,18 +1,20 @@
 import csv
 import math
-from itertools import combinations_with_replacement, permutations, product
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, product, zip_longest
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abelian3.config import ELEMENT_BOUND
+from abelian3.oracle import all_subgroups
 from abelian3.rank3 import count_by_order, count_total, count_total_divisor_sum
 from abelian3.typecounts import (
-    ONE,
-    ZERO,
     IntPolynomial,
     Partition,
+    _times,
     count_degree,
     gaussian_binomial,
     general_form,
@@ -27,9 +29,13 @@ from abelian3.typecounts import (
 
 DATA = Path(__file__).parent / "data"
 
-small_polys = st.builds(
-    IntPolynomial, st.lists(st.integers(-9, 9), min_size=0, max_size=6)
-)
+ONE = IntPolynomial([1])
+
+coefficient_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
+
+# the lam shapes of TestTypeCount: its degree formula, then its sums over orders
+DEGREE_SHAPES = [(), (3,), (1, 1, 1, 1), (3, 2, 1), (4, 4, 2, 1), (3, 3, 1, 1)]
+ORDER_SHAPES = [(1, 1, 1), (2, 1), (2, 2, 1), (3, 1, 1), (3,)]
 
 
 def read_rows(name):
@@ -37,58 +43,55 @@ def read_rows(name):
         return list(csv.DictReader(handle))
 
 
+def degree(f):
+    return len(f.coefficients) - 1
+
+
+def plus(polys):
+    """The sum of IntPolynomials, coefficient by coefficient."""
+    return IntPolynomial(map(sum, zip_longest(*(f.coefficients for f in polys), fillvalue=0)))
+
+
+@pytest.fixture(scope="module")
+def p_poly():
+    """p as a sympy.Poly: the identity tests' algebra, independent of the code under test."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(sympy.Symbol("p"))
+
+
+def in_p(f, p):
+    """The IntPolynomial f as a sympy.Poly in p."""
+    return p.from_list(f.coefficients[::-1], p.gen)
+
+
 class TestIntPolynomial:
     def test_trailing_zeros_trimmed(self):
-        assert IntPolynomial([1, 2, 0, 0]) == IntPolynomial([1, 2])
-        assert IntPolynomial([0, 0]).is_zero
-        assert IntPolynomial([]).degree == -1
-
-    def test_rejects_non_int_coefficients(self):
-        with pytest.raises(TypeError):
-            IntPolynomial([1.5])
-        with pytest.raises(TypeError):
-            IntPolynomial(["3"])
-
-    def test_monomial(self):
-        assert IntPolynomial.monomial(3, 2) == IntPolynomial([0, 0, 3])
-        with pytest.raises(ValueError):
-            IntPolynomial.monomial(1, -1)
+        assert IntPolynomial([1, 2, 0, 0]).coefficients == (1, 2)
+        assert IntPolynomial([0, 0]).coefficients == ()
+        assert IntPolynomial().coefficients == ()
 
     def test_evaluation(self):
         poly = IntPolynomial([4, 2, 2])
         assert poly(1) == 8
         assert poly(2) == 16
         assert poly(10) == 224
-        assert ZERO(5) == 0
+        assert IntPolynomial()(5) == 0
 
     def test_hashable_by_value(self):
         assert len({IntPolynomial([1, 2]), IntPolynomial([1, 2, 0])}) == 1
 
-    @given(small_polys, small_polys)
-    def test_addition_commutes(self, f, g):
-        assert f + g == g + f
-
-    @given(small_polys, small_polys)
-    def test_multiplication_commutes(self, f, g):
-        assert f * g == g * f
-
-    @given(small_polys, small_polys, small_polys)
-    def test_distributive(self, f, g, h):
-        assert f * (g + h) == f * g + f * h
-
-    @given(small_polys, small_polys, st.integers(-5, 5))
-    def test_matches_pointwise_arithmetic(self, f, g, x):
-        assert (f + g)(x) == f(x) + g(x)
-        assert (f * g)(x) == f(x) * g(x)
-        assert (f - g)(x) == f(x) - g(x)
-        assert (3 * f)(x) == 3 * f(x)
+    @given(coefficient_lists, coefficient_lists, st.integers(0, 3), st.integers(-5, 5))
+    def test_matches_pointwise_arithmetic(self, f, g, shift, x):
+        # the value is the power sum, and type_count's product is p^shift f g at every x
+        assert IntPolynomial(f)(x) == sum(c * x**k for k, c in enumerate(f))
+        assert IntPolynomial(_times(f, g, shift))(x) == x**shift * IntPolynomial(f)(x) * IntPolynomial(g)(x)
 
     def test_str_rendering(self):
         assert str(IntPolynomial([4, 2, 2])) == "4+2 p+2 p^2"
-        assert str(IntPolynomial.monomial(1, 3)) == "p^3"
+        assert str(IntPolynomial([0, 0, 0, 1])) == "p^3"
         assert str(IntPolynomial([0, 1])) == "p"
         assert str(IntPolynomial([-1, 0, 2])) == "-1+2 p^2"
-        assert str(ZERO) == "0"
+        assert str(IntPolynomial()) == "0"
 
 
 class TestSymbolicCount:
@@ -129,18 +132,18 @@ class TestSymbolicCount:
         by_type = {}
         for parts in combinations_with_replacement(range(6, -1, -1), 3):
             lam = Partition(tuple(part for part in parts if part))
-            sums = [ZERO] * (lam.size + 1)
+            sums = [[] for _ in range(lam.size + 1)]
             for mu in subpartitions(lam):
-                sums[mu.size] = sums[mu.size] + type_count(lam, mu)
-            by_type[parts] = tuple(sums)
+                sums[mu.size].append(type_count(lam, mu))
+            by_type[parts] = tuple(map(plus, sums))
         for nu in product(range(7), repeat=3):
             assert order_terms(*nu) == by_type[tuple(sorted(nu, reverse=True))], nu
 
     def test_degree_formula(self):
         for shape in product(range(8), repeat=3):
-            assert symbolic_count(*shape).degree == count_degree(*shape), shape
+            assert degree(symbolic_count(*shape)) == count_degree(*shape), shape
         for nu in range(40):
-            assert general_form(nu).degree == count_degree(nu, nu, nu), nu
+            assert degree(general_form(nu)) == count_degree(nu, nu, nu), nu
 
 
 class TestGeneralForm:
@@ -156,7 +159,7 @@ class TestGeneralForm:
         # degree 2 nu with leading coefficient nu + 1 and constant 3 nu + 1
         for nu in range(1, 20):
             poly = general_form(nu)
-            assert poly.degree == 2 * nu
+            assert degree(poly) == 2 * nu
             assert poly.coefficients[-1] == nu + 1
             assert poly.coefficients[0] == 3 * nu + 1
 
@@ -169,7 +172,7 @@ class TestGaussianBinomial:
     def test_edge_values(self):
         assert gaussian_binomial(5, 0) == ONE
         assert gaussian_binomial(5, 5) == ONE
-        assert gaussian_binomial(2, 3) == ZERO
+        assert gaussian_binomial(2, 3) == IntPolynomial()
 
     def test_known_polynomials(self):
         assert gaussian_binomial(3, 1) == IntPolynomial([1, 1, 1])
@@ -180,29 +183,22 @@ class TestGaussianBinomial:
             for k in range(r + 1):
                 assert gaussian_binomial(r, k) == gaussian_binomial(r, r - k)
 
-    def test_pascal_recurrence(self):
+    def test_pascal_recurrence(self, p_poly):
         for r in range(1, 9):
             for k in range(1, r + 1):
-                lhs = gaussian_binomial(r, k)
-                rhs = gaussian_binomial(r - 1, k - 1) + IntPolynomial.monomial(
-                    1, k
-                ) * gaussian_binomial(r - 1, k)
+                lhs = in_p(gaussian_binomial(r, k), p_poly)
+                rhs = in_p(gaussian_binomial(r - 1, k - 1), p_poly) + p_poly**k * in_p(gaussian_binomial(r - 1, k), p_poly)
                 assert lhs == rhs, (r, k)
 
-    def test_product_formula(self):
-        # the textbook quotient, checked by multiplying out: [r, k] prod_{i<=k} (p^i - 1)
-        # equals prod_{i<=k} (p^(r-k+i) - 1), with no polynomial division anywhere
-        def p_power_minus_one(e):
-            return IntPolynomial.monomial(1, e) - ONE
-
+    def test_product_formula(self, p_poly):
+        # the textbook quotient [r, k] = q(r) / (q(k) q(r-k)), q(n) = prod_{i<=n} (p^i - 1),
+        # checked by multiplying out, with no polynomial division anywhere
+        q = [p_poly**0]
+        for i in range(1, 21):
+            q.append(q[-1] * (p_poly**i - 1))
         for r in range(21):
             for k in range(r + 1):
-                lhs = gaussian_binomial(r, k)
-                rhs = ONE
-                for i in range(1, k + 1):
-                    lhs = lhs * p_power_minus_one(i)
-                    rhs = rhs * p_power_minus_one(r - k + i)
-                assert lhs == rhs, (r, k)
+                assert in_p(gaussian_binomial(r, k), p_poly) * q[k] * q[r - k] == q[r], (r, k)
 
     def test_reduces_to_binomial_at_one(self):
         for r in range(9):
@@ -211,10 +207,7 @@ class TestGaussianBinomial:
 
     def test_subspace_counts_sum_to_subgroup_count(self):
         # subgroups of Z_p x Z_p x Z_p are exactly the subspaces of F_p^3
-        total = ZERO
-        for k in range(4):
-            total = total + gaussian_binomial(3, k)
-        assert total == symbolic_count(1, 1, 1)
+        assert plus(gaussian_binomial(3, k) for k in range(4)) == symbolic_count(1, 1, 1)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -292,11 +285,11 @@ class TestTypeCount:
         assert type_count(Partition((2, 1)), Partition((1,))) == IntPolynomial([1, 1])
         assert type_count(Partition((2,)), Partition((1,))) == ONE
 
-    @pytest.mark.parametrize("parts", [(), (3,), (1, 1, 1, 1), (3, 2, 1), (4, 4, 2, 1), (3, 3, 1, 1)])
+    @pytest.mark.parametrize("parts", DEGREE_SHAPES)
     def test_degree_formula(self, parts):
         lam = Partition(parts)
         for mu in subpartitions(lam):
-            assert type_count(lam, mu).degree == type_count_degree(lam, mu), mu
+            assert degree(type_count(lam, mu)) == type_count_degree(lam, mu), mu
 
     def test_degree_rejects_uncontained_type(self):
         with pytest.raises(ValueError, match=r"^3 is not contained in 2,1$"):
@@ -308,8 +301,7 @@ class TestTypeCount:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sums_match_order_counts(self, p):
-        shapes = [(1, 1, 1), (2, 1), (2, 2, 1), (3, 1, 1), (3,)]
-        for parts in shapes:
+        for parts in ORDER_SHAPES:
             lam = Partition(parts)
             padded = list(parts) + [0] * (3 - len(parts))
             group = tuple(p**e for e in padded)
@@ -336,15 +328,15 @@ class TestH:
         with pytest.raises(ValueError):
             h_recurrence(0)
 
-    def test_convolution_reproduces_diagonal_count(self):
+    def test_convolution_reproduces_diagonal_count(self, p_poly):
         # s(p^nu) = sum_{i+j=nu} p^(2i) tau(p^i) h(p^j)
         for nu in range(1, 7):
-            acc = h_recurrence(nu)
+            acc = in_p(h_recurrence(nu), p_poly)
             for i in range(1, nu + 1):
                 j = nu - i
                 hj = ONE if j == 0 else h_recurrence(j)
-                acc = acc + IntPolynomial.monomial(i + 1, 2 * i) * hj
-            assert acc == symbolic_count(nu, nu, nu), nu
+                acc += (i + 1) * p_poly ** (2 * i) * in_p(hj, p_poly)
+            assert acc == in_p(symbolic_count(nu, nu, nu), p_poly), nu
 
     def test_generating_function_proof(self):
         # The steps of h_closed_form's proof as power series in x with p
@@ -372,3 +364,57 @@ class TestH:
         h_series = series(lambda nu: ONE if nu == 0 else h_closed_form(nu))
         assert times(series(general_form), (1 - p**2 * x) ** 2) == h_series
         assert times(h_series, (1 - x) ** 2) == sympy.Poly(1 + 2 * (p + 1) * x + p * x**2, x, p)
+
+
+# Every route's polynomials on the ranges the suite checks them on.
+ROUTES = {
+    "order_terms": lambda: (row for nu in product(range(7), repeat=3) for row in order_terms(*nu)),
+    "symbolic_count": lambda: (symbolic_count(*nu) for nu in product(range(7), repeat=3)),
+    "general_form": lambda: map(general_form, range(40)),
+    "gaussian_binomial": lambda: (gaussian_binomial(r, k) for r in range(21) for k in range(r + 2)),
+    "type_count": lambda: (
+        type_count(lam, mu) for lam in map(Partition, DEGREE_SHAPES + ORDER_SHAPES) for mu in subpartitions(lam)
+    ),
+    "h": lambda: (f(nu) for nu in range(1, 11) for f in (h_closed_form, h_recurrence)),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_coefficient_is_an_int(route):
+    # exactly int: a float, a bool or another int subclass would print or compare differently
+    bad = [f for f in ROUTES[route]() if not all(type(c) is int for c in f.coefficients)]
+    assert not bad
+
+
+def reachable_triples(bound):
+    """The sorted nontrivial exponent triples nu whose first count_degree(nu) + 1
+    primes p all give groups Z_p^nu1 x Z_p^nu2 x Z_p^nu3 of order at most bound,
+    with those primes."""
+    # a triple of exponent sum 1 has degree 0, so primes up to isqrt(bound) reach the rest
+    primes = [q for q in range(2, math.isqrt(bound) + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    for total in range(1, bound.bit_length()):
+        for nu1 in range(total // 3 + 1):
+            for nu2 in range(nu1, (total - nu1) // 2 + 1):
+                nu = (nu1, nu2, total - nu1 - nu2)
+                width = count_degree(*nu) + 1
+                if len(primes) >= width and primes[width - 1] ** total <= bound:
+                    yield nu, primes[:width]
+
+
+def test_order_terms_are_proved_for_every_prime_where_the_oracle_reaches():
+    # Row k of order_terms(nu) counts the subgroups of order p^k. The true count
+    # is a polynomial in p of degree at most count_degree(nu) (Birkhoff), so a row
+    # of at most count_degree + 1 coefficients that matches the oracle at that many
+    # primes is the true count for every prime, in every order of the axes.
+    triples = list(reachable_triples(ELEMENT_BOUND))
+    assert len(triples) >= 23
+    for nu, primes in triples:
+        width = count_degree(*nu) + 1
+        rows = {perm: order_terms(*perm) for perm in permutations(nu)}
+        for perm_rows in rows.values():
+            assert all(len(row.coefficients) <= width for row in perm_rows), nu
+        for p in primes:
+            by_order = Counter(mask.bit_count() for mask in all_subgroups([p**e for e in nu]))
+            want = [by_order[p**k] for k in range(sum(nu) + 1)]
+            for perm, perm_rows in rows.items():
+                assert [row(p) for row in perm_rows] == want, (perm, p)
