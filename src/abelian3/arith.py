@@ -255,8 +255,8 @@ def multiplicative_stream(f: Callable[[int, int], int], limit: int) -> Iterator[
 
     A stored value outside [-2^63, 2^63) raises OverflowError. For odd p, S_DIAGONAL
     and H_COMPLEMENT have f(p^e) <= (3e + 1) p^(2e) (checked for p < 1000, e < 60),
-    so f(n) <= tau(n^3) n^2 <= 16384 (5 10^6)^2 < 2^59 at the odd n <= cli.MAX_SIEVE
-    // 2, which cover cli.MAX_TAIL_TERMS // 2 (tau(n^3) peaks at 3 5 7 11 13 17 19).
+    so f(n) <= tau(n^3) n^2 <= 16384 (5 10^6)^2 < 2^59 at the odd n <= 5 10^6 stored
+    for any limit up to 10^7 (tau(n^3) peaks at 3 5 7 11 13 17 19).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

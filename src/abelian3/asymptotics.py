@@ -149,11 +149,11 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     """
     if prime_limit < 100:
         raise ValueError(f"prime_limit must be >= 100, got {prime_limit}")
-    if tail_terms < 16:
-        raise ValueError(f"tail_terms must be >= 16, got {tail_terms}")
+    if not 16 <= tail_terms <= 208_063:  # the largest n with n^3 < 2^53
+        raise ValueError(f"tail_terms must be from 16 to 208063, got {tail_terms}")
 
     # Each Euler term is at least 2.9 p^-4 in magnitude (the derivative term is
-    # larger), above 2^-92 for p <= cli.MAX_SIEVE = 10^7, so each sums exactly by _FIX.
+    # larger), above 2^-148 for p <= 10^11, so each sums exactly by _FIX.
     log_total = dlog_total = 0
     for p in iter_primes(prime_limit):
         p2 = p * p
@@ -202,8 +202,8 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     # treatment. The derivative is -sum_n h(n) log(n)/n^3. For n <= 2^47 each
     # term is a double >= 2^-142 (h >= 1, log n >= log 2 for n >= 2, and the
     # n = 1 log term is 0), so each sums exactly by _FIX.
-    # From n = 208,064 on, n^3 needs more than 53 bits, so the log term may
-    # divide by n^3 rounded to a double: one rounding more than h(n)/n^3 carries.
+    # tail_terms <= 208,063 keeps n^3 < 2^53, an exact double, so the log term
+    # divides by n^3 itself, as h(n)/n^3 does.
     half = tail_terms // 2
     total = log_total = 0
     for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):

@@ -41,8 +41,7 @@ from .verify import run_lattice_verification
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
 # (Python 3.11), end to end: `asymptotic --x-values 1000000000` (sublinear in x)
-# takes 2.5-2.9 s and 24 MB, `--tail-terms 2000000` 2.0-2.8 s and 22 MB,
-# `--prime-limit 10000000` 2.0-2.7 s and 22 MB, `table 1 --limit 10000000` 48 MB and
+# takes 2.5-2.9 s and 24 MB, `table 1 --limit 10000000` 48 MB and
 # 7.6, 7.6 and 7.4 s as text, CSV and JSON (medians), `poly 120` 0.5 s, `poly
 # 1000000 --closed-form` 2.1 s, `table 2 --limit 50` 0.5-0.6 s, `table 3 --limit 18`
 # 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s, `verify --max-order
@@ -51,7 +50,6 @@ _FORMATS = ("text", "json", "csv")
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
-MAX_TAIL_TERMS = 2 * 10**6
 MAX_EXPONENT = 120
 # count and count --order build one term per exponent triple: (nu1+1)(nu2+1)(nu3+1)
 # of them for each distinct (v_p(m), v_p(n), v_p(r)). (2^78, 2^78, 2^78) has
@@ -90,8 +88,6 @@ def _int_range(lo: int, hi: int | None = None) -> Callable[[str], int]:
 
 def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyclic: bool) -> None:
     """Number of subgroups of Z_M x Z_N x Z_R."""
-    if order_ is not None and cyclic:
-        raise UsageError("--order and --cyclic are mutually exclusive")
     from . import rank3
     group = (m, n, r)
     try:
@@ -255,7 +251,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_terms: int) -> None:
+def cmd_asymptotic(cfg: OutputConfig, x_values: str) -> None:
     """Exact partial sums of s(n) against the main term."""
     xs = _parse_int_list(x_values, "x values")
     if min(xs) < 2:
@@ -263,7 +259,7 @@ def cmd_asymptotic(cfg: OutputConfig, x_values: str, prime_limit: int, tail_term
     if max(xs) > MAX_PARTIAL_SUM_X or sum(x**0.75 for x in set(xs)) > 2 * MAX_PARTIAL_SUM_X**0.75:
         raise UsageError(f"x values must be <= {MAX_PARTIAL_SUM_X}, and their x^(3/4) sum to at most twice {MAX_PARTIAL_SUM_X}^(3/4)")
     from . import asymptotics
-    est = asymptotics.h3_and_h3prime(prime_limit=prime_limit, tail_terms=tail_terms)
+    est = asymptotics.h3_and_h3prime()
     head_columns = [Column("kind"), *map(Column, asymptotics.H3Estimate._fields), Column("euler_gamma"), Column("theta_reference")]
     head_row = ("constants", *est, asymptotics.EULER_GAMMA, asymptotics.THETA_REFERENCE)
     head_text = (
@@ -294,9 +290,9 @@ def _parser() -> argparse.ArgumentParser:
             sub.add_argument("--eval", dest="eval_p", type=_int_range(2), metavar="P", help="Also evaluate at P >= 2; the value is a subgroup count when P is prime.")
         return sub
 
-    sub = command("count", cmd_count, "m", "n", "r")
-    sub.add_argument("--order", dest="order_", type=int, metavar="ORDER", help="Count only subgroups of this order.")
-    sub.add_argument("--cyclic", action="store_true", help="Count only cyclic subgroups.")
+    kind = command("count", cmd_count, "m", "n", "r").add_mutually_exclusive_group()
+    kind.add_argument("--order", dest="order_", type=int, metavar="ORDER", help="Count only subgroups of this order.")
+    kind.add_argument("--cyclic", action="store_true", help="Count only cyclic subgroups.")
     sub = command("enumerate", cmd_enumerate, "m", "n", "r")
     sub.add_argument("--elements", dest="with_elements", action="store_true", help="Include the full element set of each subgroup.")
     sub = command("table", cmd_table)
@@ -312,8 +308,6 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-order", type=_int_range(1, MAX_VERIFY_ORDER), default=120, help="Check all groups with m*n*r up to this bound (default: 120).")
     sub = command("asymptotic", cmd_asymptotic)
     sub.add_argument("--x-values", default="1000,10000,100000", help="Comma-separated checkpoints (default: 1000,10000,100000).")
-    sub.add_argument("--prime-limit", type=_int_range(100, MAX_SIEVE), default=100_000, help="Euler-product truncation (default: 100000).")
-    sub.add_argument("--tail-terms", type=_int_range(16, MAX_TAIL_TERMS), default=200_000, help="Direct-sum truncation for the cross-check (default: 200000).")
     return parser
 
 

@@ -250,6 +250,10 @@ class TestConstants:
             h3_and_h3prime(prime_limit=50)
         with pytest.raises(ValueError):
             h3_and_h3prime(tail_terms=8)
+        # the largest accepted count keeps every n^3 an exact double
+        assert 208_063**3 < 2**53 <= 208_064**3
+        with pytest.raises(ValueError):
+            h3_and_h3prime(tail_terms=208_064)
 
 
 class TestZetaLiterals:

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
-from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_TAIL_TERMS, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
+from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.render import _CHUNK_CHARS
@@ -80,12 +80,13 @@ class TestCount:
         assert result.returncode == 0
         # the closed form for equal exponents; the order-2 subgroups are the 7 elements of order 2
         assert result.stdout == (b"7\n" if options else b"%d\n" % general_form(78)(2))
-        x = str(2**79)
-        start = time.perf_counter()
-        result = run_cli(["count", x, x, x, *options])
-        assert time.perf_counter() - start < 1.0
-        assert result.returncode == 2
-        assert b"give 512000 exponent triples" in result.stderr
+        for e in (79, 300):
+            x = str(2**e)
+            start = time.perf_counter()
+            result = run_cli(["count", x, x, x, *options])
+            assert time.perf_counter() - start < 1.0
+            assert result.returncode == 2
+            assert b"give %d exponent triples" % (e + 1) ** 3 in result.stderr
 
     def test_exponent_triples_summed_over_distinct_patterns(self, runner):
         # 2^70 3^69: 71^3 + 70^3 triples; 6^70: both primes share the exponents (70, 70, 70)
@@ -116,6 +117,8 @@ class TestCount:
     def test_order_and_cyclic_conflict(self, runner):
         result = runner.invoke(main, ["count", "2", "2", "2", "--order", "2", "--cyclic"])
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "argument --cyclic: not allowed with argument --order" in result.stderr
 
     def test_non_divisor_order(self, runner):
         result = runner.invoke(main, ["count", "2", "2", "2", "--order", "5"])
@@ -254,12 +257,14 @@ class TestEnumerate:
     def test_element_bound_checked_before_any_output(self, group):
         # the bound is a constant: no environment variable raises it
         env = dict(os.environ, ABELIAN3_ELEMENT_BOUND="1000000000")
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "abelian3.cli", "enumerate", *group, "--elements"],
             capture_output=True,
             timeout=120,
             env=env,
         )
+        assert time.perf_counter() - start < 5.0
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"Traceback" not in proc.stderr
@@ -801,7 +806,7 @@ class TestVerify:
 
 
 class TestAsymptotic:
-    ARGS = ["--x-values", "100,1000", "--prime-limit", "1000", "--tail-terms", "20000"]
+    ARGS = ["--x-values", "100,1000"]
 
     def test_json_stream(self, runner):
         result = runner.invoke(main, ["-q", "--format", "json", "asymptotic", *self.ARGS])
@@ -846,10 +851,7 @@ class TestDeterminism:
         assert first.stdout == second.stdout
 
     def test_asymptotic_byte_identical(self):
-        args = [
-            "-q", "--format", "json", "asymptotic",
-            "--x-values", "100,500", "--prime-limit", "1000", "--tail-terms", "20000",
-        ]
+        args = ["-q", "--format", "json", "asymptotic", "--x-values", "100,500"]
         first = run_cli(args)
         second = run_cli(args)
         assert first.returncode == second.returncode == 0
@@ -864,8 +866,6 @@ class TestInputBounds:
             ["asymptotic", "--x-values", "100,100000000000"],
             ["asymptotic", "--x-values", str(MAX_PARTIAL_SUM_X + 1)],
             ["asymptotic", "--x-values", ",".join(str(MAX_PARTIAL_SUM_X - k) for k in range(3))],
-            ["asymptotic", "--prime-limit", str(MAX_SIEVE + 1)],
-            ["asymptotic", "--tail-terms", str(MAX_TAIL_TERMS + 1)],
         ],
     )
     def test_sieve_sizes_past_the_bound_fail_fast(self, runner, args):
@@ -873,8 +873,16 @@ class TestInputBounds:
         result = runner.invoke(main, args)
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
-        bound = {"--tail-terms": MAX_TAIL_TERMS, "--x-values": MAX_PARTIAL_SUM_X}.get(args[1], MAX_SIEVE)
+        bound = MAX_PARTIAL_SUM_X if args[1] == "--x-values" else MAX_SIEVE
         assert str(bound) in result.stderr
+
+    @pytest.mark.parametrize("option", ["--prime-limit", "--tail-terms"])
+    def test_asymptotic_has_no_truncation_options(self, runner, option):
+        # asymptotic runs the library's default truncations only
+        result = runner.invoke(main, ["asymptotic", option, "1000"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert option in result.stderr
 
     @pytest.mark.parametrize(
         "args",
@@ -954,7 +962,7 @@ class TestInputBounds:
         assert runner.invoke(main, ["-q", "poly", "1", "1", str(MAX_EXPONENT)]).exit_code == 0
         # general_form is linear in the exponent; only symbolic_count needs MAX_EXPONENT.
         assert runner.invoke(main, ["-q", "poly", "3000", "--closed-form"]).exit_code == 0
-        assert runner.invoke(main, ["-q", "asymptotic", "--x-values", "100", "--prime-limit", "1000", "--tail-terms", "1000"]).exit_code == 0
+        assert runner.invoke(main, ["-q", "asymptotic", "--x-values", "2"]).exit_code == 0
         assert runner.invoke(main, ["-q", "type-count", str(MAX_PARTITION_SIZE), "1"]).exit_code == 0
         result = runner.invoke(main, ["-q", "poly", "2", "--eval", str(7 * 10**1074)])
         assert result.exit_code == 0
@@ -988,7 +996,7 @@ class TestImports:
             ("enumerate 2 2 2", "arith cli config rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
             ("enumerate 2 2 2 --elements", "arith cli config oracle rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
             ("table 1 --limit 5", "arith asymptotics cli config render typecounts verify", "", "# n  s(n)"),
-            ("-q asymptotic --x-values 100 --prime-limit 1000 --tail-terms 1000", "arith asymptotics cli config render typecounts verify", "", "100\t5847260\t5598747.422792264\t4.438717e-02\t2.6977"),
+            ("-q asymptotic --x-values 100", "arith asymptotics cli config render typecounts verify", "", "100\t5847260\t5598747.424743595\t4.438717e-02\t2.6977"),
             ("-q verify --max-order 6", "arith cli config oracle rank2 rank3 render typecounts verify", "", "rank-3 groups checked: 25"),
         ],
         ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "enumerate", "enumerate-elements", "table-1", "asymptotic", "verify"],

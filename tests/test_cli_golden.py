@@ -16,7 +16,7 @@ from abelian3.cli import main
 from conftest import CliRunner
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
-ASYMPTOTIC = ["asymptotic", "--x-values", "100,500", "--prime-limit", "1000", "--tail-terms", "20000"]
+ASYMPTOTIC = ["asymptotic", "--x-values", "100,500"]
 # (arguments, the -q settings to pin: both when -q changes the output)
 PLAIN, BOTH, QUIET = (False,), (False, True), (True,)
 INPUTS = [
