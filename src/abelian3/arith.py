@@ -1,16 +1,17 @@
-"""Number-theoretic kernel: factorization, sieves, and multiplicative
-functions (including Pillai's gcd-sum function).
-
-Everything downstream leans on this module, so the contracts here are strict:
-exact integer arithmetic throughout, and an explicit convention for the
-degenerate input n = 1.
+"""Number-theoretic kernel: factorization, one sieve (odd_spf_sieve, for primes
+and least prime factors alike; it needs no prime list, as a composite's least
+prime factor overwrites what the composite writes), and multiplicative functions
+(including Pillai's gcd-sum function). Nothing sieves at import. Contracts are
+strict, as everything downstream leans on this module: exact integer arithmetic
+throughout, and an explicit convention for the degenerate input n = 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import Callable, Iterator, Sequence
 
 # The first 14 primes. The first 13 make Miller-Rabin exact below _PSI_13
@@ -88,20 +89,11 @@ def _strong_lucas_prp(n: int) -> bool:
     return U == 0
 
 
-def _odd_prime_mask(limit: int) -> bytearray:
-    """Sieve of Eratosthenes over the odd numbers: mask[i] is 1 exactly when 2i + 1 <= limit is prime."""
-    mask = bytearray([1]) * ((limit + 1) // 2)
-    mask[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if mask[i]:
-            p = 2 * i + 1
-            mask[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(mask), p)))
-    return mask
-
-
 def iter_primes(limit: int) -> Iterator[int]:
-    """Primes <= limit in increasing order, read off one sieve as they are consumed."""
-    return chain((2,), compress(range(1, limit + 1, 2), _odd_prime_mask(limit))) if limit > 1 else iter(())
+    """Primes <= limit in increasing order: 2, then each odd k > 1 at which odd_spf_sieve(limit) reads 0."""
+    if limit < 2:
+        return iter(())
+    return chain((2,), compress(range(3, limit + 1, 2), map(operator.not_, islice(odd_spf_sieve(limit), 1, None))))
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -109,10 +101,7 @@ def primes_up_to(limit: int) -> list[int]:
     return list(iter_primes(limit))
 
 
-# factorize trial-divides by the primes below _TRIAL_BOUND; a cofactor left with
-# no prime factor below the bound is prime when it is below _TRIAL_BOUND**2.
-_TRIAL_BOUND = 1000
-_SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND - 1))
+_TRIAL_BOUND = 1000  # factorize trial-divides by 2 and the odd numbers below this bound
 # Pollard-Brent rho steps one factorize call may spend, enough for most smaller
 # factors of up to 12 digits. A step is a product mod the cofactor, whose cost
 # grows with its size, so _rho_divisor charges a step the square of the
@@ -128,20 +117,20 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The prime-power pairs ((p1, e1), ...) of n >= 1, with p1 < p2 < ... and
     each e >= 1; () for n = 1.
 
-    Trial division by the primes below 1000 comes first, then Pollard-Brent rho.
-
-    A cofactor below 1000**2 with no smaller prime factor is prime; a larger
-    one is tested with is_prime and, when composite, split by rho (Brent 1980)
-    until every piece is prime. All rho calls for one n share _RHO_BUDGET
-    steps, each weighted by its cofactor's size; past it factorize raises
-    ValueError naming n. In practice this means a second-largest prime
-    factor of up to about 12 digits (11 for a cofactor above 2**128).
+    Trial division by 2 and the odd numbers below 1000 comes first; an odd
+    composite divides nothing, as its prime factors are gone by then, and a
+    cofactor left below 1000**2 is prime. A larger one is tested with is_prime
+    and, when composite, split by Pollard-Brent rho (Brent 1980) until every
+    piece is prime. All rho calls for one n share _RHO_BUDGET steps, each
+    weighted by its cofactor's size; past it factorize raises ValueError
+    naming n. In practice this means a second-largest prime factor of up to
+    about 12 digits (11 for a cofactor above 2**128).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     exponents: dict[int, int] = {}
     rem = n
-    for p in _SMALL_PRIMES:
+    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):
         if p * p > rem:
             break
         while rem % p == 0:
@@ -216,18 +205,19 @@ def odd_spf_sieve(limit: int) -> Sequence[int]:
     """array('H') t with t[k // 2] = least prime factor of the odd composite k <= limit, 0 at a prime.
 
     t has (limit + 1) // 2 entries, one per odd k <= limit, so t[k // 2] or k
-    is the least prime factor of each odd k > 1. Each odd prime p up to
-    sqrt(limit) writes p over its odd multiples from p^2 on, the larger primes
-    first so that the least prime factor is written last. The factors are at
-    most sqrt(limit), so 2-byte entries hold them for every limit below 2^32.
+    is the least prime factor of each odd k > 1. Each odd d from isqrt(limit) down
+    to 3 writes d over its odd multiples from d^2 on. No prime list is needed: a
+    composite d is overwritten at each of those slots by its least prime factor,
+    which is smaller and so writes later. The factors are at most sqrt(limit), so
+    2-byte entries hold them for every limit below 2^32.
     """
     from array import array  # here, not at the top: every count loads arith, and few need this
 
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     table = array("H", [0]) * ((limit + 1) // 2)
-    for p in primes_up_to(math.isqrt(limit))[:0:-1]:
-        table[p * p // 2 :: p] = array("H", [p]) * len(range(p * p // 2, len(table), p))
+    for d in range(math.isqrt(limit) - 1 | 1, 1, -2):  # the odd d <= isqrt(limit), largest first
+        table[d * d // 2 :: d] = array("H", [d]) * len(range(d * d // 2, len(table), d))
     return table
 
 

@@ -1,7 +1,10 @@
-"""Subgroups of Z_m x Z_n: triangular generating pairs and the gcd-sum count.
+"""Subgroups of Z_m x Z_n as triangular generating pairs: SubgroupBasis2,
+enumerate_rank2 and subgroup_elements_rank2.
 
-verify checks count_rank2 against the rank-3 stream of (m, n, 1). The
-enumeration here is a reference for tests, which tie it to that stream.
+A reference for tests, which tie the enumeration to the rank-3 stream of
+(m, n, 1); no command loads this module. The gcd-sum count that verify checks
+is verify.count_rank2. divisors is looked up through this module, where
+perfbench's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -54,10 +57,3 @@ def subgroup_elements_rank2(basis: SubgroupBasis2) -> set[tuple[int, int]]:
     }
     assert len(elements) == basis.order
     return elements
-
-
-def count_rank2(m: int, n: int) -> int:
-    """Number of subgroups of Z_m x Z_n: sum of gcd(a, b) over a | m, b | n."""
-    if m < 1 or n < 1:
-        raise ValueError(f"group orders must be positive, got ({m}, {n})")
-    return sum(math.gcd(a, b) for a in divisors(m) for b in divisors(n))

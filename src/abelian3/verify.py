@@ -1,7 +1,8 @@
 """The verification campaign: structured enumeration against brute force.
 
-run_lattice_verification calls rank3, rank2 and oracle through their module
-attributes, so that a test or tracer replacing one of them reaches every route.
+run_lattice_verification calls rank3, oracle and arith through their module
+attributes, and count_rank2 through this module's, so that a test or tracer
+replacing one of them reaches every route.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def _difference_note(got: set[int], want: set[int], group: tuple[int, int, int],
     return ", ".join(bits) if bits else "sets differ"
 
 
+def count_rank2(m: int, n: int) -> int:
+    """Number of subgroups of Z_m x Z_n: sum of gcd(a, b) over a | m, b | n."""
+    if m < 1 or n < 1:
+        raise ValueError(f"group orders must be positive, got ({m}, {n})")
+    from .arith import divisors
+    return sum(math.gcd(a, b) for a in divisors(m) for b in divisors(n))
+
+
 def run_lattice_verification(
     max_order: int = 120,
     progress: Callable[[str], None] | None = None,
@@ -57,7 +66,7 @@ def run_lattice_verification(
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
-    from . import oracle, rank2, rank3
+    from . import oracle, rank3
     lattices: dict[tuple[int, ...], set[int]] = {}
     failures: list[str] = []
     rank3_shapes = rank2_shapes = 0
@@ -80,7 +89,7 @@ def run_lattice_verification(
                     stream, seen = len(masks), set(masks)
                     formulas = {"per prime": rank3.count_total(group), "divisor sum": rank3.count_total_divisor_sum(group)}
                     if r == 1:
-                        formulas["rank-2 gcd sum"] = rank2.count_rank2(m, n)
+                        formulas["rank-2 gcd sum"] = count_rank2(m, n)
                     if any(stream != formula for formula in formulas.values()):
                         note = f"formulas {tuple(formulas.values())} ({', '.join(formulas)})"
                         failures.append(f"{group}: stream {stream} != {note}")

@@ -4,17 +4,19 @@ Each is a slow or classical evaluation that a library value is checked
 against: subgroups by saturating element tuples, the gcd sum by its
 definition, tau, phi and mu as prime-power rules, the paper's divisor-triple
 count of cyclic subgroups, the divisor-sum partial sums by hyperbola
-identities, and a Hermite-normal-form certificate for the subgroup stream.
+identities, the direct partial sums of the series for H3 and H3', and a
+Hermite-normal-form certificate for the subgroup stream.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from abelian3.arith import divisors, evaluate
-from abelian3.asymptotics import EULER_GAMMA
+from abelian3.arith import divisors, evaluate, multiplicative_stream
+from abelian3.asymptotics import EULER_GAMMA, H_COMPLEMENT
 from abelian3.rank3 import subgroup_stream
 
 
@@ -104,6 +106,33 @@ def divisor_sum_check(x: int) -> DivisorSumCheck:
         weighted_main=weighted_main,
         weighted_relative_error=abs(weighted_exact - weighted_main) / weighted_main,
     )
+
+
+def h3_partial_sum_upper(terms: int) -> Fraction:
+    """An upper bound on sum_{n <= terms} h(n)/n^3, the direct partial sum of H3.
+
+    Each term is rounded up to a multiple of 2^-200 and the terms are added
+    as integers, so the bound is exact and exceeds the sum by less than
+    terms * 2^-200.
+    """
+    fix = 1 << 200
+    total = sum(-(-h * fix // n**3) for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, terms), 1))
+    return Fraction(total, fix)
+
+
+def h3prime_partial_sum(terms: int, dps: int = 30):
+    """(S, margin): S is sum_{n <= terms} h(n) log(n)/n^3, the direct partial sum
+    of -H3', in mpmath at dps digits, and |S - exact sum| <= margin.
+
+    Each term takes a log, a product and a quotient, and the sum rounds no
+    more than once per addition: at most terms + 3 roundings, each within
+    2^(1 - prec) relative of a value at most S. margin is four times their sum.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        total = mpmath.fsum(h * mpmath.log(n) / n**3 for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, terms), 1))
+        return total, 4 * (terms + 3) * total * mpmath.mpf(2) ** (1 - mpmath.mp.prec)
 
 
 def certify_stream(group: tuple[int, int, int]) -> int:

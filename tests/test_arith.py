@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelian3 import arith
@@ -15,6 +15,7 @@ from abelian3.arith import (
     factorize,
     gcd_sum,
     is_prime,
+    iter_primes,
     multiplicative_stream,
     odd_spf_sieve,
     primes_up_to,
@@ -143,7 +144,14 @@ class TestFactorize:
         with pytest.raises(ValueError, match=str(n)):
             factorize(n)
 
+    # factorize trial-divides by 2 and every odd number below 1000, composites
+    # included; the examples straddle that bound and its square
     @given(st.integers(1, 10**9), st.integers(1, 10**9))
+    @example(x=997, y=997)
+    @example(x=997, y=1009)
+    @example(x=1009, y=1009)
+    @example(x=991 * 997, y=1009)
+    @example(x=999983, y=1000003)
     def test_matches_sympy(self, sympy, x, y):
         assert dict(factorize(x * y)) == sympy.factorint(x * y)
 
@@ -174,6 +182,17 @@ class TestSieves:
         assert table[999981 // 2] == 3
         assert table[994009 // 2] == 997  # 997^2
 
+    @pytest.mark.parametrize("limit", [1009**2, 2003**2, 10**7])
+    def test_spf_at_prime_squares_and_last_entry(self, limit):
+        # every odd d <= isqrt(limit) writes, composites included; the least
+        # prime factor still lands at each p^2 and at the largest odd k
+        table = odd_spf_sieve(limit)
+        assert len(table) == (limit + 1) // 2
+        for p in primes_up_to(math.isqrt(limit))[1:]:
+            assert table[p * p // 2] == p, p
+        last = limit - 1 + limit % 2
+        assert table[-1] == next((d for d in range(3, math.isqrt(last) + 1, 2) if last % d == 0), 0)
+
     def test_primes_up_to(self):
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert primes_up_to(1) == []
@@ -184,16 +203,12 @@ class TestSieves:
         spf = [0, 0] + [next(p for p in range(2, k + 1) if k % p == 0) for k in range(2, top + 1)]
         primes = [k for k in range(2, top + 1) if spf[k] == k]
         composite_spf = [0 if p == k else p for k, p in enumerate(spf)]
-        for limit in range(2, top + 1):
-            assert list(odd_spf_sieve(limit)) == composite_spf[1 : limit + 1 : 2], limit
-            assert primes_up_to(limit) == primes[: bisect.bisect_right(primes, limit)], limit
-
-    def test_trial_division_primes_come_from_the_sieve(self):
-        # factorize's trial-division primes, built by the sieve at import, are
-        # exactly the primes below 1000 found by trial division
-        want = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
-        assert len(want) == 168
-        assert arith._SMALL_PRIMES == want
+        for limit in range(top + 1):
+            if limit >= 2:
+                assert list(odd_spf_sieve(limit)) == composite_spf[1 : limit + 1 : 2], limit
+            want = primes[: bisect.bisect_right(primes, limit)]
+            assert primes_up_to(limit) == want, limit
+            assert list(iter_primes(limit)) == want, limit
 
 
 class TestGcdSum:

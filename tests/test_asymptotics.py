@@ -30,7 +30,7 @@ from abelian3.asymptotics import (
 from abelian3.cli import MAX_PARTIAL_SUM_X, MAX_SIEVE
 from abelian3.rank3 import count_total_divisor_sum
 from abelian3.typecounts import general_form, h_closed_form, h_recurrence, symbolic_count
-from reference import TAU, divisor_sum_check
+from reference import TAU, divisor_sum_check, h3_partial_sum_upper, h3prime_partial_sum
 
 DATA = Path(__file__).parent / "data"
 
@@ -254,6 +254,24 @@ class TestConstants:
         assert 208_063**3 < 2**53 <= 208_064**3
         with pytest.raises(ValueError):
             h3_and_h3prime(tail_terms=208_064)
+
+
+class TestDirectPartialSums:
+    # h > 0, so the direct partial sums of H3 = sum h(n)/n^3 and of
+    # -H3' = sum h(n) log(n)/n^3 stay below the constants: the proved Euler
+    # bars must leave room for them
+    @pytest.fixture(scope="class")
+    def estimate(self):
+        return h3_and_h3prime()
+
+    def test_h3_partial_sum_below_the_bar(self, estimate):
+        assert h3_partial_sum_upper(200_000) <= Fraction(estimate.h3) + Fraction(estimate.h3_bound)
+
+    def test_h3prime_partial_sum_above_the_bar(self, estimate):
+        mpmath = pytest.importorskip("mpmath")
+        total, margin = h3prime_partial_sum(20_000)
+        with mpmath.workdps(60):  # exact for these operands
+            assert -total - margin >= mpmath.mpf(estimate.h3prime) - estimate.h3prime_bound
 
 
 class TestZetaLiterals:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from abelian3 import arith, cli as cli_module, oracle, rank2, rank3
+from abelian3 import arith, cli as cli_module, oracle, rank3, verify
 from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND
 from abelian3.rank3 import DerivedParams, count_by_order
@@ -675,8 +675,8 @@ class TestVerify:
         assert any("(2, 4, 2)" in failure for failure in report.failures)
 
     def test_rank2_gcd_sum_is_checked_on_the_r1_shapes(self, monkeypatch):
-        original = rank2.count_rank2
-        monkeypatch.setattr(rank2, "count_rank2", lambda m, n: original(m, n) + 1)
+        original = verify.count_rank2
+        monkeypatch.setattr(verify, "count_rank2", lambda m, n: original(m, n) + 1)
         report = run_lattice_verification(6)
         assert not report.ok
         assert any("(2, 2, 1)" in failure and "rank-2 gcd sum" in failure for failure in report.failures)
@@ -985,7 +985,7 @@ class TestFormatKnowledge:
 
 class TestImports:
     @pytest.mark.parametrize(
-        ("args", "modules", "formats", "first_line"),
+        ("args", "modules", "optional", "first_line"),
         [
             ("count 1 1 1", "arith cli config rank3 render typecounts verify", "", "1"),
             ("--format json count 1 1 1", "arith cli config rank3 render typecounts verify", "json", '{"m":1,"n":1,"r":1,"kind":"total","order":null,"count":1}'),
@@ -995,14 +995,15 @@ class TestImports:
             ("table 2", "cli config render typecounts verify", "", "# nu  s(p^nu x p^nu x p^nu)"),
             ("enumerate 2 2 2", "arith cli config rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
             ("enumerate 2 2 2 --elements", "arith cli config oracle rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
-            ("table 1 --limit 5", "arith asymptotics cli config render typecounts verify", "", "# n  s(n)"),
-            ("-q asymptotic --x-values 100", "arith asymptotics cli config render typecounts verify", "", "100\t5847260\t5598747.424743595\t4.438717e-02\t2.6977"),
-            ("-q verify --max-order 6", "arith cli config oracle rank2 rank3 render typecounts verify", "", "rank-3 groups checked: 25"),
+            ("table 1 --limit 5", "arith asymptotics cli config render typecounts verify", "array", "# n  s(n)"),
+            ("-q asymptotic --x-values 100", "arith asymptotics cli config render typecounts verify", "array", "100\t5847260\t5598747.424743595\t4.438717e-02\t2.6977"),
+            ("-q verify --max-order 6", "arith cli config oracle rank3 render typecounts verify", "", "rank-3 groups checked: 25"),
         ],
         ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "enumerate", "enumerate-elements", "table-1", "asymptotic", "verify"],
     )
-    def test_count_loads_only_its_modules(self, args, modules, formats, first_line):
-        # formats: the output-format modules this command needs
+    def test_count_loads_only_its_modules(self, args, modules, optional, first_line):
+        # optional: the output-format modules and the sieve's array module that
+        # this command needs; nothing sieves at import, so count loads no array
         code = (
             "import sys\n"
             "from abelian3 import cli\n"
@@ -1017,7 +1018,7 @@ class TestImports:
         assert result.stdout.splitlines()[0] == first_line
         loaded = set(result.stderr.splitlines()[-1].split())
         assert sorted(name for name in loaded if name.startswith("abelian3.")) == [f"abelian3.{name}" for name in modules.split()]
-        assert sorted(loaded & {"json", "csv"}) == formats.split()
+        assert sorted(loaded & {"array", "json", "csv"}) == optional.split()
         heavy = loaded & {"click", "dataclasses", "inspect", "fractions", "decimal", "numpy", "mpmath", "string"}
         assert not heavy, heavy
 

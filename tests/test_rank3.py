@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from abelian3 import oracle, rank3
 from abelian3.arith import divisors
-from abelian3.rank2 import count_rank2
 from abelian3.rank3 import (
     Sextuple,
     Subgroup,
@@ -28,6 +27,7 @@ from abelian3.rank3 import (
     subgroup_stream,
 )
 from abelian3.typecounts import Partition, order_terms, subpartitions, type_count
+from abelian3.verify import count_rank2
 import reference
 from reference import certify_stream, count_cyclic_divisor_sum, saturate
 
