@@ -39,21 +39,20 @@ from .render import Column, Columns, OutputConfig, _note, _render_rows, _same
 from .verify import run_lattice_verification
 
 _FORMATS = ("text", "json", "csv")
-# Input bounds, so that no accepted input runs for minutes. On a 2-core Xeon VM
-# (Python 3.11), end to end: `asymptotic --x-values 1000000000` (sublinear in x)
-# takes 2.5-2.9 s and 24 MB, `table 1 --limit 10000000` 48 MB and
-# 7.6, 7.6 and 7.4 s as text, CSV and JSON (medians), `poly 120` 0.5 s, `poly
-# 1000000 --closed-form` 2.1 s, `table 2 --limit 50` 0.5-0.6 s, `table 3 --limit 18`
-# 0.6-0.7 s, `type-count` of 110 ones over 55 ones 0.3-0.4 s, `verify --max-order
-# 200` 1.2-1.8 s and `enumerate 16 16 16 --elements` (order config.ELEMENT_BOUND)
-# 0.4-0.5 s. Sessions on such a VM differ by up to a factor of two.
+# Input bounds, so that no accepted input runs for minutes. Each command at its
+# cap is a row of ci/test_ci.py, which holds its timeout and, for the sieve and
+# the partial sums, its memory cap: `asymptotic --x-values 1000000000` (sublinear
+# in x), `table 1 --limit 10000000` as text, CSV and JSON, `poly 120`, `poly
+# 1000000 --closed-form`, `table 2 --limit 50`, `table 3 --limit 18`, `type-count`
+# of 110 ones over 55 ones, `verify --max-order 200` and `enumerate 16 16 16
+# --elements` (order config.ELEMENT_BOUND).
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
 MAX_EXPONENT = 120
 # count and count --order build one term per exponent triple: (nu1+1)(nu2+1)(nu3+1)
 # of them for each distinct (v_p(m), v_p(n), v_p(r)). (2^78, 2^78, 2^78) has
-# 493,039 and takes 0.2-0.3 s end to end by either route on the VM above.
+# 493,039; its row in ci/test_ci.py holds the timeout of `count` on it.
 MAX_EXPONENT_TRIPLES = 500_000
 MAX_CLOSED_FORM_EXPONENT = 10**6
 # type-count's LAM may have parts summing to at most this; all ones over half

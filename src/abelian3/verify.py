@@ -39,7 +39,7 @@ def count_rank2(m: int, n: int) -> int:
     if m < 1 or n < 1:
         raise ValueError(f"group orders must be positive, got ({m}, {n})")
     from .arith import divisors
-    return sum(math.gcd(a, b) for a in divisors(m) for b in divisors(n))
+    return sum(math.gcd(a, b) for a, b in product(divisors(m), divisors(n)))
 
 
 def run_lattice_verification(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abelian3 import arith
 from abelian3.arith import divisors
 from abelian3.rank2 import enumerate_rank2, subgroup_elements_rank2
 from abelian3.rank3 import subgroup_stream
@@ -25,6 +26,12 @@ class TestCount:
         for n in range(1, 60):
             assert count_rank2(1, n) == len(divisors(n))
             assert count_rank2(n, 1) == len(divisors(n))
+
+    def test_takes_each_divisor_list_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arith, "divisors", lambda n: calls.append(n) or divisors(n))
+        assert count_rank2(12, 18) == 80
+        assert calls == [12, 18]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
