@@ -39,13 +39,7 @@ from .render import Column, Columns, OutputConfig, _note, _render_rows, _same
 from .verify import run_lattice_verification
 
 _FORMATS = ("text", "json", "csv")
-# Input bounds, so that no accepted input runs for minutes. Each command at its
-# cap is a row of ci/test_ci.py, which holds its timeout and, for the sieve and
-# the partial sums, its memory cap: `asymptotic --x-values 1000000000` (sublinear
-# in x), `table 1 --limit 10000000` as text, CSV and JSON, `poly 120`, `poly
-# 1000000 --closed-form`, `table 2 --limit 50`, `table 3 --limit 18`, `type-count`
-# of 110 ones over 55 ones, `verify --max-order 200` and `enumerate 16 16 16
-# --elements` (order config.ELEMENT_BOUND).
+# Input bounds, so that no accepted input runs for minutes: README's Caps table gives each one's reason and the check at it.
 MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank3, verify
-from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, Column, OutputConfig, _render_rows, main, run_lattice_verification
+from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, _TABLE_LIMITS, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.render import _CHUNK_CHARS
@@ -894,6 +894,7 @@ class TestInputBounds:
             ["table", "3", "--limit", "40"],
             ["type-count", ",".join(["1"] * (MAX_PARTITION_SIZE + 1)), ",".join(["1"] * 55)],
             ["type-count", str(10**9), "1"],
+            *[["table", which, "--limit", str(_TABLE_LIMITS[which] + 1)] for which in ("1", "2", "3")],
         ],
     )
     def test_exponents_past_the_bound_fail_fast(self, runner, args):
