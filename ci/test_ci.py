@@ -42,7 +42,9 @@ ROWS = [
     *[(f"{CLI} -q {command}", 10, None, 0, False)
       for command in (f"poly {MAX_EXPONENT}", f"poly {MAX_CLOSED_FORM_EXPONENT} --closed-form", f"table 2 --limit {_TABLE_LIMITS['2']}", f"table 3 --limit {_TABLE_LIMITS['3']}", f"count {BIG} {BIG} {BIG}")],
     *[(f"{CLI} -q --format {fmt} {command} --eval 2", 10, None, 0, False) for fmt in ("json", "csv") for command in (f"poly {MAX_EXPONENT}", f"type-count {LAM} {MU}")],
-    *[(f"{CLI} -q --format {fmt} poly {MAX_CLOSED_FORM_EXPONENT} --closed-form --eval 2", 10, None, 2, True) for fmt in ("json", "csv")],
+    # refused once the polynomial is built, but before it is evaluated
+    *[(f"{CLI} -q --format {fmt} poly {MAX_CLOSED_FORM_EXPONENT} --closed-form --eval 2", 10, 160, 2, True) for fmt in ("json", "csv")],
+    *[(f"{CLI} -q --format {fmt} type-count {LAM} {MU} --eval 10000000000", 10, None, 2, True) for fmt in ("json", "csv")],
     (f"{CLI} count {PSEUDOPRIME} 1 1", 60, None, 2, True),
 ]
 

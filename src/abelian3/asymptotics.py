@@ -40,6 +40,9 @@ DLOG_ZETA3 = -0.16482268215827725
 THETA_REFERENCE = "131/416"
 
 
+# The most direct terms h3_and_h3prime sums: the largest n with n^3 < 2^53, an exact double.
+MAX_TAIL_TERMS = 208_063
+
 # s(p^e) by the paper's closed form; typecounts.symbolic_count is the reference route.
 S_DIAGONAL = lambda p, e: general_form(e)(p)
 # Convolution complement of n^2 tau(n) inside s: h(p^e) = (3e - 1) p + (3e + 1),
@@ -133,14 +136,15 @@ class H3Estimate(NamedTuple):
 def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3Estimate:
     """Constants H3 and H3' of the average order, with error bounds.
 
-    The h-series has local Euler factors f_p(z) = 1 + 2 p^(1-z) + 2 p^(-z)
-    + p^(1-2z). Multiplying by (1 - p^(1-z))^2 (1 - p^(-z))^2 cancels the
-    slowly decaying parts, leaving
+    The h-series has local Euler factors f_p(z) / (1 - p^(-z))^2, where
+    f_p(z) = 1 + 2 p^(1-z) + 2 p^(-z) + p^(1-2z). Multiplying f_p by
+    (1 - p^(1-z))^2 (1 - p^(-z))^2 cancels the slowly decaying parts, leaving
 
         n_p(z) = 1 - 3 (p^2+p+1) p^(-2z) + 2 (p+1)^3 p^(-3z)
                    - 3 (p^3+p^2+p) p^(-4z) + p^(3-6z),
 
-    so H3 = zeta(3)^4 zeta(2)^2 prod_p n_p(3) with |n_p(3) - 1| <= 3.2 p^-4
+    as tests/test_asymptotics.py::TestDiagonalGeneratingFunction proves. So
+    H3 = zeta(3)^4 zeta(2)^2 prod_p n_p(3) with |n_p(3) - 1| <= 3.2 p^-4
     for p >= 100: truncation at prime_limit Q carries a proved tail bound of
     order Q^-3. H3' comes from the logarithmic derivative of the same
     factorization. Both bars add a bound on the floating-point rounding to
@@ -149,8 +153,8 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     """
     if prime_limit < 100:
         raise ValueError(f"prime_limit must be >= 100, got {prime_limit}")
-    if not 16 <= tail_terms <= 208_063:  # the largest n with n^3 < 2^53
-        raise ValueError(f"tail_terms must be from 16 to 208063, got {tail_terms}")
+    if not 16 <= tail_terms <= MAX_TAIL_TERMS:
+        raise ValueError(f"tail_terms must be from 16 to {MAX_TAIL_TERMS}, got {tail_terms}")
 
     # Each Euler term is at least 2.9 p^-4 in magnitude (the derivative term is
     # larger), above 2^-148 for p <= 10^11, so each sums exactly by _FIX.
@@ -202,7 +206,7 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     # treatment. The derivative is -sum_n h(n) log(n)/n^3. For n <= 2^47 each
     # term is a double >= 2^-142 (h >= 1, log n >= log 2 for n >= 2, and the
     # n = 1 log term is 0), so each sums exactly by _FIX.
-    # tail_terms <= 208,063 keeps n^3 < 2^53, an exact double, so the log term
+    # tail_terms <= MAX_TAIL_TERMS keeps n^3 an exact double, so the log term
     # divides by n^3 itself, as h(n)/n^3 does.
     half = tail_terms // 2
     total = log_total = 0

@@ -124,31 +124,28 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
         _render_rows(cfg, rank3.subgroup_runs(group), columns, line, run=(fields.index("z"), fields.index("u")))
 
 
-def _render_polys(cfg: OutputConfig, key_columns: Columns, name: str, keys: Iterable[tuple], build: Callable[..., typecounts.IntPolynomial], degree: int | None = None, p: int | None = None) -> None:
-    """Write a row per tuple of cells in keys: the cells, then the polynomial
-    build(*cells), as text under name in CSV and as its coefficients in JSON;
+def _render_polys(cfg: OutputConfig, key_columns: Columns, name: str, polys: Iterable[tuple[tuple, typecounts.IntPolynomial]], evaluate: bool = False, p: int | None = None) -> None:
+    """Write a row per pair (cells, polynomial) in polys: the cells, then the
+    polynomial, as text under name in CSV and as its coefficients in JSON;
     text shows the cells joined by commas, a tab and the polynomial.
-    With degree (one tuple, from a command that takes --eval), the row goes on
+    With evaluate (one pair, from a command that takes --eval), the row goes on
     with p and the value there (empty CSV cells and no JSON keys without p),
     text is the polynomial, then `at p=P: VALUE`, and a value of more than
     MAX_EVAL_DIGITS digits (or the interpreter's lower int-to-string limit) is
-    a usage error. Counting polynomials have nonnegative coefficients, so
-    p^degree bounds the value from below and refuses most before build runs.
+    a usage error. Counting polynomials have nonnegative coefficients, so p to
+    the degree of the polynomial bounds the value from below and refuses most
+    such values before the polynomial is evaluated.
     """
     columns = [*key_columns, Column(name, json=None), Column("coefficients", csv=None)]
-    if degree is None:
-        rows = ((*cells, str(poly), poly.coefficients) for cells in keys for poly in [build(*cells)])
+    if not evaluate:
+        rows = ((*cells, str(poly), poly.coefficients) for cells, poly in polys)
         _render_rows(cfg, rows, columns, lambda row: ",".join(map(str, row[:-2])) + "\t" + row[-2])
         return
+    ((cells, poly),) = polys
     digits = min(MAX_EVAL_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_EVAL_DIGITS)  # 0: no limit
-    too_long = UsageError(f"--eval {p}: the value would have more than {digits} digits")
-    if p is not None and degree * math.log10(p) >= digits:
-        raise too_long
-    (cells,) = keys
-    poly = build(*cells)
-    value = None if p is None else poly(p)
-    if value is not None and value >= 10**digits:
-        raise too_long
+    value = None
+    if p is not None and ((len(poly.coefficients) - 1) * math.log10(p) >= digits or (value := poly(p)) >= 10**digits):
+        raise UsageError(f"--eval {p}: the value would have more than {digits} digits")
     columns += [Column(key, json=None if p is None else _same) for key in ("p", "value")]
     _render_rows(cfg, [(*cells, str(poly), poly.coefficients, p, value)], columns, lambda row: row[-4] if p is None else f"{row[-4]}\nat p={p}: {value}")
 
@@ -170,7 +167,7 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
         keys, build = ["nu1", "nu2", "nu3"], typecounts.symbolic_count
         cells = [(nu1, nu2, nu3) for nu3 in range(1, top + 1) for nu2 in range(1, nu3 + 1) for nu1 in range(1, nu2 + 1)]
         _note(cfg, "# nu1 nu2 nu3  s(p^nu1 x p^nu2 x p^nu3)")
-    _render_polys(cfg, [*map(Column, keys)], "s_poly", cells, build)
+    _render_polys(cfg, [*map(Column, keys)], "s_poly", ((key, build(*key)) for key in cells))
 
 
 def cmd_poly(cfg: OutputConfig, exponents: list[int], eval_p: int | None, closed_form: bool) -> None:
@@ -189,8 +186,8 @@ def cmd_poly(cfg: OutputConfig, exponents: list[int], eval_p: int | None, closed
     bound = MAX_CLOSED_FORM_EXPONENT if closed_form else MAX_EXPONENT
     if max(exponents) > bound:
         raise UsageError(f"exponents must be <= {bound}{' with --closed-form' * closed_form}, got {max(exponents)}")
-    build = (lambda nu, *_: typecounts.general_form(nu)) if closed_form else typecounts.symbolic_count
-    _render_polys(cfg, [*map(Column, ("nu1", "nu2", "nu3"))], "s_poly", [(nu1, nu2, nu3)], build, typecounts.count_degree(nu1, nu2, nu3), eval_p)
+    poly = typecounts.general_form(nu1) if closed_form else typecounts.symbolic_count(nu1, nu2, nu3)
+    _render_polys(cfg, [*map(Column, ("nu1", "nu2", "nu3"))], "s_poly", [((nu1, nu2, nu3), poly)], True, eval_p)
 
 
 def _parse_partition(text: str) -> typecounts.Partition:
@@ -211,11 +208,11 @@ def cmd_type_count(cfg: OutputConfig, lam: str, mu: str, eval_p: int | None) -> 
     if lam_part.size > MAX_PARTITION_SIZE:
         raise UsageError(f"LAM must have parts summing to at most {MAX_PARTITION_SIZE}, got {lam_part.size}")
     try:
-        degree = typecounts.type_count_degree(lam_part, mu_part)
+        poly = typecounts.type_count(lam_part, mu_part)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     columns = [Column(key, csv=lambda part: ",".join(map(str, part.parts)), json=lambda part: part.parts) for key in ("lam", "mu")]
-    _render_polys(cfg, columns, "poly", [(lam_part, mu_part)], typecounts.type_count, degree, eval_p)
+    _render_polys(cfg, columns, "poly", [((lam_part, mu_part), poly)], True, eval_p)
 
 
 def _verify_text(row: tuple) -> str:

@@ -5,7 +5,6 @@ reads the output format."""
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -74,9 +73,11 @@ def _render_rows(
     fmt, lead = cfg.fmt, []
     if isinstance(text, str):
         want = [str(k) for k in run or range(len(columns))]
-        # the field names of text as str.format reads them: {{ and }} are no field, a stray brace reads as None
-        names = [field[1] for field in re.finditer(r"\{\{|\}\}|\{([^{}!:]*)(?:![^{}])?(?::(?:[^{}]|\{[^{}]*\})*)?\}|[{}]", text) if field[0] not in ("{{", "}}")]
-        if [name for name in names if name in want or run is None or name is None] != want:
+        try:  # str.format puts \0k\0 in cell k, so the k between the \0s are the cells text shows, in order
+            seen = text.format(*(f"\0{k}\0" for k in range(len(columns)))).split("\0")[1::2]
+        except (AttributeError, LookupError, TypeError, ValueError):  # a stray brace, or a field that is no cell
+            seen = None
+        if seen is None or [k for k in seen if k in want or run is None] != want:
             raise ValueError(f"line template {text!r} must show each of the cells {', '.join(want)} once, in that order")
 
     def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:

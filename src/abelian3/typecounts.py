@@ -110,8 +110,7 @@ def symbolic_count(nu1: int, nu2: int, nu3: int) -> IntPolynomial:
 
 
 def count_degree(nu1: int, nu2: int, nu3: int) -> int:
-    """Degree in p of symbolic_count(nu1, nu2, nu3): the two smallest exponents summed,
-    the largest type_count_degree of a type inside (mu' = 2, 1 on columns of length 3, 2)."""
+    """Degree in p of symbolic_count(nu1, nu2, nu3): the two smallest exponents summed."""
     return nu1 + nu2 + nu3 - max(nu1, nu2, nu3)
 
 
@@ -231,40 +230,21 @@ def _times(f: Sequence[int], g: Sequence[int], shift: int) -> list[int]:
     return out
 
 
-def type_count_degree(lam: Partition, mu: Partition) -> int:
-    """Degree in p of type_count(lam, mu): sum over j of mu'_j (lam'_j - mu'_j).
-
-    The j-th factor of type_count has degree (mu'_j - mu'_{j+1})(lam'_j - mu'_j)
-    from its Gaussian binomial plus mu'_{j+1} (lam'_j - mu'_j) from its power
-    of p. Raises ValueError when mu does not fit inside lam.
-    """
-    if not lam.contains(mu):
-        raise ValueError(f"{mu} is not contained in {lam}")
-    return sum(m * (l - m) for l, m in zip(lam.conjugate(), mu.conjugate()))
-
-
 def h_closed_form(nu: int) -> IntPolynomial:
     """(3 nu - 1) p + (3 nu + 1): the prime-power values of h.
 
     h is the multiplicative complement of n^2 tau(n) inside the diagonal
     subgroup count (see h_recurrence, which is the defining route).
 
-    Proof, given the paper's theorem s(p^nu) = general_form(nu). Split the
-    coefficients of general_form(nu) by the parity of j: for j = 2k the
-    coefficient is (nu - k + 1)(3k + 1) on p^(2(nu - k)), and for j = 2k + 1
-    it is (nu - k)(3k + 2) on p^(2(nu - k) - 1). As power series in x, both
-    parts are Cauchy products with sum_i (i + 1) p^(2i) x^i = 1/(1 - p^2 x)^2,
-    the generating function of n^2 tau(n) at p:
-
-        even part = sum_k (3k + 1) x^k     / (1 - p^2 x)^2 = (1 + 2x)     / ((1 - x)^2 (1 - p^2 x)^2)
-        odd part  = p x sum_k (3k + 2) x^k / (1 - p^2 x)^2 = p x (2 + x) / ((1 - x)^2 (1 - p^2 x)^2)
-
-    so sum_nu s(p^nu) x^nu = (1 + 2(p + 1) x + p x^2) / ((1 - x)^2 (1 - p^2 x)^2).
-    Multiplying by (1 - p^2 x)^2 divides out n^2 tau(n) and leaves
-    sum_nu h(p^nu) x^nu = (1 + 2(p + 1) x + p x^2) / (1 - x)^2, whose x^nu
-    coefficient for nu >= 1 is (nu + 1) + 2(p + 1) nu + p (nu - 1), which is
-    (3 nu - 1) p + (3 nu + 1). Tests check both products as power series in
-    x to order 30 with p symbolic.
+    Proof. By the Gaussian-binomial count of subgroups by type,
+    sum_nu s(p^nu) x^nu = (1 + 2(p + 1) x + p x^2) / ((1 - x)^2 (1 - p^2 x)^2),
+    and the coefficients of general_form(nu), split by the parity of j, sum to
+    its x^nu coefficient: tests/test_asymptotics.py::TestDiagonalGeneratingFunction
+    proves both for every nu. Multiplying by (1 - p^2 x)^2 divides out
+    sum_i (i + 1) p^(2i) x^i, the generating function of n^2 tau(n) at p, and
+    leaves sum_nu h(p^nu) x^nu = (1 + 2(p + 1) x + p x^2) / (1 - x)^2, whose
+    x^nu coefficient for nu >= 1 is (nu + 1) + 2(p + 1) nu + p (nu - 1), which is
+    (3 nu - 1) p + (3 nu + 1).
     """
     if nu < 1:
         raise ValueError(f"exponent must be >= 1, got {nu}")

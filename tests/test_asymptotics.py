@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from abelian3.asymptotics import (
     DLOG_ZETA3,
     EULER_GAMMA,
     H_COMPLEMENT,
+    MAX_TAIL_TERMS,
     S_DIAGONAL,
     ZETA2,
     ZETA3,
@@ -38,6 +40,12 @@ H3_REFERENCE = 4.097828370243545
 H3PRIME_REFERENCE = -5.439673428401127
 # sum_{n <= x} s(n) as published in the README
 PUBLISHED_SUMS = {10**3: 8760275149, 10**4: 11900842447200, 10**5: 15036607291154046}
+
+
+def euler_coefficients(p):
+    """(c2, c3, c4) of the local factor n_p = 1 - c2 x^2 + c3 x^3 - c4 x^4 + p^3 x^6, x = p^-z, of
+    h3_and_h3prime's Euler product, for an int or a sympy symbol p. TestDiagonalGeneratingFunction proves them."""
+    return 3 * (p * p + p + 1), 2 * (p + 1) ** 3, 3 * (p**3 + p * p + p)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +190,7 @@ class TestConstants:
         # the three ratios the rounding bound of h3_and_h3prime rests on; past
         # the primes walked here each ratio is within 1e-3 of 1
         for p in primes_up_to(10_000):
-            c2, c3, c4 = 3 * (p * p + p + 1), 2 * (p + 1) ** 3, 3 * (p**3 + p * p + p)
+            c2, c3, c4 = euler_coefficients(p)
             t2, t3, t4, t6 = Fraction(c2, p**6), Fraction(c3, p**9), Fraction(c4, p**12), Fraction(1, p**15)
             small = t3 - t2 - t4 + t6
             slope = 2 * t2 - 3 * t3 + 4 * t4 - 6 * t6
@@ -198,7 +206,7 @@ class TestConstants:
         with mpmath.workdps(40):
             log_sum = dlog_sum = mpmath.mpf(0)
             for p in primes_up_to(est.prime_limit):
-                c2, c3, c4 = 3 * (p * p + p + 1), 2 * (p + 1) ** 3, 3 * (p**3 + p * p + p)
+                c2, c3, c4 = euler_coefficients(p)
                 local = 1 + mpmath.mpf(-c2 * p**12 + c3 * p**9 - c4 * p**6 + p**3) / p**18
                 slope = mpmath.mpf(2 * c2 * p**12 - 3 * c3 * p**9 + 4 * c4 * p**6 - 6 * p**3) / p**18
                 log_sum += mpmath.log(local)
@@ -251,9 +259,103 @@ class TestConstants:
         with pytest.raises(ValueError):
             h3_and_h3prime(tail_terms=8)
         # the largest accepted count keeps every n^3 an exact double
-        assert 208_063**3 < 2**53 <= 208_064**3
-        with pytest.raises(ValueError):
-            h3_and_h3prime(tail_terms=208_064)
+        assert MAX_TAIL_TERMS**3 < 2**53 <= (MAX_TAIL_TERMS + 1) ** 3
+        with pytest.raises(ValueError, match=f"from 16 to {MAX_TAIL_TERMS}, got {MAX_TAIL_TERMS + 1}$"):
+            h3_and_h3prime(tail_terms=MAX_TAIL_TERMS + 1)
+
+
+class TestDiagonalGeneratingFunction:
+    """sum_nu s(p^nu) x^nu = R = (1 + 2(p+1) x + p x^2) / ((1 - x)^2 (1 - p^2 x)^2) for every nu, and
+    what follows from it: general_form's coefficients and the Euler factor n_p. Only the first identity
+    rests on a theorem: the Gaussian-binomial count of subgroups by type (Delsarte 1948, Djubjuk 1948,
+    Yeh 1948; see Butler, Subgroup lattices and symmetric functions, 1994), which type_count computes
+    and which is independent of the paper's divisor sums."""
+
+    # general_form(nu)'s coefficients split by the parity of j: EVEN(nu, k) on p^(2(nu - k)), k = 0..nu,
+    # and ODD(nu, k) on p^(2(nu - k) - 1), k = 0..nu - 1
+    EVEN = staticmethod(lambda nu, k: (nu - k + 1) * (3 * k + 1))
+    ODD = staticmethod(lambda nu, k: (nu - k) * (3 * k + 2))
+
+    @pytest.fixture(scope="class")
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    @pytest.fixture(scope="class")
+    def x_p(self, sympy):
+        return sympy.symbols("x p")
+
+    def numerator(self, x, p):
+        return 1 + 2 * (p + 1) * x + p * x**2
+
+    def rational(self, x, p):
+        return self.numerator(x, p) / ((1 - x) ** 2 * (1 - p**2 * x) ** 2)
+
+    def test_type_counts_sum_to_the_rational_function(self, sympy, x_p):
+        # For lam = (nu, nu, nu), lam' is (3, ..., 3), and a type mu inside it has mu' a weakly
+        # decreasing word over {3, 2, 1, 0} of length nu. type_count's factor at column j is
+        # p^(m'(3 - m)) [3 - m', m - m']_p for mu'_j = m and mu'_(j+1) = m' (0 past the word), which
+        # is p^(m(3 - m)) inside a run. So each nonempty decreasing set of values m_1 > ... > m_s gives
+        # prod_i x / (1 - p^(m_i (3 - m_i)) x) times its transition factors, and nu = 0 gives 1.
+        x, p = x_p
+
+        def gaussian(r, k):  # the textbook quotient [r, k]_p, divided exactly
+            top = sympy.Poly(sympy.prod([1 - p ** (r - i) for i in range(k)]), p)
+            return top.exquo(sympy.Poly(sympy.prod([1 - p ** (i + 1) for i in range(k)]), p)).as_expr()
+
+        denominator = (1 - x) ** 2 * (1 - p**2 * x) ** 2
+        total = denominator  # every term times the denominator, which each term's own denominator divides
+        for size in range(1, 5):
+            for values in combinations((3, 2, 1, 0), size):
+                term = denominator
+                for m, after in zip(values, values[1:] + (0,)):
+                    term = sympy.cancel(term * x / (1 - p ** (m * (3 - m)) * x)) * p ** (after * (3 - m)) * gaussian(3 - after, m - after)
+                total += term
+        assert sympy.expand(total - self.numerator(x, p)) == 0
+
+    def test_parity_split_is_the_coefficient(self, sympy, x_p):
+        # By partial fractions, [x^nu] R = A + B (nu + 1) + (C + D (nu + 1)) p^(2 nu). With y = p^2 and
+        # Y = y^nu, S_a = sum_{j <= nu} j^a y^j is (y Y - 1) / (y - 1) for a = 0 and y d/dy S_(a-1)
+        # after, where dY/dy = nu Y / y. The even part, with j = nu - k, is sum_j EVEN(nu, nu - j) y^j;
+        # the odd part is sum_j ODD(nu, nu - j) y^j / p, whose j = 0 term ODD(nu, nu) is 0.
+        x, p = x_p
+        y, big_y, nu, j = sympy.symbols("y Y nu j")
+        q, r = (p - 1) ** 2 * (p + 1), p**2 + p + 1
+        a, b, c, d = 2 * r / (q * (p**2 - 1)), 3 / q, -2 * p**2 * r / (q * (p**2 - 1)), p * r / q
+        fractions = a / (1 - x) + b / (1 - x) ** 2 + c / (1 - p**2 * x) + d / (1 - p**2 * x) ** 2
+        assert sympy.numer(sympy.together(fractions - self.rational(x, p))).expand() == 0
+        sums = [(y * big_y - 1) / (y - 1)]
+        for _ in range(2):
+            sums.append(y * (sympy.diff(sums[-1], y) + sympy.diff(sums[-1], big_y) * nu * big_y / y))
+
+        def summed(word):
+            return sum(coefficient * sums[k] for (k,), coefficient in sympy.Poly(word(nu, nu - j), j).terms())
+
+        split = (summed(self.EVEN) + summed(self.ODD) / p).subs(y, p**2)
+        coefficient = a + b * (nu + 1) + (c + d * (nu + 1)) * big_y
+        assert sympy.numer(sympy.together(split - coefficient)).expand() == 0
+
+    def test_general_form_has_the_proved_coefficients(self):
+        for nu in range(201):
+            coefficients = [0] * (2 * nu + 1)
+            for k in range(nu + 1):
+                coefficients[2 * (nu - k)] = self.EVEN(nu, k)
+            for k in range(nu):
+                coefficients[2 * (nu - k) - 1] = self.ODD(nu, k)
+            assert general_form(nu).coefficients == tuple(coefficients), nu
+
+    def test_euler_factor_and_h(self, sympy, x_p):
+        # s = (n^2 tau) * h and sum_i (i + 1) p^(2i) x^i = 1 / (1 - p^2 x)^2, so h's series is
+        # R (1 - p^2 x)^2 = N / (1 - x)^2 for the numerator N, whose x^nu coefficient (nu >= 1) is
+        # (nu + 1) N_0 + nu N_1 + (nu - 1) N_2. Its Euler factor times (1 - p x)^2 (1 - x)^4, the
+        # factors of zeta(z - 1)^2 zeta(z)^4 at x = p^-z, is n_p.
+        x, p = x_p
+        c2, c3, c4 = euler_coefficients(p)
+        n_p = 1 - c2 * x**2 + c3 * x**3 - c4 * x**4 + p**3 * x**6
+        assert sympy.expand(sympy.cancel(self.rational(x, p) * (1 - p**2 * x) ** 2 * (1 - p * x) ** 2 * (1 - x) ** 4) - n_p) == 0
+        n0, n1, n2 = sympy.Poly(self.numerator(x, p), x).all_coeffs()[::-1]
+        for nu in range(1, 201):
+            h = sympy.Poly((nu + 1) * n0 + nu * n1 + (nu - 1) * n2, p)
+            assert h_closed_form(nu).coefficients == tuple(h.all_coeffs()[::-1]), nu
 
 
 class TestDirectPartialSums:

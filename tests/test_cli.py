@@ -442,11 +442,13 @@ class TestJsonRows:
 
 class TestLineTemplates:
     # a template names each cell once in column order; with run = (i, j) it names
-    # cells i and j once each, i first, and the other cells as often as it likes
+    # cells i and j once each, i first, and the other cells as often as it likes;
+    # a field that is no cell ({2} of two, or a name) or a stray brace breaks it
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize(
         "template, run",
-        [("{1} is s, {0} is n", None), ("{0} {0} {1}", None), ("{0}", None), ("{0} {1} {2}", None), ("{0}{{1}}", None), ("{1} {0}", (0, 1)), ("{0} {1} {1}", (0, 1)), ("{0} {0} {1}", (0, 1)), ("{1}", (0, 1))],
+        [("{1} is s, {0} is n", None), ("{0} {0} {1}", None), ("{0}", None), ("{0} {1} {2}", None), ("{0}{{1}}", None), ("{1} {0}", (0, 1)), ("{0} {1} {1}", (0, 1)), ("{0} {0} {1}", (0, 1)), ("{1}", (0, 1)),
+         ("{0} {1} {2}", (0, 1)), ("{0} {x} {1}", (0, 1)), ("{0} {1} {", (0, 1))],
     )
     def test_a_broken_template_raises_before_any_output(self, fmt, template, run):
         rows = [((1, 2), 3, 1)] if run else [(1, 2)]
@@ -916,6 +918,8 @@ class TestInputBounds:
             ["poly", "120", "--eval", str(10**40)],
             ["poly", "20000", "--closed-form", "--eval", "1000000"],
             ["type-count", ",".join(["1"] * 100), ",".join(["1"] * 50), "--eval", str(10**20)],
+            # the slowest build a refusal waits for: the value is refused once the polynomial is built
+            ["type-count", ",".join(["1"] * MAX_PARTITION_SIZE), ",".join(["1"] * (MAX_PARTITION_SIZE // 2)), "--eval", "10000000000"],
         ],
     )
     def test_oversized_values_fail_fast(self, runner, args):

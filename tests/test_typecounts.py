@@ -24,7 +24,6 @@ from abelian3.typecounts import (
     subpartitions,
     symbolic_count,
     type_count,
-    type_count_degree,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -288,12 +287,10 @@ class TestTypeCount:
     @pytest.mark.parametrize("parts", DEGREE_SHAPES)
     def test_degree_formula(self, parts):
         lam = Partition(parts)
+        # the j-th factor has degree (mu'_j - mu'_{j+1})(lam'_j - mu'_j) from its
+        # Gaussian binomial plus mu'_{j+1} (lam'_j - mu'_j) from its power of p
         for mu in subpartitions(lam):
-            assert degree(type_count(lam, mu)) == type_count_degree(lam, mu), mu
-
-    def test_degree_rejects_uncontained_type(self):
-        with pytest.raises(ValueError, match=r"^3 is not contained in 2,1$"):
-            type_count_degree(Partition((2, 1)), Partition((3,)))
+            assert degree(type_count(lam, mu)) == sum(m * (l - m) for l, m in zip(lam.conjugate(), mu.conjugate())), mu
 
     def test_rejects_uncontained_type(self):
         with pytest.raises(ValueError, match=r"^3 is not contained in 2,1$"):
@@ -339,8 +336,9 @@ class TestH:
             assert acc == in_p(symbolic_count(nu, nu, nu), p_poly), nu
 
     def test_generating_function_proof(self):
-        # The steps of h_closed_form's proof as power series in x with p
-        # symbolic, to order 30: each series times its denominator, truncated.
+        # general_form's parity parts and h_closed_form as power series in x with
+        # p symbolic, to order 30: each series times its denominator, truncated.
+        # test_asymptotics.py::TestDiagonalGeneratingFunction proves them for every nu.
         sympy = pytest.importorskip("sympy")
         x, p = sympy.symbols("x p")
         order = 30
