@@ -136,10 +136,10 @@ def _render_polys(cfg: OutputConfig, key_columns: Columns, name: str, polys: Ite
     the degree of the polynomial bounds the value from below and refuses most
     such values before the polynomial is evaluated.
     """
-    columns = [*key_columns, Column(name, json=None), Column("coefficients", csv=None)]
-    if not evaluate:
-        rows = ((*cells, str(poly), poly.coefficients) for cells, poly in polys)
-        _render_rows(cfg, rows, columns, lambda row: ",".join(map(str, row[:-2])) + "\t" + row[-2])
+    columns = [*key_columns, Column(name, csv=str, json=None), Column("coefficients", csv=None, json=lambda poly: poly.coefficients)]
+    if not evaluate:  # the polynomial fills both of its cells, so JSON never builds its text
+        rows = ((*cells, poly, poly) for cells, poly in polys)
+        _render_rows(cfg, rows, columns, lambda row: ",".join(map(str, row[:-2])) + "\t" + str(row[-2]))
         return
     ((cells, poly),) = polys
     digits = min(MAX_EVAL_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_EVAL_DIGITS)  # 0: no limit
@@ -147,7 +147,7 @@ def _render_polys(cfg: OutputConfig, key_columns: Columns, name: str, polys: Ite
     if p is not None and ((len(poly.coefficients) - 1) * math.log10(p) >= digits or (value := poly(p)) >= 10**digits):
         raise UsageError(f"--eval {p}: the value would have more than {digits} digits")
     columns += [Column(key, json=None if p is None else _same) for key in ("p", "value")]
-    _render_rows(cfg, [(*cells, str(poly), poly.coefficients, p, value)], columns, lambda row: row[-4] if p is None else f"{row[-4]}\nat p={p}: {value}")
+    _render_rows(cfg, [(*cells, poly, poly, p, value)], columns, lambda row: str(row[-4]) if p is None else f"{row[-4]}\nat p={p}: {value}")
 
 
 def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
@@ -175,12 +175,9 @@ def cmd_poly(cfg: OutputConfig, exponents: list[int], eval_p: int | None, closed
 
     Pass one exponent for the equal-exponent case or all three.
     """
-    if len(exponents) == 1:
-        nu1 = nu2 = nu3 = exponents[0]
-    elif len(exponents) == 3:
-        nu1, nu2, nu3 = exponents
-    else:
+    if len(exponents) not in (1, 3):
         raise UsageError("pass exactly one exponent or exactly three")
+    nu1, nu2, nu3 = exponents * 3 if len(exponents) == 1 else exponents
     if closed_form and not (nu1 == nu2 == nu3):
         raise UsageError("--closed-form needs equal exponents")
     bound = MAX_CLOSED_FORM_EXPONENT if closed_form else MAX_EXPONENT

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 
@@ -30,6 +31,16 @@ class Column(NamedTuple):
 
 Columns = Sequence[Column]
 
+
+class _Cell(str):  # cell k of a line template in _render_rows' check: a bare {k} shows \0k\0, a format spec or a conversion raises
+    __repr__ = __str__ = None  # so a conversion raises TypeError
+
+    def __format__(self, spec: str) -> str:
+        if spec:
+            raise ValueError(spec)
+        return self
+
+
 # A quarter of Linux's default 64-KiB pipe capacity: a chunk written to a pipe
 # whose reader keeps up never waits for the reader, while a chunk at least as
 # large as the pipe makes every write wait until the reader has drained it.
@@ -41,9 +52,8 @@ _CHUNK_CHARS = 16 * 1024
 
 def _note(cfg: OutputConfig, message: str) -> None:
     """Commentary channel: text-mode header lines, stderr otherwise."""
-    if cfg.quiet:
-        return
-    print(message, file=sys.stdout if cfg.fmt == "text" else sys.stderr)
+    if not cfg.quiet:
+        print(message, file=sys.stdout if cfg.fmt == "text" else sys.stderr)
 
 
 def _render_rows(
@@ -57,14 +67,15 @@ def _render_rows(
     """Write each row to stdout in cfg's format, in chunks of about _CHUNK_CHARS.
 
     A row holds one value per column. text turns a row into one or more lines
-    of text output, or, for rows of ints in plain columns, is a str.format
-    line template showing {0}, {1}, ... once each, in order. The line of the
-    format (that template, the CSV cells, or the JSON object of the names)
-    then becomes a % template with a %d hole per cell, which each row fills.
-    With run = (i, j), an item of rows is a run (row, length, step): the rows
-    k < length with row[i] + k and row[j] + step k (step >= 1); the template
-    shows {i}, then {j}, once each, and its other cells, filled once per run,
-    as often as it likes. A template that breaks its rule raises ValueError
+    of text output, or, for rows of ints in plain columns, is a str.format line
+    template showing {0}, {1}, ... once each, in order, as bare fields.
+    Formatted with cell k as \\0k\\0, it splits into literal text and cells, as
+    do the JSON and CSV lines of the shown names; each format's line becomes a
+    % template once per call, with %d at each cell for one % per row. With
+    run = (i, j), an item of rows is a run (row, length, step): the rows k <
+    length with row[i] + k and row[j] + step k (step >= 1); the template shows
+    {i}, then {j}, once each, and its other cells as often as it likes, all
+    filled by one % per run. A template that breaks its rule raises ValueError
     before any output. header is an optional leading record with columns, row
     and text: the first JSON line, or else commentary (see _note), as its text
     or, for CSV, as name=value lines. A write ends with the first line that
@@ -73,11 +84,11 @@ def _render_rows(
     fmt, lead = cfg.fmt, []
     if isinstance(text, str):
         want = [str(k) for k in run or range(len(columns))]
-        try:  # str.format puts \0k\0 in cell k, so the k between the \0s are the cells text shows, in order
-            seen = text.format(*(f"\0{k}\0" for k in range(len(columns)))).split("\0")[1::2]
-        except (AttributeError, LookupError, TypeError, ValueError):  # a stray brace, or a field that is no cell
-            seen = None
-        if seen is None or [k for k in seen if k in want or run is None] != want:
+        try:  # the k between the \0s are the cells text shows, in order
+            line = text.format(*(_Cell(f"\0{k}\0") for k in range(len(columns)))) + "\n"
+        except (AttributeError, LookupError, TypeError, ValueError):  # a stray brace, a field that is no cell, a spec or a conversion
+            line = "\0"  # shows a cell "", which no template may show
+        if [k for k in line.split("\0")[1::2] if k in want or run is None] != want:
             raise ValueError(f"line template {text!r} must show each of the cells {', '.join(want)} once, in that order")
 
     def shown(cols: Columns) -> tuple[list[str], Callable[[tuple], Sequence]]:
@@ -85,18 +96,16 @@ def _render_rows(
         picked = [(i, col.name, getattr(col, fmt)) for i, col in enumerate(cols) if getattr(col, fmt) is not None]
         return [name for _, name, _ in picked], lambda row: [get(row[i]) for i, _, get in picked]
 
-    fields = [f"{{{k}}}" for k in range(len(columns))]  # cell k of a line template
     if fmt == "text":
         if header is not None:
             _note(cfg, header[2])
-        line = f"{text}\n"  # the line template, when text is one
         lines = map("%s\n".__mod__, map(text, rows))
     elif fmt == "json":
         from json import JSONEncoder
         # rows are built fresh from numbers, strings and lists, so no cycle check
         json_line = JSONEncoder(separators=(",", ":"), check_circular=False).encode
         names, values = shown(columns)
-        line = "{{" + ",".join(json_line(name).replace("{", "{{").replace("}", "}}") + ":" + field for name, field in zip(names, fields)) + "}}\n"
+        line = "{" + ",".join(f"{json_line(name)}:\0{k}\0" for k, name in enumerate(names)) + "}\n"
         lines = map(lambda row: json_line(dict(zip(names, values(row)))) + "\n", rows)
         if header is not None:
             head_names, head_values = shown(header[0])
@@ -110,23 +119,17 @@ def _render_rows(
         # writerow returns what write returns, and str(line) is the line itself
         writer = csv.writer(argparse.Namespace(write=str), lineterminator="\r\n")
         lead.append(writer.writerow(names))
-        line = ",".join(fields) + "\r\n"
+        line = ",".join(f"\0{k}\0" for k in range(len(names))) + "\r\n"
         lines = map(writer.writerow, map(values, rows))
-    if isinstance(text, str):
-        line = line.replace("%", "%%")
-
-        def holes(row: Sequence, at: Iterable[int]) -> str:
-            """line as a % template: row's cells filled in, a %d hole at each index in at."""
-            row = list(row)
-            for k in at:
-                row[k] = "%d"
-            return line.format(*row)
-
-        if run is None:
-            lines = map(holes(fields, range(len(fields))).__mod__, rows)
-        else:
-            i, j = run
-            lines = chain.from_iterable(map(holes(row, run).__mod__, zip(range(row[i], row[i] + length), range(row[j], row[j] + step * length, step))) for row, length, step in rows)
+    if isinstance(text, str) and run is None:
+        lines = map("%d".join(line.replace("%", "%%").split("\0")[::2]).__mod__, rows)
+    elif isinstance(text, str):  # one % per run fills the cells other than i and j, and leaves a %d at each of those
+        i, j = run
+        pieces = line.replace("%", "%%%%").split("\0")
+        others = [int(k) for k in pieces[1::2] if k not in want]
+        get = itemgetter(*others) if others else lambda row: ()
+        line = "".join(piece if n % 2 == 0 else "%%d" if piece in want else "%d" for n, piece in enumerate(pieces))
+        lines = chain.from_iterable(map((line % get(row)).__mod__, zip(range(row[i], row[i] + length), range(row[j], row[j] + step * length, step))) for row, length, step in rows)
     pending, size = [], 0  # the lines not written yet, and their length
     try:
         for item in chain(lead, lines):

@@ -443,12 +443,13 @@ class TestJsonRows:
 class TestLineTemplates:
     # a template names each cell once in column order; with run = (i, j) it names
     # cells i and j once each, i first, and the other cells as often as it likes;
-    # a field that is no cell ({2} of two, or a name) or a stray brace breaks it
+    # a field that is no cell ({2} of two, or a name), a field with a format spec
+    # or a conversion, or a stray brace breaks it
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize(
         "template, run",
         [("{1} is s, {0} is n", None), ("{0} {0} {1}", None), ("{0}", None), ("{0} {1} {2}", None), ("{0}{{1}}", None), ("{1} {0}", (0, 1)), ("{0} {1} {1}", (0, 1)), ("{0} {0} {1}", (0, 1)), ("{1}", (0, 1)),
-         ("{0} {1} {2}", (0, 1)), ("{0} {x} {1}", (0, 1)), ("{0} {1} {", (0, 1))],
+         ("{0} {1} {2}", (0, 1)), ("{0} {x} {1}", (0, 1)), ("{0} {1} {", (0, 1)), ("{0:>5} {1}", None), ("{0:5} {1}", None), ("{0!s} {1}", None)],
     )
     def test_a_broken_template_raises_before_any_output(self, fmt, template, run):
         rows = [((1, 2), 3, 1)] if run else [(1, 2)]
@@ -485,6 +486,8 @@ def named_runs(draw):
 class TestRuns:
     @given(fmt=st.sampled_from(["text", "json", "csv"]), case=named_runs())
     @example(fmt="json", case=(["%", "a%d", "{0}"], (0, 2), [((0, 5, 7), 3, 2), ((1, 0, 9), 1, 1)]))
+    @example(fmt="text", case=(["%", "{"], (0, 1), [((0, 5), 3, 2), ((7, 0), 1, 1)]))  # a run with no other cell
+    @example(fmt="csv", case=(["%", "{"], (0, 1), [((0, 5), 3, 2), ((7, 0), 1, 1)]))
     def test_a_run_renders_as_its_rows(self, fmt, case):
         # runs, and their rows one by one, through the line template match the
         # rows through a text callable, csv.writer and the JSON encoder
