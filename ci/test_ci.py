@@ -43,6 +43,8 @@ ROWS = [
       for command in (f"poly {MAX_EXPONENT}", f"poly {MAX_CLOSED_FORM_EXPONENT} --closed-form", f"table 2 --limit {_TABLE_LIMITS['2']}", f"table 3 --limit {_TABLE_LIMITS['3']}", f"count {BIG} {BIG} {BIG}")],
     # JSON shows the coefficients only, so the polynomial's text (about 180 MB more at the cap) is never built
     (f"{CLI} -q --format json poly {MAX_CLOSED_FORM_EXPONENT} --closed-form", 10, 200, 0, False),
+    # CSV writes the text as one record, at the text's peak (302 MB): no record buffer of 4 bytes a character
+    (f"{CLI} -q --format csv poly {MAX_CLOSED_FORM_EXPONENT} --closed-form", 10, 340, 0, False),
     *[(f"{CLI} -q --format {fmt} {command} --eval 2", 10, None, 0, False) for fmt in ("json", "csv") for command in (f"poly {MAX_EXPONENT}", f"type-count {LAM} {MU}")],
     # refused once the polynomial is built, but before it is evaluated
     *[(f"{CLI} -q --format {fmt} poly {MAX_CLOSED_FORM_EXPONENT} --closed-form --eval 2", 10, 160, 2, True) for fmt in ("json", "csv")],

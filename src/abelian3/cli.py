@@ -21,7 +21,7 @@ verify.py holds the verification campaign. Both are imported here by name, and
 the commands call them through this module's globals, so that a tracer that
 wraps cli._render_rows or cli.run_lattice_verification sees every call.
 Start-up is most of what a command costs, so the library modules and the json
-and csv modules are imported where they are first needed.
+module are imported where they are first needed.
 """
 
 from __future__ import annotations
@@ -44,16 +44,16 @@ MAX_SIEVE = 10**7
 # Each asymptotic checkpoint x costs about x^(3/4) steps; together they may cost two at this cap.
 MAX_PARTIAL_SUM_X = 10**9
 MAX_EXPONENT = 120
-# count and count --order build one term per exponent triple: (nu1+1)(nu2+1)(nu3+1)
-# of them for each distinct (v_p(m), v_p(n), v_p(r)). (2^78, 2^78, 2^78) has
-# 493,039; its row in ci/test_ci.py holds the timeout of `count` on it.
+# count, count --order and enumerate's header build one term per exponent
+# triple: (nu1+1)(nu2+1)(nu3+1) of them for each distinct (v_p(m), v_p(n), v_p(r)).
+# (2^78, 2^78, 2^78) has 493,039; its row in ci/test_ci.py holds the timeout of `count` on it.
 MAX_EXPONENT_TRIPLES = 500_000
 MAX_CLOSED_FORM_EXPONENT = 10**6
 # type-count's LAM may have parts summing to at most this; all ones over half
 # as many ones is the slowest shape of a given size.
 MAX_PARTITION_SIZE = 110
-# Largest --eval value shown, in decimal digits: CPython's default limit on
-# converting an int to a string (lower when the interpreter's limit is lower).
+# Largest --eval value or count shown, in decimal digits: CPython's default
+# limit on converting an int to a string (lower when the interpreter's is lower).
 MAX_EVAL_DIGITS = 4300
 # verify checks every group of order at most --max-order; its time grows about
 # as the 1.9th power of the bound.
@@ -79,20 +79,35 @@ def _int_range(lo: int, hi: int | None = None) -> Callable[[str], int]:
     return parse
 
 
-def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyclic: bool) -> None:
-    """Number of subgroups of Z_M x Z_N x Z_R."""
+def _digit_checked(what: str, value: Callable[[], int], log10_floor: float = 0.0) -> int:
+    """value(), unless it has more than MAX_EVAL_DIGITS digits (or the interpreter's lower int-to-string limit), or
+    log10_floor, a lower bound on its log10 checked before value is called, shows that it would: then a usage error."""
+    digits = min(MAX_EVAL_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_EVAL_DIGITS)  # 0: no limit
+    if log10_floor >= digits or (result := value()) >= 10**digits:
+        raise UsageError(f"{what} would have more than {digits} digits")
+    return result
+
+
+def _counted(group: tuple[int, int, int], order_: int | None = None, cyclic: bool = False) -> tuple[str, int]:
+    """The kind and number of group's subgroups (of order order_, or cyclic). A usage error: an entry too hard to factor, an
+    order_ not dividing m n r, more than MAX_EXPONENT_TRIPLES exponent triples (but for cyclic), or a count past _digit_checked."""
     from . import rank3
-    group = (m, n, r)
     try:
         if cyclic:
             kind, value = "cyclic", rank3.count_cyclic(group)
         else:
             patterns = {tuple(exps) for exps in rank3.prime_exponents(group).values()}
             if (triples := sum(math.prod(e + 1 for e in exps) for exps in patterns)) > MAX_EXPONENT_TRIPLES:
-                raise UsageError(f"the prime exponents of m, n and r give {triples} exponent triples; count takes at most {MAX_EXPONENT_TRIPLES} (count --cyclic takes any)")
+                raise UsageError(f"the prime exponents of m, n and r give {triples} exponent triples; count and enumerate take at most {MAX_EXPONENT_TRIPLES} (count --cyclic takes any)")
             kind, value = ("by-order", rank3.count_by_order(group, order_)) if order_ is not None else ("total", rank3.count_total(group))
     except ValueError as exc:  # an order not dividing m n r, or an entry too hard to factor
         raise UsageError(str(exc)) from exc
+    return kind, _digit_checked(f"the {kind} count", lambda: value)
+
+
+def cmd_count(cfg: OutputConfig, m: int, n: int, r: int, order_: int | None, cyclic: bool) -> None:
+    """Number of subgroups of Z_M x Z_N x Z_R."""
+    kind, value = _counted((m, n, r), order_, cyclic)
     columns = [Column(name) for name in ("m", "n", "r", "kind", "order", "count")]
     _render_rows(cfg, [(m, n, r, kind, order_, value)], columns, lambda row: str(row[-1]))
 
@@ -103,10 +118,7 @@ def cmd_enumerate(cfg: OutputConfig, m: int, n: int, r: int, with_elements: bool
     group = (m, n, r)
     if with_elements and m * n * r > ELEMENT_BOUND:
         raise UsageError(f"group order {m * n * r} exceeds the element bound {ELEMENT_BOUND}")
-    try:
-        total = rank3.count_total(group)
-    except ValueError as exc:  # an entry too hard to factor
-        raise UsageError(str(exc)) from exc
+    _, total = _counted(group)
     _note(cfg, f"# {total} subgroups of Z_{m} x Z_{n} x Z_{r}")
 
     fields = rank3.Subgroup._fields
@@ -130,11 +142,10 @@ def _render_polys(cfg: OutputConfig, key_columns: Columns, name: str, polys: Ite
     text shows the cells joined by commas, a tab and the polynomial.
     With evaluate (one pair, from a command that takes --eval), the row goes on
     with p and the value there (empty CSV cells and no JSON keys without p),
-    text is the polynomial, then `at p=P: VALUE`, and a value of more than
-    MAX_EVAL_DIGITS digits (or the interpreter's lower int-to-string limit) is
-    a usage error. Counting polynomials have nonnegative coefficients, so p to
-    the degree of the polynomial bounds the value from below and refuses most
-    such values before the polynomial is evaluated.
+    text is the polynomial, then `at p=P: VALUE`, and a value past
+    _digit_checked is a usage error. Counting polynomials have nonnegative
+    coefficients, so p to the degree of the polynomial bounds the value from
+    below and refuses most such values before the polynomial is evaluated.
     """
     columns = [*key_columns, Column(name, csv=str, json=None), Column("coefficients", csv=None, json=lambda poly: poly.coefficients)]
     if not evaluate:  # the polynomial fills both of its cells, so JSON never builds its text
@@ -142,10 +153,7 @@ def _render_polys(cfg: OutputConfig, key_columns: Columns, name: str, polys: Ite
         _render_rows(cfg, rows, columns, lambda row: ",".join(map(str, row[:-2])) + "\t" + str(row[-2]))
         return
     ((cells, poly),) = polys
-    digits = min(MAX_EVAL_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_EVAL_DIGITS)  # 0: no limit
-    value = None
-    if p is not None and ((len(poly.coefficients) - 1) * math.log10(p) >= digits or (value := poly(p)) >= 10**digits):
-        raise UsageError(f"--eval {p}: the value would have more than {digits} digits")
+    value = None if p is None else _digit_checked(f"--eval {p}: the value", lambda: poly(p), (len(poly.coefficients) - 1) * math.log10(p))
     columns += [Column(key, json=None if p is None else _same) for key in ("p", "value")]
     _render_rows(cfg, [(*cells, poly, poly, p, value)], columns, lambda row: str(row[-4]) if p is None else f"{row[-4]}\nat p={p}: {value}")
 

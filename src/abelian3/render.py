@@ -4,7 +4,6 @@ reads the output format."""
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import chain
 from operator import itemgetter
@@ -30,6 +29,12 @@ class Column(NamedTuple):
 
 
 Columns = Sequence[Column]
+
+
+def _csv_record(cells: Iterable) -> str:
+    """cells as one CRLF-ended RFC 4180 record: None is an empty cell, and a cell that holds a comma, a quote, CR or LF is quoted, with its quotes doubled."""
+    cells = ["" if cell is None else str(cell) for cell in cells]
+    return ",".join('"%s"' % cell.replace('"', '""') if any(c in cell for c in ',"\r\n') else cell for cell in cells) + "\r\n"
 
 
 class _Cell(str):  # cell k of a line template in _render_rows' check: a bare {k} shows \0k\0, a format spec or a conversion raises
@@ -76,10 +81,11 @@ def _render_rows(
     length with row[i] + k and row[j] + step k (step >= 1); the template shows
     {i}, then {j}, once each, and its other cells as often as it likes, all
     filled by one % per run. A template that breaks its rule raises ValueError
-    before any output. header is an optional leading record with columns, row
-    and text: the first JSON line, or else commentary (see _note), as its text
-    or, for CSV, as name=value lines. A write ends with the first line that
-    brings it to _CHUNK_CHARS; the lines formatted before rows raises go too.
+    before any output. _csv_record builds every CSV record: names, line and
+    rows. header is an optional leading record with columns, row and text: the
+    first JSON line, or else commentary (see _note), as its text or, for CSV,
+    as name=value lines. A write ends with the first line that brings it to
+    _CHUNK_CHARS; the lines formatted before rows raises go too.
     """
     fmt, lead = cfg.fmt, []
     if isinstance(text, str):
@@ -114,13 +120,10 @@ def _render_rows(
         if header is not None:
             head_names, head_values = shown(header[0])
             _note(cfg, "\n".join(f"{name}={value}" for name, value in zip(head_names, head_values(header[1]))))
-        import csv
         names, values = shown(columns)
-        # writerow returns what write returns, and str(line) is the line itself
-        writer = csv.writer(argparse.Namespace(write=str), lineterminator="\r\n")
-        lead.append(writer.writerow(names))
-        line = ",".join(f"\0{k}\0" for k in range(len(names))) + "\r\n"
-        lines = map(writer.writerow, map(values, rows))
+        lead.append(_csv_record(names))
+        line = _csv_record(f"\0{k}\0" for k in range(len(names)))
+        lines = map(_csv_record, map(values, rows))
     if isinstance(text, str) and run is None:
         lines = map("%d".join(line.replace("%", "%%").split("\0")[::2]).__mod__, rows)
     elif isinstance(text, str):  # one % per run fills the cells other than i and j, and leaves a %d at each of those

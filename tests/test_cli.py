@@ -1,7 +1,9 @@
 import ast
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,11 +21,14 @@ from abelian3 import arith, cli as cli_module, oracle, rank3, verify
 from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, _TABLE_LIMITS, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND
 from abelian3.rank3 import DerivedParams, count_by_order
-from abelian3.render import _CHUNK_CHARS
+from abelian3.render import _CHUNK_CHARS, _csv_record
 from abelian3.typecounts import general_form
 from conftest import CliRunner
 
 DATA = Path(__file__).parent / "data"
+# The primes up to 73 to the 78th power have one exponent pattern, inside the
+# triple bound, and a subgroup count of more than 4,300 digits.
+PRIMORIAL_73 = math.prod(arith.primes_up_to(73))
 
 
 @pytest.fixture()
@@ -38,6 +43,17 @@ def run_cli(args, timeout=120):
         capture_output=True,
         timeout=timeout,
     )
+
+
+def first_line(args):
+    """The CLI's first stdout line (b"" if none), exit code and stderr, the pipe closed
+    after that line, so that no stream, however long, is read to its end."""
+    proc = subprocess.Popen([sys.executable, "-m", "abelian3.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    with proc.stderr:
+        return line, code, proc.stderr.read()
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +86,24 @@ class TestCount:
         assert time.perf_counter() - start < 1.0
         assert result.returncode == 0
         assert result.stdout == b"%d\n" % (1 + 7 * (4**300 - 1) // 3)
+
+    @pytest.mark.parametrize(
+        "args",
+        # 1 + 7 (4^7200 - 1) / 3 cyclic subgroups, 4,336 digits, in each format; then a total past 10^4300
+        [*[["--format", fmt, "count", *[str(2**7200)] * 3, "--cyclic"] for fmt in ("text", "json", "csv")], ["count", *[str(PRIMORIAL_73**78)] * 3]],
+        ids=["cyclic-text", "cyclic-json", "cyclic-csv", "total"],
+    )
+    def test_a_count_past_the_digit_bound_is_refused(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"count would have more than {MAX_EVAL_DIGITS} digits" in result.stderr
+
+    def test_a_count_inside_the_digit_bound_prints(self, runner):
+        x = str(2**7100)  # 1 + 7 (4^7100 - 1) / 3 cyclic subgroups: 4,275 digits
+        result = runner.invoke(main, ["count", x, x, x, "--cyclic"])
+        assert result.exit_code == 0
+        assert result.stdout == "%d\n" % (1 + 7 * (4**7100 - 1) // 3)
 
     @pytest.mark.parametrize("options", [[], ["--order", "2"]], ids=["total", "by-order"])
     def test_exponent_triples_at_the_bound(self, options):
@@ -235,6 +269,26 @@ class TestEnumerate:
         assert proc.wait(timeout=120) == 1
         assert b"Traceback" not in proc.stderr.read()
         proc.stderr.close()
+
+    # the streams of these groups are astronomically long: first_line reads one line at most
+    def test_exponent_triples_past_the_bound_are_refused(self):
+        x = str(2**79)
+        line, code, err = first_line(["enumerate", x, x, x])
+        assert (line, code) == (b"", 2)
+        assert b"give %d exponent triples" % 80**3 in err
+
+    def test_exponent_triples_at_the_bound_reach_the_header(self):
+        x = str(2**78)
+        line, code, err = first_line(["enumerate", x, x, x])
+        assert line == f"# {general_form(78)(2)} subgroups of Z_{x} x Z_{x} x Z_{x}\n".encode()
+        assert code == 1  # the reader closed the pipe
+        assert b"Traceback" not in err
+
+    def test_a_total_past_the_digit_bound_is_refused(self):
+        x = str(PRIMORIAL_73**78)
+        line, code, err = first_line(["enumerate", x, x, x])
+        assert (line, code) == (b"", 2)
+        assert b"the total count would have more than %d digits" % MAX_EVAL_DIGITS in err
 
     def test_each_entry_is_factored_once(self, runner, monkeypatch):
         # the header's count_total and the walk's divisor lists share one factorization per entry
@@ -438,6 +492,27 @@ class TestJsonRows:
         assert result.exit_code == 0, result.exception
         lines = result.stdout.splitlines()
         assert lines and lines == [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
+
+
+class TestCsvRecords:
+    @given(
+        st.lists(
+            st.none()
+            | st.integers(min_value=-(2**80), max_value=2**80)
+            | st.floats()
+            | st.booleans()
+            | st.text(alphabet=st.sampled_from(',"\r\n') | st.characters(), max_size=6),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    @example(["", None])
+    @example(['a,"b"', "\r\n"])
+    def test_a_record_equals_the_csv_module(self, cells):
+        # every command writes two or more cells a row; for one empty cell the csv module writes ""
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(cells)
+        assert _csv_record(cells) == out.getvalue()
 
 
 class TestLineTemplates:
@@ -997,7 +1072,7 @@ class TestImports:
         [
             ("count 1 1 1", "arith cli config rank3 render typecounts verify", "", "1"),
             ("--format json count 1 1 1", "arith cli config rank3 render typecounts verify", "json", '{"m":1,"n":1,"r":1,"kind":"total","order":null,"count":1}'),
-            ("--format csv count 1 1 1", "arith cli config rank3 render typecounts verify", "csv", "m,n,r,kind,order,count"),
+            ("--format csv count 1 1 1", "arith cli config rank3 render typecounts verify", "", "m,n,r,kind,order,count"),
             ("poly 2", "cli config render typecounts verify", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
             ("type-count 2,1 1", "cli config render typecounts verify", "", "1+p"),
             ("table 2", "cli config render typecounts verify", "", "# nu  s(p^nu x p^nu x p^nu)"),
