@@ -27,7 +27,8 @@ BIG = 2 ** next(e for e in count() if (e + 2) ** 3 > MAX_EXPONENT_TRIPLES)
 SIDE = next(side for side in count(1) if side**3 >= ELEMENT_BOUND)
 assert SIDE**3 == ELEMENT_BOUND, f"the element bound {ELEMENT_BOUND} is not a cube"
 LAM, MU = ",".join("1" * MAX_PARTITION_SIZE), ",".join("1" * (MAX_PARTITION_SIZE // 2))
-# Three primes whose product passes Miller-Rabin to the first 14 prime bases; the strong Lucas step refuses it.
+# Three primes whose product passes Miller-Rabin to every prime base up to 43, among them base 2, the one arith.is_prime
+# uses above psi_13 = 3317044064679887385961981; the strong Lucas step refuses it.
 PSEUDOPRIME = 407341253811510685885345669162000633748086864015893411748503619933369963
 CONSOLE = pytest.mark.skipif(shutil.which("abelian3") is None, reason="no abelian3 console script on PATH (pip install -e .)")
 ROWS = [
@@ -50,6 +51,8 @@ ROWS = [
     *[(f"{CLI} -q --format {fmt} poly {MAX_CLOSED_FORM_EXPONENT} --closed-form --eval 2", 10, 160, 2, True) for fmt in ("json", "csv")],
     *[(f"{CLI} -q --format {fmt} type-count {LAM} {MU} --eval 10000000000", 10, None, 2, True) for fmt in ("json", "csv")],
     (f"{CLI} count {PSEUDOPRIME} 1 1", 60, None, 2, True),
+    # a 2,917-digit prime entry: is_prime runs Miller-Rabin to base 2 and the strong Lucas test on it, nothing more
+    (f"{CLI} count {2**9689 - 1} 1 1", 10, None, 0, False),
 ]
 
 

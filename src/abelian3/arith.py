@@ -14,20 +14,18 @@ from functools import lru_cache
 from itertools import chain, compress, islice
 from typing import Callable, Iterator, Sequence
 
-# The first 14 primes. The first 13 make Miller-Rabin exact below _PSI_13
-# (Sorenson and Webster 2017), and 43 also rejects psi_13 itself, which passes
-# every base up to 41.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# The first 13 primes, which make Miller-Rabin exact below _PSI_13 (Sorenson and Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _MR_BASES, then, from psi_13 on, a strong Lucas test.
+    """Miller-Rabin to the bases _MR_BASES below psi_13; from psi_13 on, the Baillie-PSW test.
 
-    A proof below psi_13. Above it, Miller-Rabin to base 2 and the Lucas test make
-    the Baillie-PSW test (Baillie and Wagstaff 1980), and True assumes that no
-    composite passes it, as none known does; fixed bases alone can be fooled by a
-    composite built for them (Arnault 1995).
+    A proof below psi_13. From it on, Miller-Rabin to base 2 alone and then a strong
+    Lucas test make the Baillie-PSW test (Baillie and Wagstaff 1980), and True assumes
+    that no composite passes it, as none known does; fixed bases alone can be fooled
+    by a composite built for them (Arnault 1995).
     """
     if n < 2:
         return False
@@ -37,7 +35,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     twos = (d & -d).bit_length() - 1
     d >>= twos
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _PSI_13 else _MR_BASES[:1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

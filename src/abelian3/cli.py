@@ -17,11 +17,11 @@ failure or stdout closed by its reader, 2 usage error.
 Every command hands its results to _render_rows as plain tuples (enumerate as
 runs of rows), a column spec and a text line template or callable; render.py,
 where _render_rows and _note live, is the only module that reads the format.
-verify.py holds the verification campaign. Both are imported here by name, and
-the commands call them through this module's globals, so that a tracer that
-wraps cli._render_rows or cli.run_lattice_verification sees every call.
-Start-up is most of what a command costs, so the library modules and the json
-module are imported where they are first needed.
+The commands call _render_rows and run_lattice_verification, which loads
+verify.py (the verification campaign), through this module's globals, so that a
+tracer that wraps either sees every call. Start-up is most of what a command
+costs, so verify, the library modules and json are imported where they are
+first needed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Callable, Iterable
 from . import typecounts
 from .config import ELEMENT_BOUND
 from .render import Column, Columns, OutputConfig, _note, _render_rows, _same
-from .verify import run_lattice_verification
 
 _FORMATS = ("text", "json", "csv")
 # Input bounds, so that no accepted input runs for minutes: README's Caps table gives each one's reason and the check at it.
@@ -224,6 +223,12 @@ def _verify_text(row: tuple) -> str:
     _, rank3_shapes, rank2_shapes, ok, failures = row
     lines = [f"rank-3 groups checked: {rank3_shapes}", f"rank-2 groups checked: {rank2_shapes}"]
     return "\n".join([*lines, *(f"FAIL {failure}" for failure in failures), f"result: {'PASS' if ok else 'FAIL'}"])
+
+
+def run_lattice_verification(max_order: int, progress: Callable[[str], None] | None = None):
+    """verify.run_lattice_verification, loaded on the first call so that no other command compiles verify."""
+    from .verify import run_lattice_verification
+    return run_lattice_verification(max_order, progress)
 
 
 def cmd_verify(cfg: OutputConfig, max_order: int) -> None:

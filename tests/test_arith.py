@@ -64,6 +64,17 @@ class TestIsPrime:
         assert [arith._strong_lucas_prp(n) for n in odd] == [is_strong_lucas_prp(n) for n in odd]
         assert arith._strong_lucas_prp(5459) and not arith._strong_lucas_prp(self.ARNAULT)
 
+    def test_lucas_step_rejects_psi13(self, monkeypatch):
+        # psi_13 passes Miller-Rabin to the first 13 primes, so from it on base 2
+        # alone leaves the refusal to the strong Lucas step
+        assert not is_prime(arith._PSI_13)
+        monkeypatch.setattr(arith, "_strong_lucas_prp", lambda n: True)
+        assert is_prime(arith._PSI_13)
+
+    def test_both_sides_of_psi13_match_sympy(self, sympy):
+        for n in range(arith._PSI_13 - 2 * 10**4, arith._PSI_13 + 2 * 10**4, 2):
+            assert is_prime(n) == sympy.isprime(n), n
+
     def test_primes_above_psi13_match_sympy(self, sympy):
         rng = random.Random(17)
         for n in [rng.randrange(arith._PSI_13, 10**60) | 1 for _ in range(300)] + [2**89 - 1, 2**127 - 1]:

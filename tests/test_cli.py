@@ -1070,16 +1070,16 @@ class TestImports:
     @pytest.mark.parametrize(
         ("args", "modules", "optional", "first_line"),
         [
-            ("count 1 1 1", "arith cli config rank3 render typecounts verify", "", "1"),
-            ("--format json count 1 1 1", "arith cli config rank3 render typecounts verify", "json", '{"m":1,"n":1,"r":1,"kind":"total","order":null,"count":1}'),
-            ("--format csv count 1 1 1", "arith cli config rank3 render typecounts verify", "", "m,n,r,kind,order,count"),
-            ("poly 2", "cli config render typecounts verify", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
-            ("type-count 2,1 1", "cli config render typecounts verify", "", "1+p"),
-            ("table 2", "cli config render typecounts verify", "", "# nu  s(p^nu x p^nu x p^nu)"),
-            ("enumerate 2 2 2", "arith cli config rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
-            ("enumerate 2 2 2 --elements", "arith cli config oracle rank3 render typecounts verify", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
-            ("table 1 --limit 5", "arith asymptotics cli config render typecounts verify", "array", "# n  s(n)"),
-            ("-q asymptotic --x-values 100", "arith asymptotics cli config render typecounts verify", "array", "100\t5847260\t5598747.424743595\t4.438717e-02\t2.6977"),
+            ("count 1 1 1", "arith cli config rank3 render typecounts", "", "1"),
+            ("--format json count 1 1 1", "arith cli config rank3 render typecounts", "json", '{"m":1,"n":1,"r":1,"kind":"total","order":null,"count":1}'),
+            ("--format csv count 1 1 1", "arith cli config rank3 render typecounts", "", "m,n,r,kind,order,count"),
+            ("poly 2", "cli config render typecounts", "", "7+5 p+8 p^2+4 p^3+3 p^4"),
+            ("type-count 2,1 1", "cli config render typecounts", "", "1+p"),
+            ("table 2", "cli config render typecounts", "", "# nu  s(p^nu x p^nu x p^nu)"),
+            ("enumerate 2 2 2", "arith cli config rank3 render typecounts", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
+            ("enumerate 2 2 2 --elements", "arith cli config oracle rank3 render typecounts", "", "# 16 subgroups of Z_2 x Z_2 x Z_2"),
+            ("table 1 --limit 5", "arith asymptotics cli config render typecounts", "array", "# n  s(n)"),
+            ("-q asymptotic --x-values 100", "arith asymptotics cli config render typecounts", "array", "100\t5847260\t5598747.424743595\t4.438717e-02\t2.6977"),
             ("-q verify --max-order 6", "arith cli config oracle rank3 render typecounts verify", "", "rank-3 groups checked: 25"),
         ],
         ids=["count", "count-json", "count-csv", "poly", "type-count", "table", "enumerate", "enumerate-elements", "table-1", "asymptotic", "verify"],
