@@ -1,6 +1,7 @@
 """Each command at the CLI's input caps: `PYTHONPATH=src python -m pytest ci -q`. A row is a command line (`python` is
 this interpreter), its timeout in s, its peak-RSS cap in MB (None: no cap), its exit code and whether stdout must be empty."""
 
+import math
 import os
 import shlex
 import shutil
@@ -10,6 +11,7 @@ from itertools import count
 
 import pytest
 
+from abelian3.arith import primes_up_to
 from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, _TABLE_LIMITS
 from abelian3.config import ELEMENT_BOUND
 
@@ -28,8 +30,10 @@ SIDE = next(side for side in count(1) if side**3 >= ELEMENT_BOUND)
 assert SIDE**3 == ELEMENT_BOUND, f"the element bound {ELEMENT_BOUND} is not a cube"
 LAM, MU = ",".join("1" * MAX_PARTITION_SIZE), ",".join("1" * (MAX_PARTITION_SIZE // 2))
 # Three primes whose product passes Miller-Rabin to every prime base up to 43, among them base 2, the one arith.is_prime
-# uses above psi_13 = 3317044064679887385961981; the strong Lucas step refuses it.
+# uses above psi_13 = 3317044064679887385961981; the extra strong Lucas step refuses it.
 PSEUDOPRIME = 407341253811510685885345669162000633748086864015893411748503619933369963
+# 6569# - 1, a 2,811-digit primorial prime: n + 1 = 2 times an odd number, so the Lucas step runs its full-length V chain
+PRIMORIAL_PRIME = math.prod(primes_up_to(6569)) - 1
 CONSOLE = pytest.mark.skipif(shutil.which("abelian3") is None, reason="no abelian3 console script on PATH (pip install -e .)")
 ROWS = [
     ("python -c pass", 10, 40, 0, False),  # the helper does not count the ballast
@@ -51,8 +55,10 @@ ROWS = [
     *[(f"{CLI} -q --format {fmt} poly {MAX_CLOSED_FORM_EXPONENT} --closed-form --eval 2", 10, 160, 2, True) for fmt in ("json", "csv")],
     *[(f"{CLI} -q --format {fmt} type-count {LAM} {MU} --eval 10000000000", 10, None, 2, True) for fmt in ("json", "csv")],
     (f"{CLI} count {PSEUDOPRIME} 1 1", 60, None, 2, True),
-    # a 2,917-digit prime entry: is_prime runs Miller-Rabin to base 2 and the strong Lucas test on it, nothing more
+    # a 2,917-digit prime entry: is_prime runs Miller-Rabin to base 2 and the extra strong Lucas test on it, nothing more;
+    # n + 1 = 2^9689, so the Lucas step squares only
     (f"{CLI} count {2**9689 - 1} 1 1", 10, None, 0, False),
+    (f"{CLI} count {PRIMORIAL_PRIME} 1 1", 10, None, 0, False),
 ]
 
 

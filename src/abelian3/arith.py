@@ -22,10 +22,10 @@ _PSI_13 = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the bases _MR_BASES below psi_13; from psi_13 on, the Baillie-PSW test.
 
-    A proof below psi_13. From it on, Miller-Rabin to base 2 alone and then a strong
-    Lucas test make the Baillie-PSW test (Baillie and Wagstaff 1980), and True assumes
-    that no composite passes it, as none known does; fixed bases alone can be fooled
-    by a composite built for them (Arnault 1995).
+    A proof below psi_13. From it on, Miller-Rabin to base 2 alone and then the extra
+    strong Lucas test (_lucas_prp) make the Baillie-PSW test (Baillie and Wagstaff 1980;
+    Baillie, Fiori and Wagstaff 2021), and True assumes that no composite passes it, as
+    none known does; fixed bases alone can be fooled by a composite built for them (Arnault 1995).
     """
     if n < 2:
         return False
@@ -45,7 +45,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _PSI_13 or _strong_lucas_prp(n)
+    return n < _PSI_13 or _lucas_prp(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -62,29 +62,29 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable-prime test of odd n > 2 with Selfridge's parameters: P = 1 and
-    Q = (1 - D) / 4 for the first D of 5, -7, 9, -11, ... with (D / n) = -1. With
-    n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^k) = 0 mod n for some k < s."""
-    if math.isqrt(n) ** 2 == n:  # no D has (D / n) = -1
+def _lucas_prp(n: int) -> bool:
+    """Extra strong Lucas probable-prime test of odd n > 2 (Grantham 2001): Q = 1 and the first P of 3, 4, ... with
+    ((P^2 - 4) / n) = -1. With n + 1 = d 2^s, d odd, n passes when V_d = +-2 and 2 V_(d+1) = P V_d mod n (so U_d = 0),
+    or when V_(d 2^k) = 0 mod n for some k < s - 1. The chain steps the pair (V_k, V_(k+1)): two products a bit."""
+    if math.isqrt(n) ** 2 == n:  # no P has ((P^2 - 4) / n) = -1
         return False
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0 and D % n:
+    P = 3
+    while (j := _jacobi(P * P - 4, n)) != -1:
+        if j == 0 and (P * P - 4) % n:
             return False
-        D = 2 - D if D < 0 else -D - 2
-    Q, half = (1 - D) // 4, (n + 1) // 2
+        P += 1
     s = ((n + 1) & -(n + 1)).bit_length() - 1
-    U, V, Qk = 1, 1, Q % n  # U_k, V_k and Q^k for k = 1, then for the leading bits of d
+    V, W = P % n, (P * P - 2) % n  # V_k and V_(k+1) for k = 1, then for the leading bits of d
     for bit in bin((n + 1) >> s)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
-    for _ in range(s):
+        VW = (V * W - P) % n  # V_(2k+1)
+        V, W = (VW, (W * W - 2) % n) if bit == "1" else ((V * V - 2) % n, VW)
+    if V in (2, n - 2) and (2 * W - P * V) % n == 0:
+        return True
+    for _ in range(s - 1):
         if V == 0:
             return True
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-    return U == 0
+        V = (V * V - 2) % n
+    return False
 
 
 def iter_primes(limit: int) -> Iterator[int]:

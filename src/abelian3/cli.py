@@ -54,6 +54,8 @@ MAX_PARTITION_SIZE = 110
 # Largest --eval value or count shown, in decimal digits: CPython's default
 # limit on converting an int to a string (lower when the interpreter's is lower).
 MAX_EVAL_DIGITS = 4300
+# Largest entry of count and enumerate, in decimal digits: a prime entry, tested outside the rho budget, takes seconds here.
+MAX_ENTRY_DIGITS = 3000
 # verify checks every group of order at most --max-order; its time grows about
 # as the 1.9th power of the bound.
 MAX_VERIFY_ORDER = 200
@@ -88,8 +90,11 @@ def _digit_checked(what: str, value: Callable[[], int], log10_floor: float = 0.0
 
 
 def _counted(group: tuple[int, int, int], order_: int | None = None, cyclic: bool = False) -> tuple[str, int]:
-    """The kind and number of group's subgroups (of order order_, or cyclic). A usage error: an entry too hard to factor, an
-    order_ not dividing m n r, more than MAX_EXPONENT_TRIPLES exponent triples (but for cyclic), or a count past _digit_checked."""
+    """The kind and number of group's subgroups (of order order_, or cyclic). A usage error: an entry of more than MAX_ENTRY_DIGITS
+    digits or too hard to factor, an order_ not dividing m n r, more than MAX_EXPONENT_TRIPLES exponent triples (but for
+    cyclic), or a count past _digit_checked."""
+    if max(group) >= 10**MAX_ENTRY_DIGITS:
+        raise UsageError(f"m, n and r must have at most {MAX_ENTRY_DIGITS} digits each")
     from . import rank3
     try:
         if cyclic:

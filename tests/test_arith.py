@@ -47,28 +47,34 @@ class TestIsPrime:
     # Miller-Rabin to every base of _MR_BASES
     P1 = 50132292363566260677523
     ARNAULT = P1 * (53 * (P1 - 1) + 1) * (61 * (P1 - 1) + 1)
+    # a product of three primes that passes Miller-Rabin to every prime base up to 43 (ci/test_ci.py's PSEUDOPRIME)
+    PSEUDOPRIME = 407341253811510685885345669162000633748086864015893411748503619933369963
 
     def test_miller_rabin_pseudoprime_is_composite(self, monkeypatch):
         assert all(is_prime(p) for p in (self.P1, 53 * (self.P1 - 1) + 1, 61 * (self.P1 - 1) + 1))
         assert not is_prime(self.ARNAULT)
-        monkeypatch.setattr(arith, "_strong_lucas_prp", lambda n: True)
+        monkeypatch.setattr(arith, "_lucas_prp", lambda n: True)
         assert is_prime(self.ARNAULT)  # Miller-Rabin alone is fooled
 
-    def test_strong_lucas_matches_sympy(self, sympy):
-        from sympy.ntheory.primetest import is_strong_lucas_prp
+    def test_extra_strong_lucas_matches_sympy(self, sympy):
+        from sympy.ntheory.primetest import is_extra_strong_lucas_prp
 
         rng = random.Random(13)
         odd = [rng.randrange(3, 1 << bits) | 1 for bits in (6, 16, 40, 90, 250) for _ in range(400)]
-        # the least strong Lucas pseudoprimes, psi_12, psi_13 and Arnault's n
+        # the least strong Lucas pseudoprimes, psi_12, psi_13, Arnault's n, the least extra strong Lucas pseudoprimes
+        # (OEIS A217719; 5777 and 10877 are both) and ci's base-2 pseudoprime
         odd += [5459, 5777, 10877, 16109, 18971, 318665857834031151167461, 3317044064679887385961981, self.ARNAULT]
-        assert [arith._strong_lucas_prp(n) for n in odd] == [is_strong_lucas_prp(n) for n in odd]
-        assert arith._strong_lucas_prp(5459) and not arith._strong_lucas_prp(self.ARNAULT)
+        odd += [989, 3239, self.PSEUDOPRIME]
+        assert [arith._lucas_prp(n) for n in odd] == [is_extra_strong_lucas_prp(n) for n in odd]
+        # 5459 is a strong Lucas pseudoprime, but not an extra strong one
+        assert arith._lucas_prp(989) and not arith._lucas_prp(5459)
+        assert not any(arith._lucas_prp(n) for n in (arith._PSI_13, self.ARNAULT, self.PSEUDOPRIME))
 
     def test_lucas_step_rejects_psi13(self, monkeypatch):
         # psi_13 passes Miller-Rabin to the first 13 primes, so from it on base 2
-        # alone leaves the refusal to the strong Lucas step
+        # alone leaves the refusal to the extra strong Lucas step
         assert not is_prime(arith._PSI_13)
-        monkeypatch.setattr(arith, "_strong_lucas_prp", lambda n: True)
+        monkeypatch.setattr(arith, "_lucas_prp", lambda n: True)
         assert is_prime(arith._PSI_13)
 
     def test_both_sides_of_psi13_match_sympy(self, sympy):

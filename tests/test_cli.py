@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelian3 import arith, cli as cli_module, oracle, rank3, verify
-from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, _TABLE_LIMITS, Column, OutputConfig, _render_rows, main, run_lattice_verification
+from abelian3.cli import MAX_CLOSED_FORM_EXPONENT, MAX_ENTRY_DIGITS, MAX_EVAL_DIGITS, MAX_EXPONENT, MAX_EXPONENT_TRIPLES, MAX_PARTIAL_SUM_X, MAX_PARTITION_SIZE, MAX_SIEVE, MAX_VERIFY_ORDER, _TABLE_LIMITS, Column, OutputConfig, _render_rows, main, run_lattice_verification
 from abelian3.config import ELEMENT_BOUND
 from abelian3.rank3 import DerivedParams, count_by_order
 from abelian3.render import _CHUNK_CHARS, _csv_record
@@ -171,6 +171,27 @@ class TestCount:
         assert result.returncode == 2
         assert n in result.stderr.decode()
 
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("options", [["count"], ["count", "--cyclic"], ["count", "--order", "1"], ["enumerate"]], ids=" ".join)
+    def test_entry_past_the_digit_cap_is_refused_fast(self, options, position):
+        # without the cap, is_prime and rho would spend seconds on the cofactor of 10^cap + 1 past its small primes
+        entries = ["1"] * 3
+        entries[position] = str(10**MAX_ENTRY_DIGITS + 1)
+        start = time.perf_counter()
+        result = run_cli([options[0], *entries, *options[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert b"at most %d digits" % MAX_ENTRY_DIGITS in result.stderr
+        assert str(10**MAX_ENTRY_DIGITS).encode() not in result.stderr
+
+    def test_entry_at_the_digit_cap_is_counted(self, runner):
+        x = str(10 ** (MAX_ENTRY_DIGITS - 1))  # 2^(cap-1) 5^(cap-1): cap^2 subgroups, all cyclic
+        for options in ([], ["--cyclic"]):
+            result = runner.invoke(main, ["count", x, "1", "1", *options])
+            assert result.exit_code == 0
+            assert result.stdout == f"{MAX_ENTRY_DIGITS**2}\n"
+
     @pytest.mark.parametrize("entries", ["N 1 1", "N N 1"])
     def test_thousand_digit_semiprime_is_refused_fast(self, thousand_digit_semiprime, entries):
         # rho charges each step by the cofactor's size, so a long entry spends its budget in few steps
@@ -192,7 +213,7 @@ class TestCount:
     @pytest.mark.parametrize("entries", ["n 1 1", "n n 1"])
     def test_lucas_pseudoprime_entry_is_refused(self, runner, monkeypatch, entries):
         # n = p1 p2 p3 passes Miller-Rabin to all 14 bases (Arnault's construction);
-        # the strong Lucas step rejects it, so rho is asked to split it and gives up
+        # the extra strong Lucas step rejects it, so rho is asked to split it and gives up
         p1 = 50132292363566260677523
         n = str(p1 * (53 * (p1 - 1) + 1) * (61 * (p1 - 1) + 1))
         monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from abelian3.config import ELEMENT_BOUND
 from abelian3.oracle import all_subgroups
-from abelian3.rank3 import count_by_order, count_total, count_total_divisor_sum
+from abelian3.arith import primes_up_to
+from abelian3.rank3 import count_by_order, count_cyclic, count_total, count_total_divisor_sum
 from abelian3.typecounts import (
     IntPolynomial,
     Partition,
@@ -127,16 +128,31 @@ class TestSymbolicCount:
 
     def test_order_terms_match_gaussian_route_as_polynomials(self):
         # the kernel branches on i, j and rc = nu3 - k, so every axis order of
-        # every exponent triple up to 6 is checked, polynomial by polynomial
+        # every exponent triple up to 10 is checked, polynomial by polynomial
         by_type = {}
-        for parts in combinations_with_replacement(range(6, -1, -1), 3):
+        for parts in combinations_with_replacement(range(10, -1, -1), 3):
             lam = Partition(tuple(part for part in parts if part))
             sums = [[] for _ in range(lam.size + 1)]
             for mu in subpartitions(lam):
                 sums[mu.size].append(type_count(lam, mu))
             by_type[parts] = tuple(map(plus, sums))
-        for nu in product(range(7), repeat=3):
+        for nu in product(range(11), repeat=3):
             assert order_terms(*nu) == by_type[tuple(sorted(nu, reverse=True))], nu
+
+    def test_count_cyclic_matches_gaussian_route(self):
+        # The cyclic subgroups of order p^k are those of type (k). Both sides are
+        # polynomials in p of degree at most nu1 + nu2 + nu3, so agreeing at that
+        # many primes plus one, in every axis order, proves each triple up to 10
+        # for every prime.
+        primes = primes_up_to(127)  # the first 31 primes
+        by_type = {}
+        for parts in combinations_with_replacement(range(10, -1, -1), 3):
+            lam = Partition(tuple(part for part in parts if part))
+            by_type[parts] = plus([ONE, *(type_count(lam, Partition((k,))) for k in range(1, parts[0] + 1))])
+        for nu in product(range(11), repeat=3):
+            want = by_type[tuple(sorted(nu, reverse=True))]
+            for p in primes[: sum(nu) + 1]:
+                assert count_cyclic(tuple(p**e for e in nu)) == want(p), (nu, p)
 
     def test_degree_formula(self):
         for shape in product(range(8), repeat=3):
