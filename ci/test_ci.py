@@ -34,6 +34,9 @@ LAM, MU = ",".join("1" * MAX_PARTITION_SIZE), ",".join("1" * (MAX_PARTITION_SIZE
 PSEUDOPRIME = 407341253811510685885345669162000633748086864015893411748503619933369963
 # 6569# - 1, a 2,811-digit primorial prime: n + 1 = 2 times an odd number, so the Lucas step runs its full-length V chain
 PRIMORIAL_PRIME = math.prod(primes_up_to(6569)) - 1
+# poly at its caps: mixed exponents take symbolic_count, equal ones general_form, with or without --closed-form
+MIXED = f"poly {MAX_EXPONENT} {MAX_EXPONENT} {MAX_EXPONENT - 1}"
+EQUAL = [f"poly {MAX_CLOSED_FORM_EXPONENT}{flag}" for flag in ("", " --closed-form")]
 CONSOLE = pytest.mark.skipif(shutil.which("abelian3") is None, reason="no abelian3 console script on PATH (pip install -e .)")
 ROWS = [
     ("python -c pass", 10, 40, 0, False),  # the helper does not count the ballast
@@ -43,16 +46,19 @@ ROWS = [
     (f"{CLI} asymptotic --x-values {MAX_PARTIAL_SUM_X}", 120, 32, 0, False),
     *[(f"{CLI} {fmt}verify --max-order {MAX_VERIFY_ORDER}", 60, None, 0, False) for fmt in ("", "-q --format json ", "-q --format csv ")],
     ("python -c 'from reference import certify_stream; print(certify_stream((210, 420, 840)))'", 120, None, 0, False),
+    # order_terms and count_cyclic against the Gaussian-binomial count by type on every exponent triple up to 18, in every
+    # axis order (about 33 s and 12 s on a 2-core Xeon VM); a mismatch exits 1 and names its triple
+    *[(f"python -c 'from reference import {check}; raise SystemExit({check}(18))'", 120, None, 0, False) for check in ("order_terms_mismatch", "count_cyclic_mismatch")],
     *[(f"{CLI} -q {fmt}enumerate {SIDE} {SIDE} {SIDE} --elements", 60, None, 0, False) for fmt in ("", "--format json ", "--format csv ")],
     *[(f"{CLI} -q {command}", 10, None, 0, False)
-      for command in (f"poly {MAX_EXPONENT}", f"poly {MAX_CLOSED_FORM_EXPONENT} --closed-form", f"table 2 --limit {_TABLE_LIMITS['2']}", f"table 3 --limit {_TABLE_LIMITS['3']}", f"count {BIG} {BIG} {BIG}")],
+      for command in (MIXED, *EQUAL, f"table 2 --limit {_TABLE_LIMITS['2']}", f"table 3 --limit {_TABLE_LIMITS['3']}", f"count {BIG} {BIG} {BIG}")],
     # JSON shows the coefficients only, so the polynomial's text (about 180 MB more at the cap) is never built
-    (f"{CLI} -q --format json poly {MAX_CLOSED_FORM_EXPONENT} --closed-form", 10, 200, 0, False),
+    *[(f"{CLI} -q --format json {command}", 10, 200, 0, False) for command in EQUAL],
     # CSV writes the text as one record, at the text's peak (302 MB): no record buffer of 4 bytes a character
-    (f"{CLI} -q --format csv poly {MAX_CLOSED_FORM_EXPONENT} --closed-form", 10, 340, 0, False),
-    *[(f"{CLI} -q --format {fmt} {command} --eval 2", 10, None, 0, False) for fmt in ("json", "csv") for command in (f"poly {MAX_EXPONENT}", f"type-count {LAM} {MU}")],
+    *[(f"{CLI} -q --format csv {command}", 10, 340, 0, False) for command in EQUAL],
+    *[(f"{CLI} -q --format {fmt} {command} --eval 2", 10, None, 0, False) for fmt in ("json", "csv") for command in (MIXED, f"type-count {LAM} {MU}")],
     # refused once the polynomial is built, but before it is evaluated
-    *[(f"{CLI} -q --format {fmt} poly {MAX_CLOSED_FORM_EXPONENT} --closed-form --eval 2", 10, 160, 2, True) for fmt in ("json", "csv")],
+    *[(f"{CLI} -q --format {fmt} {command} --eval 2", 10, 160, 2, True) for fmt in ("json", "csv") for command in EQUAL],
     *[(f"{CLI} -q --format {fmt} type-count {LAM} {MU} --eval 10000000000", 10, None, 2, True) for fmt in ("json", "csv")],
     (f"{CLI} count {PSEUDOPRIME} 1 1", 60, None, 2, True),
     # a 2,917-digit prime entry: is_prime runs Miller-Rabin to base 2 and the extra strong Lucas test on it, nothing more;
@@ -68,7 +74,8 @@ def ballast():
     yield b"x" * (200 << 20)
 
 
-@pytest.mark.parametrize(("command", "timeout", "cap_mb", "code", "empty"), ROWS)
+# the command cut to 60 characters and the row's index: some commands carry entries of thousands of digits
+@pytest.mark.parametrize(("command", "timeout", "cap_mb", "code", "empty"), ROWS, ids=[f"{index}-{getattr(row, 'values', row)[0][:60]}" for index, row in enumerate(ROWS)])
 def test_row(command, timeout, cap_mb, code, empty):
     argv = [sys.executable if word == "python" else word for word in shlex.split(command)]
     out = subprocess.PIPE if empty else subprocess.DEVNULL

@@ -40,8 +40,8 @@ DLOG_ZETA3 = -0.16482268215827725
 THETA_REFERENCE = "131/416"
 
 
-# The most direct terms h3_and_h3prime sums: the largest n with n^3 < 2^53, an exact double.
-MAX_TAIL_TERMS = 208_063
+# The terms of h3_and_h3prime's direct sums: every n^3 up to it is below 2^53, an exact double.
+DIRECT_TERMS = 200_000
 
 # s(p^e) by the paper's closed form; typecounts.symbolic_count is the reference route.
 S_DIAGONAL = lambda p, e: general_form(e)(p)
@@ -117,7 +117,7 @@ class H3Estimate(NamedTuple):
     h3/h3prime come from the accelerated Euler product; their bounds are
     proved and cover the series tail and the rounding. direct_h3/direct_h3prime
     are the correctly rounded exact sums of the double terms h(n)/n^3 (and the
-    log-weighted variant) to tail_terms; their bounds are empirical,
+    log-weighted variant) to DIRECT_TERMS; their bounds are empirical,
     extrapolated from the final doubling of the summation range.
     """
 
@@ -133,7 +133,7 @@ class H3Estimate(NamedTuple):
     tail_terms: int
 
 
-def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3Estimate:
+def h3_and_h3prime(prime_limit: int = 100_000) -> H3Estimate:
     """Constants H3 and H3' of the average order, with error bounds.
 
     The h-series has local Euler factors f_p(z) / (1 - p^(-z))^2, where
@@ -149,13 +149,38 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     order Q^-3. H3' comes from the logarithmic derivative of the same
     factorization. Both bars add a bound on the floating-point rounding to
     the tail, and step outward by one ulp. The direct route sums the series
-    itself to tail_terms, exactly as the terms stream, holding no term list.
+    itself to DIRECT_TERMS, exactly as the terms stream, holding no term list.
     """
+    h3, h3prime, h3_bound, h3prime_bound = _euler_route(prime_limit)
+
+    # Direct route. The series sum_n h(n)/n^3 IS the constant: its local
+    # factors are (1 - p^-3)^-2 f_p(3), so the zeta part needs no separate
+    # treatment. The derivative is -sum_n h(n) log(n)/n^3. For n <= 2^47 each
+    # term is a double >= 2^-142 (h >= 1, log n >= log 2 for n >= 2, and the
+    # n = 1 log term is 0), so each sums exactly by _FIX. Each n^3 is an exact
+    # double, so the log term divides by n^3 itself, as h(n)/n^3 does.
+    half = DIRECT_TERMS // 2
+    total = log_total = 0
+    for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, DIRECT_TERMS), 1):
+        cube = n * n * n
+        total += int(h / cube * _FIX)
+        log_total += int(h * math.log(n) / cube * _FIX)
+        if n == half:
+            half_total, half_log_total = total, log_total
+    direct_h3 = total / _FIX
+    direct_h3prime = -(log_total / _FIX)
+    # Terms are positive, so both sums grow monotonically toward their
+    # limits; the remainder past N is comparable to the gain over the last
+    # doubling. Factor 4 is empirical headroom, not a theorem.
+    direct_h3_bound = 4 * abs(direct_h3 - half_total / _FIX)
+    direct_h3prime_bound = 4 * abs(direct_h3prime + half_log_total / _FIX)
+    return H3Estimate(h3, h3prime, h3_bound, h3prime_bound, direct_h3, direct_h3prime, direct_h3_bound, direct_h3prime_bound, prime_limit, DIRECT_TERMS)
+
+
+def _euler_route(prime_limit: int) -> tuple[float, float, float, float]:
+    """H3, H3' and their proved bars from the Euler product over the primes up to prime_limit, as h3_and_h3prime gives them."""
     if prime_limit < 100:
         raise ValueError(f"prime_limit must be >= 100, got {prime_limit}")
-    if not 16 <= tail_terms <= MAX_TAIL_TERMS:
-        raise ValueError(f"tail_terms must be from 16 to {MAX_TAIL_TERMS}, got {tail_terms}")
-
     # Each Euler term is at least 2.9 p^-4 in magnitude (the derivative term is
     # larger), above 2^-148 for p <= 10^11, so each sums exactly by _FIX.
     log_total = dlog_total = 0
@@ -201,43 +226,7 @@ def h3_and_h3prime(prime_limit: int = 100_000, tail_terms: int = 200_000) -> H3E
     h3prime_bound = abs(h3) * bracket_err + h3_bound * (abs(bracket) + bracket_err) + unit * abs(h3prime)
     h3prime_bound = math.nextafter(h3prime_bound, math.inf)
 
-    # Direct route. The series sum_n h(n)/n^3 IS the constant: its local
-    # factors are (1 - p^-3)^-2 f_p(3), so the zeta part needs no separate
-    # treatment. The derivative is -sum_n h(n) log(n)/n^3. For n <= 2^47 each
-    # term is a double >= 2^-142 (h >= 1, log n >= log 2 for n >= 2, and the
-    # n = 1 log term is 0), so each sums exactly by _FIX.
-    # tail_terms <= MAX_TAIL_TERMS keeps n^3 an exact double, so the log term
-    # divides by n^3 itself, as h(n)/n^3 does.
-    half = tail_terms // 2
-    total = log_total = 0
-    for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):
-        cube = n * n * n
-        total += int(h / cube * _FIX)
-        log_total += int(h * math.log(n) / cube * _FIX)
-        if n == half:
-            half_total, half_log_total = total, log_total
-    direct_h3 = total / _FIX
-    direct_h3_half = half_total / _FIX
-    direct_h3prime = -(log_total / _FIX)
-    direct_h3prime_half = -(half_log_total / _FIX)
-    # Terms are positive, so both sums grow monotonically toward their
-    # limits; the remainder past N is comparable to the gain over the last
-    # doubling. Factor 4 is empirical headroom, not a theorem.
-    direct_h3_bound = 4 * abs(direct_h3 - direct_h3_half)
-    direct_h3prime_bound = 4 * abs(direct_h3prime - direct_h3prime_half)
-
-    return H3Estimate(
-        h3=h3,
-        h3prime=h3prime,
-        h3_bound=h3_bound,
-        h3prime_bound=h3prime_bound,
-        direct_h3=direct_h3,
-        direct_h3prime=direct_h3prime,
-        direct_h3_bound=direct_h3_bound,
-        direct_h3prime_bound=direct_h3prime_bound,
-        prime_limit=prime_limit,
-        tail_terms=tail_terms,
-    )
+    return h3, h3prime, h3_bound, h3prime_bound
 
 
 def main_term(x: int, h3: float, h3prime: float) -> float:

@@ -59,7 +59,7 @@ MAX_ENTRY_DIGITS = 3000
 # verify checks every group of order at most --max-order; its time grows about
 # as the 1.9th power of the bound.
 MAX_VERIFY_ORDER = 200
-_TABLE_LIMITS = {"1": MAX_SIEVE, "2": 50, "3": 18}
+_TABLE_LIMITS = {"1": MAX_SIEVE, "2": 1000, "3": 18}
 _TABLE_DEFAULTS = {"1": 50, "2": 10, "3": 4}
 
 
@@ -173,7 +173,7 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
         _render_rows(cfg, enumerate(arith.multiplicative_stream(asymptotics.S_DIAGONAL, top), 1), [Column("n"), Column("s")], "{0}\t{1}")
         return
     if which == "2":
-        keys, cells, build = ["nu"], [(nu,) for nu in range(1, top + 1)], lambda nu: typecounts.symbolic_count(nu, nu, nu)
+        keys, cells, build = ["nu"], [(nu,) for nu in range(1, top + 1)], typecounts.general_form
         _note(cfg, "# nu  s(p^nu x p^nu x p^nu)")
     else:
         keys, build = ["nu1", "nu2", "nu3"], typecounts.symbolic_count
@@ -185,17 +185,19 @@ def cmd_table(cfg: OutputConfig, which: str, limit: int | None) -> None:
 def cmd_poly(cfg: OutputConfig, exponents: list[int], eval_p: int | None, closed_form: bool) -> None:
     """Subgroup count of Z_p^NU1 x Z_p^NU2 x Z_p^NU3 as a polynomial in p.
 
-    Pass one exponent for the equal-exponent case or all three.
+    Pass one exponent for the equal-exponent case or all three. Equal exponents
+    take the paper's closed form, mixed ones the divisor-sum kernel.
     """
     if len(exponents) not in (1, 3):
         raise UsageError("pass exactly one exponent or exactly three")
     nu1, nu2, nu3 = exponents * 3 if len(exponents) == 1 else exponents
-    if closed_form and not (nu1 == nu2 == nu3):
+    equal = nu1 == nu2 == nu3
+    if closed_form and not equal:
         raise UsageError("--closed-form needs equal exponents")
-    bound = MAX_CLOSED_FORM_EXPONENT if closed_form else MAX_EXPONENT
+    bound = MAX_CLOSED_FORM_EXPONENT if equal else MAX_EXPONENT
     if max(exponents) > bound:
-        raise UsageError(f"exponents must be <= {bound}{' with --closed-form' * closed_form}, got {max(exponents)}")
-    poly = typecounts.general_form(nu1) if closed_form else typecounts.symbolic_count(nu1, nu2, nu3)
+        raise UsageError(f"{'equal' if equal else 'mixed'} exponents must be <= {bound}, got {max(exponents)}")
+    poly = typecounts.general_form(nu1) if equal else typecounts.symbolic_count(nu1, nu2, nu3)
     _render_polys(cfg, [*map(Column, ("nu1", "nu2", "nu3"))], "s_poly", [((nu1, nu2, nu3), poly)], True, eval_p)
 
 
@@ -305,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--limit", type=_int_range(1), help="Rows: table 1 max n, table 2 max exponent, table 3 max largest exponent.")
     sub = command("poly", cmd_poly, eval_p=True)
     sub.add_argument("exponents", type=_int_range(0), nargs="+", metavar="NU")
-    sub.add_argument("--closed-form", action="store_true", help="Use the closed-form route (equal exponents only).")
+    sub.add_argument("--closed-form", action="store_true", help="Only refuse unequal exponents; equal ones take the closed form without it too.")
     sub = command("type-count", cmd_type_count, eval_p=True)
     sub.add_argument("lam", metavar="LAM")
     sub.add_argument("mu", metavar="MU")

@@ -4,20 +4,23 @@ Each is a slow or classical evaluation that a library value is checked
 against: subgroups by saturating element tuples, the gcd sum by its
 definition, tau, phi and mu as prime-power rules, the paper's divisor-triple
 count of cyclic subgroups, the divisor-sum partial sums by hyperbola
-identities, the direct partial sums of the series for H3 and H3', and a
-Hermite-normal-form certificate for the subgroup stream.
+identities, the direct partial sums of the series for H3 and H3', a
+Hermite-normal-form certificate for the subgroup stream, and the
+Gaussian-binomial count by type against the per-prime kernel and the cyclic
+count.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product, repeat
+from itertools import combinations_with_replacement, groupby, product, repeat, zip_longest
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from abelian3.arith import divisors, evaluate, multiplicative_stream
+from abelian3.arith import divisors, evaluate, multiplicative_stream, primes_up_to
 from abelian3.asymptotics import EULER_GAMMA, H_COMPLEMENT
-from abelian3.rank3 import subgroup_stream
+from abelian3.rank3 import count_cyclic, subgroup_stream
+from abelian3.typecounts import IntPolynomial, Partition, order_terms, subpartitions, type_count
 
 
 def saturate(gens: Sequence[Sequence[int]], orders: Sequence[int]) -> frozenset[tuple[int, ...]]:
@@ -201,3 +204,36 @@ def certify_stream(group: tuple[int, int, int]) -> int:
 
 def _divisors(k: int) -> list[int]:
     return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def order_terms_mismatch(top: int) -> tuple[int, int, int] | None:
+    """The first exponent triple up to top, in any axis order (the kernel branches on it), where typecounts.order_terms
+    differs, polynomial by polynomial, from the sum over the types mu of each order of type_count(lam, mu); else None.
+
+    The Gaussian-binomial count by type is a theorem, so None proves order_terms on these triples for every prime.
+    """
+    by_type = {}
+    for parts in combinations_with_replacement(range(top, -1, -1), 3):
+        lam = Partition(tuple(part for part in parts if part))
+        sums = [[] for _ in range(lam.size + 1)]
+        for mu in subpartitions(lam):
+            sums[mu.size].append(type_count(lam, mu).coefficients)
+        by_type[parts] = tuple(IntPolynomial(map(sum, zip_longest(*row, fillvalue=0))) for row in sums)
+    return next((nu for nu in product(range(top + 1), repeat=3) if order_terms(*nu) != by_type[tuple(sorted(nu, reverse=True))]), None)
+
+
+def count_cyclic_mismatch(top: int) -> tuple[tuple[int, int, int], int] | None:
+    """The first exponent triple nu up to top, in any axis order, and prime p where rank3.count_cyclic of
+    (p^nu1, p^nu2, p^nu3) differs from 1 plus the Gaussian-binomial counts of the types (k); else None.
+
+    The cyclic subgroups of order p^k are those of type (k). Both sides are polynomials in p of degree at most
+    nu1 + nu2 + nu3, so agreeing at that many primes plus one proves each triple for every prime.
+    """
+    primes = primes_up_to(10 * (3 * top + 1))  # holds the 3 top + 1 primes that (top, top, top) takes
+    by_type = {}
+    for parts in combinations_with_replacement(range(top, -1, -1), 3):
+        lam = Partition(tuple(part for part in parts if part))
+        rows = [type_count(lam, Partition((k,))).coefficients for k in range(1, parts[0] + 1)]
+        by_type[parts] = IntPolynomial(map(sum, zip_longest([1], *rows, fillvalue=0)))
+    return next(((nu, p) for nu in product(range(top + 1), repeat=3) for p in primes[: sum(nu) + 1]
+                 if count_cyclic(tuple(p**e for e in nu)) != by_type[tuple(sorted(nu, reverse=True))](p)), None)

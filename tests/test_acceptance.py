@@ -22,6 +22,7 @@ from abelian3.arith import (
     sieve_multiplicative,
 )
 from abelian3.asymptotics import (
+    _euler_route,
     average_order_reports,
     h3_and_h3prime,
     h_values,
@@ -294,14 +295,14 @@ def test_09_convolution_identity(criterion):
 def test_10_average_order_convergence(criterion):
     with criterion(10, "asymptotic-behavior"):
         start = time.perf_counter()
-        est = h3_and_h3prime(prime_limit=100_000, tail_terms=200_000)
+        est = h3_and_h3prime(prime_limit=100_000)
         assert abs(est.h3 - est.direct_h3) <= est.h3_bound + est.direct_h3_bound
         assert (
             abs(est.h3prime - est.direct_h3prime)
             <= est.h3prime_bound + est.direct_h3prime_bound
         )
-        narrow = h3_and_h3prime(prime_limit=10_000, tail_terms=16)
-        assert abs(narrow.h3 - est.h3) < 1e-9
+        narrow_h3, *_ = _euler_route(10_000)
+        assert abs(narrow_h3 - est.h3) < 1e-9
         reports = average_order_reports(
             [10**3, 10**4, 10**5, 10**6], estimate=est
         )

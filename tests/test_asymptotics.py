@@ -8,20 +8,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from abelian3.arith import evaluate, multiplicative_stream, primes_up_to, sieve_multiplicative
 from abelian3.asymptotics import (
+    DIRECT_TERMS,
     DLOG_ZETA2,
     DLOG_ZETA3,
     EULER_GAMMA,
     H_COMPLEMENT,
-    MAX_TAIL_TERMS,
     S_DIAGONAL,
     ZETA2,
     ZETA3,
     _FIX,
+    H3Estimate,
+    _euler_route,
     average_order_reports,
     h3_and_h3prime,
     h_values,
@@ -48,14 +51,19 @@ def euler_coefficients(p):
     return 3 * (p * p + p + 1), 2 * (p + 1) ** 3, 3 * (p**3 + p * p + p)
 
 
+def euler_route(prime_limit):
+    """h3, h3prime and their bars as h3_and_h3prime(prime_limit) gives them, without its direct sums."""
+    return SimpleNamespace(**dict(zip(H3Estimate._fields, _euler_route(prime_limit))), prime_limit=prime_limit)
+
+
 @pytest.fixture(scope="module")
 def quick_estimate():
-    return h3_and_h3prime(prime_limit=1000, tail_terms=20000)
+    return h3_and_h3prime(prime_limit=1000)
 
 
 @pytest.fixture(scope="module")
 def euler_reference():
-    return h3_and_h3prime(prime_limit=10**6, tail_terms=16)
+    return euler_route(10**6)
 
 
 class TestSieveS:
@@ -179,10 +187,10 @@ class TestConstants:
 
     def test_parameters_echoed(self, quick_estimate):
         assert quick_estimate.prime_limit == 1000
-        assert quick_estimate.tail_terms == 20000
+        assert quick_estimate.tail_terms == DIRECT_TERMS == 200_000
 
     def test_euler_route_stable_under_prime_limit(self, quick_estimate):
-        wider = h3_and_h3prime(prime_limit=5000, tail_terms=16)
+        wider = euler_route(5000)
         assert abs(wider.h3 - quick_estimate.h3) < 1e-8
         assert abs(wider.h3prime - quick_estimate.h3prime) < 1e-7
 
@@ -202,7 +210,7 @@ class TestConstants:
         # the same truncated product at 40 digits differs from the floats by
         # rounding alone, which the bars must cover on top of the tail
         mpmath = pytest.importorskip("mpmath")
-        est = h3_and_h3prime(tail_terms=16)
+        est = euler_route(100_000)
         with mpmath.workdps(40):
             log_sum = dlog_sum = mpmath.mpf(0)
             for p in primes_up_to(est.prime_limit):
@@ -217,30 +225,27 @@ class TestConstants:
             assert abs(est.h3 - h3) <= est.h3_bound
             assert abs(est.h3prime - h3prime) <= est.h3prime_bound
 
-    @pytest.mark.parametrize("tail_terms", [16, 17, 4097, 20_001, 200_000, *random.Random(21).sample(range(16, 60_000), 3)])
-    def test_direct_sums_equal_buffered_fsum_bit_for_bit(self, tail_terms):
-        # the reference holds every term and sums them with math.fsum
+    @pytest.mark.parametrize("length", [DIRECT_TERMS])  # the one length the direct route sums
+    def test_direct_sums_equal_buffered_fsum_bit_for_bit(self, length):
+        # the reference holds every term and sums them, and their first half, with math.fsum
         terms, log_terms = [], []
-        for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, tail_terms), 1):
+        for n, h in enumerate(multiplicative_stream(H_COMPLEMENT, length), 1):
             terms.append(h / n**3)
             log_terms.append(h * math.log(n) / n**3)
-        half = tail_terms // 2
+        half = length // 2
         h3, h3_half = math.fsum(terms), math.fsum(terms[:half])
         h3prime, h3prime_half = -math.fsum(log_terms), -math.fsum(log_terms[:half])
-        est = h3_and_h3prime(prime_limit=100, tail_terms=tail_terms)
+        est = h3_and_h3prime(prime_limit=100)
         assert est.direct_h3.hex() == h3.hex()
         assert est.direct_h3prime.hex() == h3prime.hex()
         assert est.direct_h3_bound.hex() == (4 * abs(h3 - h3_half)).hex()
         assert est.direct_h3prime_bound.hex() == (4 * abs(h3prime - h3prime_half)).hex()
-        if half >= 16:  # the half sums on their own
-            at_half = h3_and_h3prime(prime_limit=100, tail_terms=half)
-            assert (at_half.direct_h3.hex(), at_half.direct_h3prime.hex()) == (h3_half.hex(), h3prime_half.hex())
 
     @pytest.mark.parametrize("prime_limit", [100, 1000, 10_000])
     def test_bars_enclose_the_constants(self, prime_limit, euler_reference):
         # the reference's bar is far below these, so a bar that misses the
         # constant itself, tail and all, fails here
-        est, ref = h3_and_h3prime(prime_limit=prime_limit, tail_terms=16), euler_reference
+        est, ref = euler_route(prime_limit), euler_reference
         assert abs(est.h3 - ref.h3) <= est.h3_bound + ref.h3_bound
         assert abs(est.h3prime - ref.h3prime) <= est.h3prime_bound + ref.h3prime_bound
 
@@ -256,12 +261,8 @@ class TestConstants:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             h3_and_h3prime(prime_limit=50)
-        with pytest.raises(ValueError):
-            h3_and_h3prime(tail_terms=8)
-        # the largest accepted count keeps every n^3 an exact double
-        assert MAX_TAIL_TERMS**3 < 2**53 <= (MAX_TAIL_TERMS + 1) ** 3
-        with pytest.raises(ValueError, match=f"from 16 to {MAX_TAIL_TERMS}, got {MAX_TAIL_TERMS + 1}$"):
-            h3_and_h3prime(tail_terms=MAX_TAIL_TERMS + 1)
+        # the direct sums divide by every n^3 up to DIRECT_TERMS as an exact double
+        assert DIRECT_TERMS**3 < 2**53
 
 
 class TestDiagonalGeneratingFunction:

@@ -652,10 +652,24 @@ class TestPoly:
         assert result.exit_code == 0
         assert result.stdout.splitlines()[1] == "at p=5: 27900"
 
+    @staticmethod
+    def assert_spellings_agree(runner, nu):
+        # one exponent, three equal ones and --closed-form print the same bytes, in every format
+        for fmt in ("text", "json", "csv"):
+            results = [runner.invoke(main, ["--format", fmt, "poly", *args]) for args in ([nu], [nu] * 3, [nu, "--closed-form"])]
+            assert {(r.exit_code, r.stdout_bytes, r.stderr_bytes) for r in results} == {(0, results[0].stdout_bytes, b"")}, fmt
+
     def test_closed_form_matches_default(self, runner):
-        direct = runner.invoke(main, ["-q", "poly", "3"])
-        closed = runner.invoke(main, ["-q", "poly", "3", "3", "3", "--closed-form"])
-        assert direct.stdout == closed.stdout
+        self.assert_spellings_agree(runner, "3")
+
+    def test_equal_exponents_past_max_exponent_take_the_closed_form(self, runner):
+        self.assert_spellings_agree(runner, str(MAX_EXPONENT + 1))
+
+    def test_mixed_exponents_past_max_exponent_are_refused(self, runner):
+        result = runner.invoke(main, ["poly", str(MAX_EXPONENT + 1), "1", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"mixed exponents must be <= {MAX_EXPONENT}, got {MAX_EXPONENT + 1}" in result.stderr
 
     def test_closed_form_needs_equal_exponents(self, runner):
         result = runner.invoke(main, ["poly", "1", "2", "3", "--closed-form"])
@@ -988,10 +1002,11 @@ class TestInputBounds:
     @pytest.mark.parametrize(
         "args",
         [
-            ["poly", str(MAX_EXPONENT + 1)],
+            ["poly", str(MAX_EXPONENT + 1), "1", "1"],
             ["poly", "1", "1", "3000"],
             ["poly", str(MAX_CLOSED_FORM_EXPONENT + 1), "--closed-form"],
-            ["table", "2", "--limit", "400"],
+            ["poly", *[str(MAX_CLOSED_FORM_EXPONENT + 1)] * 3],
+            ["table", "2", "--limit", "40000"],
             ["table", "3", "--limit", "40"],
             ["type-count", ",".join(["1"] * (MAX_PARTITION_SIZE + 1)), ",".join(["1"] * 55)],
             ["type-count", str(10**9), "1"],
@@ -1015,7 +1030,7 @@ class TestInputBounds:
         "args",
         [
             ["poly", "120", "--eval", str(10**40)],
-            ["poly", "20000", "--closed-form", "--eval", "1000000"],
+            ["poly", "20000", "--eval", "1000000"],
             ["type-count", ",".join(["1"] * 100), ",".join(["1"] * 50), "--eval", str(10**20)],
             # the slowest build a refusal waits for: the value is refused once the polynomial is built
             ["type-count", ",".join(["1"] * MAX_PARTITION_SIZE), ",".join(["1"] * (MAX_PARTITION_SIZE // 2)), "--eval", "10000000000"],
@@ -1064,8 +1079,8 @@ class TestInputBounds:
 
     def test_bounds_are_inclusive(self, runner):
         assert runner.invoke(main, ["-q", "poly", "1", "1", str(MAX_EXPONENT)]).exit_code == 0
-        # general_form is linear in the exponent; only symbolic_count needs MAX_EXPONENT.
-        assert runner.invoke(main, ["-q", "poly", "3000", "--closed-form"]).exit_code == 0
+        # equal exponents take general_form, linear in the exponent; only symbolic_count needs MAX_EXPONENT.
+        assert runner.invoke(main, ["-q", "poly", "3000"]).exit_code == 0
         assert runner.invoke(main, ["-q", "asymptotic", "--x-values", "2"]).exit_code == 0
         assert runner.invoke(main, ["-q", "type-count", str(MAX_PARTITION_SIZE), "1"]).exit_code == 0
         result = runner.invoke(main, ["-q", "poly", "2", "--eval", str(7 * 10**1074)])

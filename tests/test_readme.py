@@ -81,7 +81,7 @@ def test_caps_table_matches_the_constants():
     assert all(len(row) == 4 and all(row) and cites_a_test(row[3]) for row in rows), rows
     # a row whose first cell is one code span names a constant, evaluated among cli's names
     caps = {row[0].strip("`"): int(row[1].replace(",", "")) for row in rows if re.fullmatch(r"`[^`]+`", row[0])}
-    required = {name for name in vars(cli) if name.startswith("MAX_")} | {"asymptotics.MAX_TAIL_TERMS", "config.ELEMENT_BOUND", "oracle.MAX_JOINS"}
+    required = {name for name in vars(cli) if name.startswith("MAX_")} | {"config.ELEMENT_BOUND", "oracle.MAX_JOINS"}
     assert required <= caps.keys(), required - caps.keys()
     namespace = {**vars(cli), "arith": arith, "asymptotics": asymptotics, "config": config, "oracle": oracle}
     for name, value in caps.items():
